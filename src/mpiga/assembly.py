@@ -17,11 +17,11 @@ lower-indexed patch.
 
 import numpy as np
 
-from .bspline import gauss_legendre
+from .bspline import JET_ORDERS, gauss_legendre
 from .c1space import ComboEval, ConstrainedC1Space
 from .errors import ParameterError
 from .geometry import EdgeFrame, SideMap, detect_topology, physical_jet
-from .linalg import SparseSymMatrix, eigen_extreme, solve_spd
+from .linalg import SparseSymMatrix, gram_pencil_max, solve_spd
 
 __all__ = [
     "AssembledSystem",
@@ -78,6 +78,15 @@ def manufactured_rhs(x, y):
     a0, _, a2, _, a4 = _cosfactors(np.asarray(x, dtype=float))
     b0, _, b2, _, b4 = _cosfactors(np.asarray(y, dtype=float))
     return a4 * b0 + 2.0 * a2 * b2 + a0 * b4
+
+
+def _at_points(fn, point):
+    """``fn(x, y)`` on the flattened points of an (..., 2) array, reshaped back."""
+    x, y = point[..., 0].ravel(), point[..., 1].ravel()
+    out = np.asarray(fn(x, y), dtype=float)
+    if out.ndim == 0:
+        out = np.full(x.shape, out)
+    return out.reshape(point.shape[:-1] + out.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +182,19 @@ class C0Space:
 # generic element evaluation over a space view
 
 
+_SLOT_U = [a for a, _ in JET_ORDERS]
+_SLOT_V = [b for _, b in JET_ORDERS]
+
+
+def _window_jets(tab_u, tab_v):
+    """Jets of the (p+1)^2 tensor window from univariate derivative tables.
+
+    ``tab_u`` is (nu, 3, p+1) and ``tab_v`` is (..., nv, 3, p+1); returns
+    (..., p+1, p+1, nu, nv, 6), the window index of u first.
+    """
+    return np.einsum("qsi,...rsj->...ijqrs", tab_u[:, _SLOT_U], tab_v[..., _SLOT_V, :])
+
+
 class _Assembler:
     """Shared element machinery over a space view (C1 or C0)."""
 
@@ -186,34 +208,7 @@ class _Assembler:
         self.nodes, self.weights = gauss_legendre(self.nq)
         self.edge_nq = quad_scale * (2 * p + 1)
         self.enodes, self.eweights = gauss_legendre(self.edge_nq)
-        self._vol_tab = None
         self._combo_cache = {}
-
-    # volume univariate tables, one per element of the shared 1D space
-    def _volume_tables(self):
-        if self._vol_tab is None:
-            tab = []
-            for e in range(self.n):
-                xs = (e + self.nodes) * self.sol.h
-                first, tables = self.sol.eval_many(xs, 2)
-                tab.append((first[0], tables))
-            self._vol_tab = tab
-        return self._vol_tab
-
-    def element_points(self, e):
-        return (e + self.nodes) * self.sol.h
-
-    def _tensor_jets(self, tab_u, tab_v):
-        """Jets of the full (p+1)^2 tensor window: (nd, nu, nv, 6)."""
-        _, U = tab_u
-        _, V = tab_v
-        p1 = U.shape[2]
-        jets = np.empty((p1 * p1, U.shape[0], V.shape[0], 6))
-        slot_pairs = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
-        for slot, (a, b) in enumerate(slot_pairs):
-            prod = np.einsum("qi,rj->ijqr", U[:, a, :], V[:, b, :])
-            jets[:, :, :, slot] = prod.reshape(p1 * p1, U.shape[0], V.shape[0])
-        return jets
 
     def _eval_combo(self, ev, u_pts, v_pts):
         out = None
@@ -226,28 +221,13 @@ class _Assembler:
             out = w * jets if out is None else out + w * jets
         return out
 
-    def element_jets(self, patch_index, elem, u_pts, v_pts, tab_u=None, tab_v=None):
-        """All dof jets on a point grid inside one patch element.
+    def _other_jets(self, others, elem, u_pts, v_pts):
+        """Edge and vertex functions of one element: (fids, jets (nd, nu, nv, 6)).
 
-        Returns (fids, jets) with jets of shape (nd, nu, nv, 6).  Edge
-        functions sharing a shape are evaluated in one batch.
+        Edge functions sharing a shape are evaluated in one batch.
         """
-        tensor_fids, others = self.view.element_table(patch_index)
-        eu, evv = elem
-        if tab_u is None:
-            f_u, t_u = self.sol.eval_many(u_pts, 2)
-            tab_u = (f_u[0], t_u)
-        if tab_v is None:
-            f_v, t_v = self.sol.eval_many(v_pts, 2)
-            tab_v = (f_v[0], t_v)
-        first_u, first_v = tab_u[0], tab_v[0]
-        p1 = self.sol.p + 1
-        window = tensor_fids[first_u : first_u + p1, first_v : first_v + p1]
-        mask = window.ravel() >= 0
-        jets_t = self._tensor_jets(tab_u, tab_v)[mask]
-        fids = list(window.ravel()[mask])
-        jets_list = [jets_t] if len(fids) else []
-        extra = others.get((eu, evv), ())
+        fids, jets_list = [], []
+        extra = others.get(elem, ())
         if extra:
             self._combo_cache.clear()
             edge_groups = {}
@@ -267,39 +247,79 @@ class _Assembler:
             return [], np.zeros((0, len(u_pts), len(v_pts), 6))
         return fids, np.concatenate(jets_list, axis=0)
 
+    def element_jets(self, patch_index, elem, u_pts, v_pts):
+        """All dof jets on a point grid inside one patch element.
+
+        Returns (fids, jets) with jets of shape (nd, nu, nv, 6).
+        """
+        tensor_fids, others = self.view.element_table(patch_index)
+        first_u, tab_u = self.sol.eval_many(u_pts, 2)
+        first_v, tab_v = self.sol.eval_many(v_pts, 2)
+        p1 = self.sol.p + 1
+        window = tensor_fids[first_u[0] : first_u[0] + p1, first_v[0] : first_v[0] + p1]
+        mask = window.ravel() >= 0
+        jets_t = _window_jets(tab_u, tab_v).reshape(p1 * p1, len(u_pts), len(v_pts), 6)
+        fids_o, jets_o = self._other_jets(others, elem, u_pts, v_pts)
+        fids = list(window.ravel()[mask]) + fids_o
+        return fids, np.concatenate([jets_t[mask], jets_o], axis=0)
+
     # -- volume form ----------------------------------------------------
+
+    def element_rows(self, patch_index):
+        """Volume quadrature data of one patch, one element row at a time.
+
+        For the row of elements (eu, 0..n-1) yields ``(ids, phys, w,
+        point)``: dof ids (n, nd) padded with -1, physical jets (n, nd,
+        Q, 6), quadrature weights times det J (n, Q) and quadrature points
+        (n, Q, 2), with the Q = nq^2 points of an element ordered u-major.
+        Jets of padded ids are meaningless and must be masked out.
+        """
+        n, nq, p1 = self.n, self.nq, self.sol.p + 1
+        Q = nq * nq
+        patch = self.topology.patches[patch_index]
+        tensor_fids, others = self.view.element_table(patch_index)
+        pts = (np.arange(n)[:, None] + self.nodes).ravel() * self.sol.h
+        first, tables = self.sol.eval_many(pts, 2)
+        window = first[::nq, None] + np.arange(p1)  # (n, p1) basis indices per element
+        tables = tables.reshape(n, nq, 3, p1)
+        wq = np.outer(self.weights, self.weights).ravel() * self.sol.h ** 2
+        for eu in range(n):
+            u_pts = pts[eu * nq : (eu + 1) * nq]
+            ids = tensor_fids[window[eu][None, :, None], window[:, None, :]].reshape(n, p1 * p1)
+            jets = _window_jets(tables[eu], tables).reshape(n, p1 * p1, Q, 6)
+            extra = [
+                self._other_jets(others, (eu, ev), u_pts, pts[ev * nq : (ev + 1) * nq])
+                for ev in range(n)
+            ]
+            width = max(len(fids) for fids, _ in extra)
+            if width:
+                ids = np.concatenate([ids, -np.ones((n, width), dtype=int)], axis=1)
+                jets = np.concatenate([jets, np.zeros((n, width, Q, 6))], axis=1)
+                for ev, (fids, ej) in enumerate(extra):
+                    ids[ev, p1 * p1 : p1 * p1 + len(fids)] = fids
+                    jets[ev, p1 * p1 : p1 * p1 + len(fids)] = ej.reshape(len(fids), Q, 6)
+            # geometry on the row's nq x (n nq) grid, regrouped per element
+            point, jac, hess = (
+                a.reshape(nq, n, nq, *a.shape[2:]).swapaxes(0, 1).reshape(n, Q, *a.shape[2:])
+                for a in patch.jet_grid(u_pts, pts)
+            )
+            det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+            phys = physical_jet(jets, jac[:, None], hess[:, None])
+            yield ids, phys, wq * det, point
 
     def volume_system(self, f=None):
         """Stiffness (Delta, Delta) and load (f, psi) over all dofs."""
         view = self.view
         K = SparseSymMatrix(view.n_total)
         F = np.zeros(view.n_total)
-        tabs = self._volume_tables()
-        h = self.sol.h
-        wq = np.outer(self.weights, self.weights).ravel() * h * h
-        for k, patch in enumerate(self.topology.patches):
-            for eu in range(self.n):
-                u_pts = self.element_points(eu)
-                for ev in range(self.n):
-                    v_pts = self.element_points(ev)
-                    fids, jets = self.element_jets(k, (eu, ev), u_pts, v_pts, tabs[eu], tabs[ev])
-                    if not fids:
-                        continue
-                    point, jac, hess = patch.jet_grid(u_pts, v_pts)
-                    det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-                    nd = len(fids)
-                    Q = len(u_pts) * len(v_pts)
-                    phys = physical_jet(
-                        jets.reshape(nd, Q, 6), jac.reshape(Q, 2, 2), hess.reshape(Q, 2, 2, 2)
-                    )
-                    w = wq * det.ravel()
-                    lap = phys[:, :, 3] + phys[:, :, 5]
-                    Ke = np.einsum("aq,q,bq->ab", lap, w, lap)
-                    ids = np.asarray(fids)
-                    K.add_block(ids, ids, Ke)
-                    if f is not None:
-                        fx = np.asarray(f(point[..., 0].ravel(), point[..., 1].ravel()))
-                        F[ids] += phys[:, :, 0] @ (w * fx)
+        for k in range(len(self.topology.patches)):
+            for ids, phys, w, point in self.element_rows(k):
+                lap = (phys[..., 3] + phys[..., 5]) * np.sqrt(w)[:, None, :]
+                K.add_blocks(ids, lap @ lap.swapaxes(1, 2))
+                if f is not None:
+                    fx = _at_points(f, point)
+                    keep = ids >= 0
+                    np.add.at(F, ids[keep], np.einsum("eaq,eq->ea", phys[..., 0], w * fx)[keep])
         return K, F
 
     # -- boundary load (simply-supported edges) --------------------------
@@ -482,27 +502,22 @@ def _lift_boundary_data(asm, g0, g1, bc_tags):
     ts = np.linspace(0.0, 1.0, 4 * (view.space.sol.dim + 2))
     for (k, side), tag in bc_tags.items():
         frame = EdgeFrame(topo.patches[k], side, False)
-        u, v = frame.points(ts)
+        us, vs, axis = frame.line(ts)
+        _, jac, hess = frame.line_jets(ts)
         g = frame.geom(ts)
-        vals = np.zeros((len(ts), nb))
-        grads = np.zeros((len(ts), 2, nb))
+        jets = np.zeros((nb, len(ts), 6))
         for fid in range(view.n_free, view.n_total):
             _, supports = view.dofs[fid]
             for (kk, ev) in supports:
-                if kk != k:
-                    continue
-                for m in range(len(ts)):
-                    jet = ev.jet_grid([u[m]], [v[m]])[0, 0]
-                    _, jac, hess = topo.patches[k].jet_at(u[m], v[m])
-                    phys = physical_jet(jet, jac, hess)
-                    vals[m, fid - view.n_free] += phys[0]
-                    grads[m, :, fid - view.n_free] += phys[1:3]
-        rows.append(vals)
+                if kk == k:
+                    jets[fid - view.n_free] += np.take(ev.jet_grid(us, vs), 0, axis=axis)
+        phys = physical_jet(jets, jac, hess)  # (nb, m, 6)
+        rows.append(phys[:, :, 0].T)
         targets.append(
             np.zeros(len(ts)) if g0 is None else np.asarray(g0(g["point"][:, 0], g["point"][:, 1]))
         )
         if tag == "gn":
-            rows.append(np.einsum("mc,mcb->mb", g["n_out"], grads))
+            rows.append(np.einsum("mc,bmc->mb", g["n_out"], phys[:, :, 1:3]))
             targets.append(
                 np.zeros(len(ts)) if g1 is None else np.asarray(g1(g["point"][:, 0], g["point"][:, 1]))
             )
@@ -516,29 +531,10 @@ def broken_gram(view, quad_scale=1):
     """Gram matrix of all view dofs in the broken H2 inner product."""
     asm = _Assembler(view, quad_scale)
     G = SparseSymMatrix(view.n_total)
-    tabs = asm._volume_tables()
-    h = asm.sol.h
-    wq = np.outer(asm.weights, asm.weights).ravel() * h * h
-    for k, patch in enumerate(asm.topology.patches):
-        for eu in range(asm.n):
-            u_pts = asm.element_points(eu)
-            for ev in range(asm.n):
-                v_pts = asm.element_points(ev)
-                fids, jets = asm.element_jets(k, (eu, ev), u_pts, v_pts, tabs[eu], tabs[ev])
-                if not fids:
-                    continue
-                _, jac, hess = patch.jet_grid(u_pts, v_pts)
-                det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-                Q = len(u_pts) * len(v_pts)
-                phys = physical_jet(
-                    jets.reshape(len(fids), Q, 6),
-                    jac.reshape(Q, 2, 2),
-                    hess.reshape(Q, 2, 2, 2),
-                )
-                w = wq * det.ravel()
-                Ge = np.einsum("aqs,q,bqs->ab", phys, w, phys)
-                ids = np.asarray(fids)
-                G.add_block(ids, ids, Ge)
+    for k in range(len(asm.topology.patches)):
+        for ids, phys, w, _point in asm.element_rows(k):
+            jets = (phys * np.sqrt(w)[:, None, :, None]).reshape(ids.shape + (-1,))
+            G.add_blocks(ids, jets @ jets.swapaxes(1, 2))
     return G
 
 
@@ -605,10 +601,11 @@ def assemble_nitsche(view, f, g2=None, bc_tags=None, eta=None, g0=None, g1=None,
 def estimate_stability_constant(topology, iface_index, p, r, n):
     """Largest generalized eigenvalue bounding the interface Laplacian average.
 
-    Assembles, over the two patches of the interface alone, the
-    interface Gram matrix of the Laplacian average against the broken
-    volume Gram of the Laplacian, and returns the leading eigenvalue of
-    the pencil by power iteration on the regularized volume matrix.
+    Assembles, over the two patches of the interface alone, the broken
+    volume Gram matrix B of the Laplacian and the interface Gram matrix
+    A = R^T R of the Laplacian average, where R stacks one row sqrt(w) avg
+    per interface quadrature point, and returns the leading eigenvalue of
+    the pencil (A, B) from the small dense matrix R B^-1 R^T.
     """
     itf = topology.interfaces[iface_index]
     sub = detect_topology([topology.patches[itf.k], topology.patches[itf.l]])
@@ -617,13 +614,11 @@ def estimate_stability_constant(topology, iface_index, p, r, n):
     space = C0Space(sub, p, r, n, bc_tags=None)
     asm = _Assembler(space)
     B, _ = asm.volume_system(None)
-    A = SparseSymMatrix(space.n_total)
-    for fids, _jump, avg, w in asm.interface_edge_rows(0):
-        if len(fids) == 0:
-            continue
-        A.add_block(fids, fids, np.einsum("aq,q,bq->ab", avg, w, avg))
-    lam, _ = eigen_extreme(A, B, which="max")
-    return lam
+    R = np.zeros((asm.n * asm.edge_nq, space.n_total))
+    for span, (fids, _jump, avg, w) in enumerate(asm.interface_edge_rows(0)):
+        rows = span * asm.edge_nq + np.arange(asm.edge_nq)
+        R[rows[:, None], fids] = (avg * np.sqrt(w)).T
+    return gram_pencil_max(R, B)
 
 
 def error_norms(view, coeffs, exact_jet=None, quad_scale=1):
@@ -640,34 +635,17 @@ def error_norms(view, coeffs, exact_jet=None, quad_scale=1):
         raise ParameterError(
             f"coefficient length {coeffs.shape[0]} does not match dof count {view.n_total}"
         )
-    tabs = asm._volume_tables()
-    h = asm.sol.h
-    wq = np.outer(asm.weights, asm.weights).ravel() * h * h
     acc = np.zeros(3)  # L2^2, H1-semi^2, H2-semi^2
-    for k, patch in enumerate(asm.topology.patches):
-        for eu in range(asm.n):
-            u_pts = asm.element_points(eu)
-            for ev in range(asm.n):
-                v_pts = asm.element_points(ev)
-                fids, jets = asm.element_jets(k, (eu, ev), u_pts, v_pts, tabs[eu], tabs[ev])
-                point, jac, hess = patch.jet_grid(u_pts, v_pts)
-                det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-                Q = len(u_pts) * len(v_pts)
-                if fids:
-                    phys = physical_jet(
-                        jets.reshape(len(fids), Q, 6),
-                        jac.reshape(Q, 2, 2),
-                        hess.reshape(Q, 2, 2, 2),
-                    )
-                    sol_jet = np.einsum("a,aqs->qs", coeffs[np.asarray(fids)], phys)
-                else:
-                    sol_jet = np.zeros((Q, 6))
-                if exact_jet is not None:
-                    sol_jet = sol_jet - exact_jet(point[..., 0].ravel(), point[..., 1].ravel())
-                w = wq * det.ravel()
-                acc[0] += w @ sol_jet[:, 0] ** 2
-                acc[1] += w @ (sol_jet[:, 1] ** 2 + sol_jet[:, 2] ** 2)
-                acc[2] += w @ (sol_jet[:, 3] ** 2 + sol_jet[:, 4] ** 2 + sol_jet[:, 5] ** 2)
+    for k in range(len(asm.topology.patches)):
+        for ids, phys, w, point in asm.element_rows(k):
+            c = np.where(ids >= 0, coeffs[ids], 0.0)
+            err = np.einsum("ea,eaqs->eqs", c, phys)
+            if exact_jet is not None:
+                err = err - _at_points(exact_jet, point)
+            sq = err * err
+            acc[0] += np.sum(w * sq[..., 0])
+            acc[1] += np.sum(w * (sq[..., 1] + sq[..., 2]))
+            acc[2] += np.sum(w * (sq[..., 3] + sq[..., 4] + sq[..., 5]))
     jumps = []
     for idx in range(len(asm.topology.interfaces)):
         total = 0.0
@@ -680,4 +658,4 @@ def error_norms(view, coeffs, exact_jet=None, quad_scale=1):
     l2 = np.sqrt(acc[0])
     h1 = np.sqrt(acc[0] + acc[1])
     h2 = np.sqrt(acc.sum())
-    return ErrorReport(h, view.n_free, l2, h1, h2, jumps)
+    return ErrorReport(asm.sol.h, view.n_free, l2, h1, h2, jumps)

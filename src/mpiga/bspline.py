@@ -303,24 +303,6 @@ class TensorSplineSpace:
                 jet[slot] = tu[a] @ block @ tv[b]
         return jet
 
-    def eval_jet_grid(self, coeffs, us, vs, max_deriv=2):
-        """Jets on a tensor grid of points: shape (len(us), len(vs), 6)."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        du = min(max_deriv, 2)
-        fu, tu = self.space_u.eval_many(us, du)
-        fv, tv = self.space_v.eval_many(vs, du)
-        out = np.zeros((len(us), len(vs), 6))
-        for qu in range(len(us)):
-            cu = coeffs[fu[qu] : fu[qu] + self.space_u.p + 1, :]
-            # contract the u-window once per point, then window v per point
-            partial = np.einsum("di,ij->dj", tu[qu], cu)  # (du+1, Nv)
-            for qv in range(len(vs)):
-                pv = partial[:, fv[qv] : fv[qv] + self.space_v.p + 1]
-                for slot, (a, b) in enumerate(JET_ORDERS):
-                    if a + b <= max_deriv:
-                        out[qu, qv, slot] = pv[a] @ tv[qv][b]
-        return out
-
 
 def tensor_eval(tspace, coeffs, u, v, max_deriv=2):
     """Partial derivatives of a tensor spline at one point (module-level alias)."""

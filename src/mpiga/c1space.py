@@ -613,22 +613,17 @@ class ConstrainedC1Space:
         for (k, side, t_flip) in edges:
             tag = self.bc[(k, side)]
             frame = EdgeFrame(topo.patches[k], side, t_flip)
-            u, v = frame.points(ts)
+            us, vs, axis = frame.line(ts)
+            _, jac, hess = frame.line_jets(ts)
             g = frame.geom(ts)
             pos = [p for p, (kk, _c) in enumerate(vertex.incident) if kk == k][0]
-            vals = np.empty((len(ts), 6))
-            grads = np.empty((len(ts), 2, 6))
-            for q in range(6):
-                ev = supports[q][pos][1]
-                jets = np.array([ev.jet_grid([u[m]], [v[m]])[0, 0] for m in range(len(ts))])
-                for m in range(len(ts)):
-                    _, jac, hess = topo.patches[k].jet_at(u[m], v[m])
-                    phys = physical_jet(jets[m], jac, hess)
-                    vals[m, q] = phys[0]
-                    grads[m, :, q] = phys[1:3]
-            rows.append(vals)
+            jets = np.stack(
+                [np.take(supports[q][pos][1].jet_grid(us, vs), 0, axis=axis) for q in range(6)]
+            )
+            phys = physical_jet(jets, jac, hess)  # (6, m, 6)
+            rows.append(phys[:, :, 0].T)
             if tag == "gn":
-                rows.append(np.einsum("mc,mcq->mq", g["n_out"], grads))
+                rows.append(np.einsum("mc,qmc->mq", g["n_out"], phys[:, :, 1:3]))
         M = np.vstack(rows) if rows else np.zeros((1, 6))
         return _kernel_split(M, self.KERNEL_TOL)
 

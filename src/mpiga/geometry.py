@@ -131,6 +131,9 @@ class Patch:
     def jet_grid(self, us, vs):
         """Geometry jets on a tensor grid.
 
+        ``us`` and ``vs`` may be in any order and may repeat; every point
+        is evaluated from its own knot span.
+
         Returns
         -------
         point : (nu, nv, 2)
@@ -143,20 +146,14 @@ class Patch:
         fu, tu = su.eval_many(us, 2)
         fv, tv = sv.eval_many(vs, 2)
         nu, nv = len(us), len(vs)
-        jets = np.zeros((nu, nv, 6, 2))
-        if su.n == 1 and sv.n == 1:
-            for slot, (a, b) in enumerate(JET_ORDERS):
-                jets[:, :, slot, :] = np.einsum(
-                    "ui,vj,ijc->uvc", tu[:, a, :], tv[:, b, :], self.control
-                )
-        else:
-            for qu in range(nu):
-                cw = self.control[fu[qu] : fu[qu] + su.p + 1]
-                partial = np.einsum("di,ijc->djc", tu[qu], cw)
-                for qv in range(nv):
-                    pw = partial[:, fv[qv] : fv[qv] + sv.p + 1]
-                    for slot, (a, b) in enumerate(JET_ORDERS):
-                        jets[qu, qv, slot] = pw[a] @ tv[qv][b]
+        # contract the u-windows of all points against the full control
+        # columns, then gather and contract the v-windows
+        cu = self.control[fu[:, None] + np.arange(su.p + 1)]  # (nu, pu+1, Nv, 2)
+        partial = np.einsum("udi,uijc->udjc", tu, cu)  # (nu, 3, Nv, 2)
+        pw = partial[:, :, fv[:, None] + np.arange(sv.p + 1)]  # (nu, 3, nv, pv+1, 2)
+        jets = np.empty((nu, nv, 6, 2))
+        for slot, (a, b) in enumerate(JET_ORDERS):
+            jets[:, :, slot, :] = np.einsum("uvjc,vj->uvc", pw[:, a], tv[:, b])
         point = jets[:, :, 0, :]
         jac = np.stack([jets[:, :, 1, :], jets[:, :, 2, :]], axis=-1)
         hess = np.empty((nu, nv, 2, 2, 2))
@@ -416,12 +413,25 @@ class EdgeFrame:
         u, v = self.map.to_patch(np.zeros_like(ts), ts)
         return u, v
 
-    def points_physical(self, ts):
+    def line(self, ts):
+        """Tensor-grid arguments ``(us, vs)`` holding the edge points, and the
+        grid axis of length one to drop from results evaluated on them."""
         u, v = self.points(ts)
-        pts = np.empty((len(u), 2))
-        for i in range(len(u)):
-            pts[i] = self.patch.jet_grid([u[i]], [v[i]])[0][0, 0]
-        return pts
+        if self.map.trans_axis == 0:
+            return u[:1], v, 0
+        return u, v[:1], 1
+
+    def line_jets(self, ts):
+        """Geometry point, Jacobian and Hessians at the edge points.
+
+        Shapes (m, 2), (m, 2, 2) and (m, 2, 2, 2), from one grid evaluation
+        along the edge line.
+        """
+        us, vs, axis = self.line(ts)
+        return tuple(np.take(a, 0, axis=axis) for a in self.patch.jet_grid(us, vs))
+
+    def points_physical(self, ts):
+        return self.line_jets(ts)[0]
 
     def geom(self, ts):
         """First-order edge frame quantities at the given parameters.
@@ -430,14 +440,7 @@ class EdgeFrame:
         ``t0``, ``d_in`` (inward transversal derivative of F) and
         ``n_out`` (unit outward normal).
         """
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        u, v = self.points(ts)
-        m = len(ts)
-        point = np.empty((m, 2))
-        jac = np.empty((m, 2, 2))
-        for i in range(m):
-            pt, jj, _ = self.patch.jet_at(u[i], v[i])
-            point[i], jac[i] = pt, jj
+        point, jac, _ = self.line_jets(ts)
         sgn_t = -1.0 if self.map.t_flip else 1.0
         sgn_s = -1.0 if self.map.trans_flip else 1.0
         tangent = sgn_t * jac[:, :, self.map.tang_axis]

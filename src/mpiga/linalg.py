@@ -1,6 +1,6 @@
 """Minimal numerical linear algebra for the solver: sparse symmetric storage,
-SPD solves, generalized eigen-extremes by power iteration, and a
-rank-revealing nullspace."""
+SPD solves, generalized eigen-extremes by power iteration, the leading
+eigenvalue of a low-rank Gram pencil, and a rank-revealing nullspace."""
 
 import numpy as np
 import scipy.linalg
@@ -42,6 +42,17 @@ class SparseSymMatrix:
         self._vals.append(block.ravel())
         self._csr = None
 
+    def add_blocks(self, ids, blocks):
+        """Accumulate a stack of dense square blocks (nb, nd, nd) at the ids
+        (nb, nd); entries whose row or column id is -1 are dropped."""
+        rows = np.broadcast_to(ids[:, :, None], blocks.shape)
+        cols = np.broadcast_to(ids[:, None, :], blocks.shape)
+        keep = (rows >= 0) & (cols >= 0)
+        self._rows.append(rows[keep])
+        self._cols.append(cols[keep])
+        self._vals.append(blocks[keep])
+        self._csr = None
+
     @classmethod
     def from_sparse(cls, A):
         """Wrap an existing scipy sparse matrix (kept as triplets)."""
@@ -70,9 +81,6 @@ class SparseSymMatrix:
     def todense(self):
         return self.tocsr().toarray()
 
-    def matvec(self, x):
-        return self.tocsr() @ x
-
     def symmetry_gap(self):
         """max|K - K^T| / max|K| (0 for exactly symmetric assembly)."""
         K = self.tocsr()
@@ -85,6 +93,14 @@ def _as_csr(K):
     if isinstance(K, SparseSymMatrix):
         return K.tocsr()
     return scipy.sparse.csr_matrix(K)
+
+
+def _regularized(B):
+    """B + eps I with eps = 1e-12 trace(B)/dim, as a CSC matrix."""
+    Bc = _as_csr(B)
+    n = Bc.shape[0]
+    eps = 1e-12 * Bc.diagonal().sum() / n
+    return (Bc + eps * scipy.sparse.identity(n, format="csr")).tocsc()
 
 
 def _jacobi_cg(K, b, tol=1e-12, maxiter=None):
@@ -234,9 +250,7 @@ def eigen_extreme(A, B=None, which="max", tol=1e-8, maxiter=10000):
         raise ParameterError(f"which must be 'max' or 'min', got {which!r}")
 
     if B is not None:
-        Bc = _as_csr(B)
-        eps = 1e-12 * Bc.diagonal().sum() / n
-        Breg = (Bc + eps * scipy.sparse.identity(n, format="csr")).tocsc()
+        Breg = _regularized(B)
         lu = scipy.sparse.linalg.splu(Breg)
         if which == "min":
             raise ParameterError("generalized minimum mode is not supported")
@@ -256,6 +270,20 @@ def eigen_extreme(A, B=None, which="max", tol=1e-8, maxiter=10000):
         S = (shift * scipy.sparse.identity(n, format="csr") - A).tocsr()
         mu, v = eigen_extreme(S, None, "max", tol, maxiter)
         return shift - mu, v
+
+
+def gram_pencil_max(R, B):
+    """Largest eigenvalue of A x = lambda B x for a low-rank Gram matrix A = R^T R.
+
+    ``R`` is a dense (m, n) array with m much smaller than n and B is
+    symmetric positive semidefinite, regularized as in
+    :func:`eigen_extreme`.  The nonzero eigenvalues of the pencil are those
+    of the m x m matrix R B^-1 R^T, so one sparse factorization of B and
+    one dense symmetric eigen-solve give the answer directly.
+    """
+    lu = scipy.sparse.linalg.splu(_regularized(B))
+    S = R @ lu.solve(R.T)
+    return scipy.linalg.eigvalsh(0.5 * (S + S.T))[-1]
 
 
 def nullspace(M, rel_tol):
