@@ -18,7 +18,7 @@ lower-indexed patch.
 import numpy as np
 
 from .bspline import JET_ORDERS, gauss_legendre
-from .c1space import ComboEval, ConstrainedC1Space
+from .c1space import ConstrainedC1Space
 from .errors import ParameterError
 from .geometry import EdgeFrame, SideMap, detect_topology, physical_jet
 from .linalg import SparseSymMatrix, gram_pencil_max, solve_spd
@@ -175,7 +175,7 @@ class C0Space:
         self.n_total = self.n_free
 
     def element_table(self, patch_index):
-        return self.patch_fids[patch_index], {}
+        return self.patch_fids[patch_index], None
 
 
 # ---------------------------------------------------------------------------
@@ -208,60 +208,46 @@ class _Assembler:
         self.nodes, self.weights = gauss_legendre(self.nq)
         self.edge_nq = quad_scale * (2 * p + 1)
         self.enodes, self.eweights = gauss_legendre(self.edge_nq)
-        self._combo_cache = {}
 
-    def _eval_combo(self, ev, u_pts, v_pts):
-        out = None
-        for w, piece in ev.pieces:
-            key = id(piece)
-            jets = self._combo_cache.get(key)
-            if jets is None:
-                jets = piece.jet_grid(u_pts, v_pts)
-                self._combo_cache[key] = jets
-            out = w * jets if out is None else out + w * jets
-        return out
+    @staticmethod
+    def _extracted(row, cells, window_jets, edge_jets):
+        """Extracted dofs on some cells of one element row: (fids, jets).
 
-    def _other_jets(self, others, elem, u_pts, v_pts):
-        """Edge and vertex functions of one element: (fids, jets (nd, nu, nv, 6)).
-
-        Edge functions sharing a shape are evaluated in one batch.
+        ``cells`` indexes the row's cells; ``window_jets`` (nc, (p+1)^2,
+        ...) are the cells' tensor-window jets and ``edge_jets`` (nc,
+        len(row.cols), ...) the jets of the row's edge primitives on them.
+        Returns dof ids (nc, nd) padded with -1 and jets (nc, nd, ...).
         """
-        fids, jets_list = [], []
-        extra = others.get(elem, ())
-        if extra:
-            self._combo_cache.clear()
-            edge_groups = {}
-            for fid, ev in extra:
-                if isinstance(ev, ComboEval):
-                    jets_list.append(self._eval_combo(ev, u_pts, v_pts)[None])
-                    fids.append(fid)
-                else:  # EdgeEval
-                    key = (id(ev.shape), ev.kind)
-                    grp = edge_groups.setdefault(key, (ev.shape, ev.kind, [], []))
-                    grp[2].append(fid)
-                    grp[3].append(ev.j)
-            for shape, kind, gfids, js in edge_groups.values():
-                jets_list.append(shape.jet_batch(kind, js, u_pts, v_pts))
-                fids.extend(gfids)
-        if not fids:
-            return [], np.zeros((0, len(u_pts), len(v_pts), 6))
-        return fids, np.concatenate(jets_list, axis=0)
+        nc = len(cells)
+        edge = np.concatenate([edge_jets, np.zeros_like(edge_jets[:, :1])], axis=1)
+        prim = np.concatenate([window_jets, edge[np.arange(nc)[:, None], row.pos[cells]]], axis=1)
+        jets = row.blocks[cells] @ prim.reshape(nc, prim.shape[1], -1)
+        return row.fids[cells], jets.reshape((nc, -1) + prim.shape[2:])
 
     def element_jets(self, patch_index, elem, u_pts, v_pts):
         """All dof jets on a point grid inside one patch element.
 
         Returns (fids, jets) with jets of shape (nd, nu, nv, 6).
         """
-        tensor_fids, others = self.view.element_table(patch_index)
+        tensor_fids, ext = self.view.element_table(patch_index)
         first_u, tab_u = self.sol.eval_many(u_pts, 2)
         first_v, tab_v = self.sol.eval_many(v_pts, 2)
         p1 = self.sol.p + 1
-        window = tensor_fids[first_u[0] : first_u[0] + p1, first_v[0] : first_v[0] + p1]
-        mask = window.ravel() >= 0
+        window = tensor_fids[first_u[0] : first_u[0] + p1, first_v[0] : first_v[0] + p1].ravel()
+        mask = window >= 0
         jets_t = _window_jets(tab_u, tab_v).reshape(p1 * p1, len(u_pts), len(v_pts), 6)
-        fids_o, jets_o = self._other_jets(others, elem, u_pts, v_pts)
-        fids = list(window.ravel()[mask]) + fids_o
-        return fids, np.concatenate([jets_t[mask], jets_o], axis=0)
+        fids, jets = list(window[mask]), [jets_t[mask]]
+        row = ext.rows.get(elem[0]) if ext is not None else None
+        if row is not None and elem[1] in row.evs:
+            cell = np.flatnonzero(row.evs == elem[1])
+            used = row.pos[cell[0]][row.pos[cell[0]] < len(row.cols)]
+            edge = np.zeros((1, len(row.cols), len(u_pts), len(v_pts), 6))
+            edge[0, used] = ext.prims.jets(row.cols[used], u_pts, v_pts)
+            ids, ej = self._extracted(row, cell, jets_t[None], edge)
+            keep = ids[0] >= 0
+            fids += list(ids[0][keep])
+            jets.append(ej[0][keep])
+        return fids, np.concatenate(jets, axis=0)
 
     # -- volume form ----------------------------------------------------
 
@@ -277,7 +263,7 @@ class _Assembler:
         n, nq, p1 = self.n, self.nq, self.sol.p + 1
         Q = nq * nq
         patch = self.topology.patches[patch_index]
-        tensor_fids, others = self.view.element_table(patch_index)
+        tensor_fids, ext = self.view.element_table(patch_index)
         pts = (np.arange(n)[:, None] + self.nodes).ravel() * self.sol.h
         first, tables = self.sol.eval_many(pts, 2)
         window = first[::nq, None] + np.arange(p1)  # (n, p1) basis indices per element
@@ -287,17 +273,19 @@ class _Assembler:
             u_pts = pts[eu * nq : (eu + 1) * nq]
             ids = tensor_fids[window[eu][None, :, None], window[:, None, :]].reshape(n, p1 * p1)
             jets = _window_jets(tables[eu], tables).reshape(n, p1 * p1, Q, 6)
-            extra = [
-                self._other_jets(others, (eu, ev), u_pts, pts[ev * nq : (ev + 1) * nq])
-                for ev in range(n)
-            ]
-            width = max(len(fids) for fids, _ in extra)
-            if width:
+            row = ext.rows.get(eu) if ext is not None else None
+            if row is not None:
+                # the row's edge primitives on the points of its cells, regrouped per cell
+                nc = len(row.evs)
+                v_cells = pts.reshape(n, nq)[row.evs].ravel()
+                edge = ext.prims.jets(row.cols, u_pts, v_cells).reshape(-1, nq, nc, nq, 6)
+                edge = edge.transpose(2, 0, 1, 3, 4).reshape(nc, -1, Q, 6)
+                fids, ej = self._extracted(row, np.arange(nc), jets[row.evs], edge)
+                width = fids.shape[1]
                 ids = np.concatenate([ids, -np.ones((n, width), dtype=int)], axis=1)
                 jets = np.concatenate([jets, np.zeros((n, width, Q, 6))], axis=1)
-                for ev, (fids, ej) in enumerate(extra):
-                    ids[ev, p1 * p1 : p1 * p1 + len(fids)] = fids
-                    jets[ev, p1 * p1 : p1 * p1 + len(fids)] = ej.reshape(len(fids), Q, 6)
+                ids[row.evs, p1 * p1 :] = fids
+                jets[row.evs, p1 * p1 :] = ej
             # geometry on the row's nq x (n nq) grid, regrouped per element
             point, jac, hess = (
                 a.reshape(nq, n, nq, *a.shape[2:]).swapaxes(0, 1).reshape(n, Q, *a.shape[2:])
@@ -322,7 +310,29 @@ class _Assembler:
                     np.add.at(F, ids[keep], np.einsum("eaq,eq->ea", phys[..., 0], w * fx)[keep])
         return K, F
 
-    # -- boundary load (simply-supported edges) --------------------------
+    # -- edge spans ----------------------------------------------------------
+
+    def side_span(self, patch_index, side_map, et):
+        """Dofs on span ``et`` of a patch side and their physical jets there.
+
+        Returns (fids, phys) with phys of shape (nd, edge_nq, 6) at the
+        Gauss points of the span in the order of the side map's edge
+        parameter; phys is None when no dof lives on the span.
+        """
+        ts = (et + self.enodes) * self.sol.h
+        order = slice(None, None, -1) if side_map.t_flip else slice(None)
+        axis = side_map.trans_axis  # grid axis pinned to the side
+        grid = [pts[order] for pts in side_map.to_patch(np.zeros_like(ts), ts)]
+        grid[axis] = grid[axis][:1]
+        elem = side_map.elements_to_patch(0, et, self.n)
+        fids, jets = self.element_jets(patch_index, elem, *grid)
+        if not fids:
+            return fids, None
+        _, jac, hess = (
+            np.take(a, 0, axis=axis)[order]
+            for a in self.topology.patches[patch_index].jet_grid(*grid)
+        )
+        return fids, physical_jet(np.take(jets, 0, axis=axis + 1)[:, order], jac, hess)
 
     def boundary_moment_load(self, F, g2, bc_tags):
         """Add (g2, dn psi) over 'gl' boundary edges to the load vector."""
@@ -330,51 +340,15 @@ class _Assembler:
             if tag != "gl" or g2 is None:
                 continue
             frame = EdgeFrame(self.topology.patches[k], side, False)
-            sm = frame.map
             for et in range(self.n):
-                ts = (et + self.enodes) * self.sol.h
-                g = frame.geom(ts)
-                u_pts, v_pts, elem, axis = self._edge_grid(sm, et)
-                fids, jets = self.element_jets(k, elem, u_pts, v_pts)
+                fids, phys = self.side_span(k, frame.map, et)
                 if not fids:
                     continue
-                jets = jets[:, :, 0, :] if axis == 0 else jets[:, 0, :, :]
-                if sm.t_flip:
-                    jets = jets[:, ::-1, :]
-                phys = self._edge_physical(k, u_pts, v_pts, jets, axis)
+                g = frame.geom((et + self.enodes) * self.sol.h)
                 dn = np.einsum("mc,amc->am", g["n_out"], phys[:, :, 1:3])
                 vals = g2(g["point"][:, 0], g["point"][:, 1])
                 w = self.eweights * self.sol.h * g["tau"]
                 F[np.asarray(fids)] += dn @ (w * vals)
-
-    def _edge_grid(self, sm, et):
-        """Point grids of an edge span: transversal coordinate pinned to the edge."""
-        n = self.n
-        ts = (et + self.enodes) * self.sol.h
-        sig0 = 0.0
-        u_arr, v_arr = sm.to_patch(np.full_like(ts, sig0), ts)
-        if sm.trans_axis == 0:
-            u_pts = np.array([u_arr[0]])
-            v_pts = np.sort(v_arr)
-            elem = sm.elements_to_patch(0, et, n)
-            return u_pts, v_pts, elem, 1
-        u_pts = np.sort(u_arr)
-        v_pts = np.array([v_arr[0]])
-        elem = sm.elements_to_patch(0, et, n)
-        return u_pts, v_pts, elem, 0
-
-    def _edge_physical(self, k, u_pts, v_pts, jets, axis):
-        """Physical jets along an edge grid; jets is (nd, m, 6) in t order."""
-        patch = self.topology.patches[k]
-        point, jac, hess = patch.jet_grid(u_pts, v_pts)
-        if axis == 1:
-            jacl = jac[0]
-            hessl = hess[0]
-        else:
-            jacl = jac[:, 0]
-            hessl = hess[:, 0]
-        # reorder geometry to match ascending t if the parametric axis is flipped
-        return physical_jet(jets, jacl, hessl)
 
     # -- interface machinery ---------------------------------------------
 
@@ -390,10 +364,10 @@ class _Assembler:
         topo = self.topology
         itf = topo.interfaces[iface_index]
         frame_k = EdgeFrame(topo.patches[itf.k], itf.side_k, False)
-        maps = {
-            itf.k: SideMap(itf.side_k, False),
-            itf.l: SideMap(itf.side_l, itf.reverse),
-        }
+        sides = (
+            (itf.k, SideMap(itf.side_k, False), -1.0),
+            (itf.l, SideMap(itf.side_l, itf.reverse), +1.0),
+        )
         h = self.sol.h
         for et in range(self.n):
             ts = (et + self.enodes) * h
@@ -401,31 +375,10 @@ class _Assembler:
             normal = g["n_out"]
             w = self.eweights * h * g["tau"]
             gather = {}
-            for kk, sign in ((itf.k, -1.0), (itf.l, +1.0)):
-                sm = maps[kk]
-                u_arr, v_arr = sm.to_patch(np.zeros_like(ts), ts)
-                if sm.trans_axis == 0:
-                    u_pts = np.array([u_arr[0]])
-                    v_pts = np.sort(v_arr)
-                    axis = 1
-                else:
-                    u_pts = np.sort(u_arr)
-                    v_pts = np.array([v_arr[0]])
-                    axis = 0
-                elem = sm.elements_to_patch(0, et, self.n)
-                fids, jets = self.element_jets(kk, elem, u_pts, v_pts)
+            for kk, sm, sign in sides:
+                fids, phys = self.side_span(kk, sm, et)
                 if not fids:
                     continue
-                jets = jets[:, 0, :, :] if axis == 1 else jets[:, :, 0, :]
-                if sm.t_flip:
-                    jets = jets[:, ::-1, :]
-                point, jac, hess = topo.patches[kk].jet_grid(u_pts, v_pts)
-                jacl = jac[0] if axis == 1 else jac[:, 0]
-                hessl = hess[0] if axis == 1 else hess[:, 0]
-                if sm.t_flip:
-                    jacl = jacl[::-1]
-                    hessl = hessl[::-1]
-                phys = physical_jet(jets, jacl, hessl)
                 dn = np.einsum("mc,amc->am", normal, phys[:, :, 1:3])
                 lap = phys[:, :, 3] + phys[:, :, 5]
                 for row, fid in enumerate(fids):
@@ -505,12 +458,8 @@ def _lift_boundary_data(asm, g0, g1, bc_tags):
         us, vs, axis = frame.line(ts)
         _, jac, hess = frame.line_jets(ts)
         g = frame.geom(ts)
-        jets = np.zeros((nb, len(ts), 6))
-        for fid in range(view.n_free, view.n_total):
-            _, supports = view.dofs[fid]
-            for (kk, ev) in supports:
-                if kk == k:
-                    jets[fid - view.n_free] += np.take(ev.jet_grid(us, vs), 0, axis=axis)
+        _, ext = view.element_table(k)
+        jets = np.take(ext.prims.expand(ext.matrix[view.n_free :], us, vs), 0, axis=axis + 1)
         phys = physical_jet(jets, jac, hess)  # (nb, m, 6)
         rows.append(phys[:, :, 0].T)
         targets.append(

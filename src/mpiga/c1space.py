@@ -33,11 +33,24 @@ and transversal functions, simply-supported edges drop only traces) and
 restrict boundary-vertex blocks to the numerical kernel of value /
 normal-derivative constraints sampled on the boundary edges within the
 support of the vertex functions.
+
+Extraction
+----------
+Every dof restricted to a patch is a fixed linear combination of
+patch-local primitives: tensor B-splines and single edge functions
+(:class:`PatchPrimitives`).  A constrained space multiplies the nested
+vertex and boundary-kernel combinations out once into one sparse
+extraction matrix per patch, with a dense coefficient block per element
+(:class:`PatchExtraction`), so assembly evaluates each primitive once
+per element row or edge span and forms dof jets by block products.
 """
 
-import numpy as np
+from typing import NamedTuple
 
-from .bspline import SplineSpace, l2_project
+import numpy as np
+import scipy.sparse
+
+from .bspline import JET_ORDERS, SplineSpace, l2_project
 from .errors import (
     DegenerateVertexError,
     IllConditionedInterfaceError,
@@ -52,9 +65,7 @@ from .geometry import (
     gluing_data,
     physical_jet,
 )
-
-_VERTEX_JET_SLOTS = 6  # value, d/dx, d/dy, d2/dxx, d2/dxy, d2/dyy
-
+from .linalg import kernel_split
 
 class GluingFunctions:
     """Projected gluing data splines of one edge side, in a fixed orientation."""
@@ -63,27 +74,17 @@ class GluingFunctions:
         self.space = space
         self.alpha = np.asarray(alpha, dtype=float)
         self.beta = np.asarray(beta, dtype=float)
-        self._memo = {}
 
     @classmethod
     def artificial(cls, space):
         """Boundary-edge data: alpha = 1, beta = 0 (exact in any spline space)."""
         return cls(space, np.ones(space.dim), np.zeros(space.dim))
 
-    def _eval(self, which, coeffs, ts, max_deriv):
-        key = (which, ts.tobytes(), max_deriv)
-        hit = self._memo.get(key)
-        if hit is None:
-            if len(self._memo) > 256:
-                self._memo.clear()
-            hit = self._memo[key] = self.space.eval_spline(coeffs, ts, max_deriv)
-        return hit
-
     def eval_alpha(self, ts, max_deriv=0):
-        return self._eval("a", self.alpha, np.asarray(ts, dtype=float), max_deriv)
+        return self.space.eval_spline(self.alpha, ts, max_deriv)
 
     def eval_beta(self, ts, max_deriv=0):
-        return self._eval("b", self.beta, np.asarray(ts, dtype=float), max_deriv)
+        return self.space.eval_spline(self.beta, ts, max_deriv)
 
     def reversed(self):
         """Same data as functions of the reversed edge parameter."""
@@ -125,28 +126,14 @@ class EdgeShape:
         self.splus = splus
         self.sminus = sminus
         self.scale = sol.h / sol.p
-        self._tt_memo = {}
 
-    def _transversal_tables(self, sig):
-        key = sig.tobytes()
-        hit = self._tt_memo.get(key)
-        if hit is None:
-            if len(self._tt_memo) > 256:
-                self._tt_memo.clear()
-            b1 = self.sol.eval_one(0, sig, 2)
-            b2 = self.sol.eval_one(1, sig, 2)
-            hit = self._tt_memo[key] = (b1 + b2, b2)  # (trace blend, derivative carrier)
-        return hit
-
-    def _window_columns(self, space, js, first, tables):
+    @staticmethod
+    def _window_columns(space, js, first, tables):
         """Per-basis-function tables at many points: (len(js), m, nd)."""
-        m, nd = tables.shape[0], tables.shape[1]
-        out = np.zeros((len(js), m, nd))
-        for row, j in enumerate(js):
-            cols = j - first
-            inside = (cols >= 0) & (cols <= space.p)
-            if inside.any():
-                out[row, inside] = tables[inside, :, cols[inside]]
+        cols = np.asarray(js)[:, None] - first[None, :]
+        rows, pts = np.nonzero((cols >= 0) & (cols <= space.p))
+        out = np.zeros((len(cols), len(first), tables.shape[1]))
+        out[rows, pts] = tables[pts, :, cols[rows, pts]]
         return out
 
     def jet_st_batch(self, kind, js, sig, ts):
@@ -154,7 +141,9 @@ class EdgeShape:
 
         Returns shape (len(js), len(sig), len(ts), 6).
         """
-        B, D = self._transversal_tables(np.asarray(sig, dtype=float))
+        first, tables = self.sol.eval_many(sig, 2)
+        b1, b2 = self._window_columns(self.sol, [0, 1], first, tables)
+        B, D = b1 + b2, b2  # trace blend, derivative carrier
         ts = np.asarray(ts, dtype=float)
         nt = len(ts)
         nj = len(js)
@@ -215,6 +204,20 @@ class EdgeShape:
         """Jets of a single edge function in patch coordinates."""
         return self.jet_batch(kind, [j], u_pts, v_pts)[0]
 
+    def element_boxes(self, kind):
+        """Inclusive patch element boxes (eu0, eu1, ev0, ev1) of every
+        coefficient index of one kind: (dim, 4)."""
+        n = self.sol.n
+        space = self.splus if kind == "trace" else self.sminus
+        out = np.empty((space.dim, 4), dtype=int)
+        for j in range(space.dim):
+            t0, t1 = space.basis_support(j)
+            # b1 and b2 live on the first two element layers off the edge
+            a = self.map.elements_to_patch(0, t0, n)
+            b = self.map.elements_to_patch(min(1, n - 1), t1, n)
+            out[j] = min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1])
+        return out
+
 
 class TensorEval:
     """A single tensor-product B-spline of the solution space on one patch."""
@@ -223,23 +226,6 @@ class TensorEval:
         self.sol = sol
         self.iu = iu
         self.iv = iv
-
-    def jet_grid(self, u_pts, v_pts):
-        U = self.sol.eval_one(self.iu, u_pts, 2)
-        V = self.sol.eval_one(self.iv, v_pts, 2)
-        jets = np.empty((len(U), len(V), 6))
-        jets[:, :, 0] = np.outer(U[:, 0], V[:, 0])
-        jets[:, :, 1] = np.outer(U[:, 1], V[:, 0])
-        jets[:, :, 2] = np.outer(U[:, 0], V[:, 1])
-        jets[:, :, 3] = np.outer(U[:, 2], V[:, 0])
-        jets[:, :, 4] = np.outer(U[:, 1], V[:, 1])
-        jets[:, :, 5] = np.outer(U[:, 0], V[:, 2])
-        return jets
-
-    def support_box(self):
-        eu = self.sol.basis_support(self.iu)
-        ev = self.sol.basis_support(self.iv)
-        return eu[0], eu[1], ev[0], ev[1]
 
 
 class EdgeEval:
@@ -250,23 +236,6 @@ class EdgeEval:
         self.kind = kind
         self.j = j
 
-    def jet_grid(self, u_pts, v_pts):
-        return self.shape.jet_grid(self.kind, self.j, u_pts, v_pts)
-
-    def support_box(self):
-        n = self.shape.sol.n
-        sig_range = (0, min(1, n - 1))
-        space = self.shape.splus if self.kind == "trace" else self.shape.sminus
-        t_range = space.basis_support(self.j)
-        a = self.shape.map.elements_to_patch(sig_range[0], t_range[0], n)
-        b = self.shape.map.elements_to_patch(sig_range[1], t_range[1], n)
-        return (
-            min(a[0], b[0]),
-            max(a[0], b[0]),
-            min(a[1], b[1]),
-            max(a[1], b[1]),
-        )
-
 
 class ComboEval:
     """Weighted combination of evaluators (vertex functions, kernel combos)."""
@@ -274,22 +243,106 @@ class ComboEval:
     def __init__(self, pieces):
         self.pieces = [(float(w), ev) for w, ev in pieces if w != 0.0]
 
-    def jet_grid(self, u_pts, v_pts):
-        out = np.zeros((len(u_pts), len(v_pts), 6))
-        for w, ev in self.pieces:
-            out += w * ev.jet_grid(u_pts, v_pts)
+
+_SLOT_U = [a for a, _ in JET_ORDERS]
+_SLOT_V = [b for _, b in JET_ORDERS]
+
+
+class PatchPrimitives:
+    """The patch-local functions every approx-C1 dof on one patch is made of.
+
+    Column ``iu * N + iv`` is the tensor B-spline (iu, iv) of the N x N
+    solution space; after those, each edge shape on the patch owns one
+    column per trace coefficient and one per transversal coefficient.
+    Evaluators (tensor, edge and nested combinations) flatten into sparse
+    rows over these columns, and any set of columns is evaluated with one
+    table contraction for the tensor columns and one
+    :meth:`EdgeShape.jet_batch` call per (shape, kind).
+    """
+
+    def __init__(self, sol, splus, sminus):
+        self.sol = sol
+        self.N = sol.dim
+        self._spaces = (("trace", splus), ("transversal", sminus))
+        self.groups = []  # (shape, kind, first column, column count)
+        self._offsets = {}  # (id(shape), kind) -> first column
+        self._boxes = [self._tensor_boxes()]
+        self.n_cols = self.N * self.N
+
+    def _tensor_boxes(self):
+        support = np.array([self.sol.basis_support(i) for i in range(self.N)])
+        su = np.repeat(support, self.N, axis=0)
+        sv = np.tile(support, (self.N, 1))
+        return np.column_stack([su, sv])
+
+    def add_shape(self, shape):
+        for kind, space in self._spaces:
+            self._offsets[(id(shape), kind)] = self.n_cols
+            self.groups.append((shape, kind, self.n_cols, space.dim))
+            self._boxes.append(shape.element_boxes(kind))
+            self.n_cols += space.dim
+
+    def boxes(self):
+        """Inclusive element boxes (eu0, eu1, ev0, ev1) of all columns."""
+        return np.concatenate(self._boxes)
+
+    def flatten(self, ev, weight=1.0, out=None):
+        """Column weights of an evaluator, combinations multiplied through."""
+        out = {} if out is None else out
+        if isinstance(ev, ComboEval):
+            for w, piece in ev.pieces:
+                self.flatten(piece, weight * w, out)
+            return out
+        if isinstance(ev, TensorEval):
+            col = ev.iu * self.N + ev.iv
+        else:
+            col = self._offsets[(id(ev.shape), ev.kind)] + ev.j
+        out[col] = out.get(col, 0.0) + weight
         return out
 
-    def support_box(self):
-        boxes = [ev.support_box() for _, ev in self.pieces]
-        if not boxes:
-            return (0, -1, 0, -1)
-        return (
-            min(b[0] for b in boxes),
-            max(b[1] for b in boxes),
-            min(b[2] for b in boxes),
-            max(b[3] for b in boxes),
+    def weights(self, evaluators):
+        """Sparse (len(evaluators), n_cols) rows of flattened evaluators."""
+        rows, cols, vals = [], [], []
+        for r, ev in enumerate(evaluators):
+            flat = self.flatten(ev)
+            rows += [r] * len(flat)
+            cols += list(flat)
+            vals += list(flat.values())
+        return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(len(evaluators), self.n_cols))
+
+    def _dense_table(self, pts):
+        """Univariate 2-jets of all N solution B-splines: (N, m, 3)."""
+        first, tables = self.sol.eval_many(pts, 2)
+        out = np.zeros((self.N, len(pts), 3))
+        out[first[:, None] + np.arange(self.sol.p + 1), np.arange(len(pts))[:, None]] = (
+            tables.transpose(0, 2, 1)
         )
+        return out
+
+    def jets(self, cols, u_pts, v_pts):
+        """Parametric jets of the given columns on a tensor grid: (len(cols), nu, nv, 6)."""
+        cols = np.asarray(cols, dtype=int)
+        u_pts = np.asarray(u_pts, dtype=float)
+        v_pts = np.asarray(v_pts, dtype=float)
+        out = np.empty((len(cols), len(u_pts), len(v_pts), 6))
+        tensor = cols < self.N * self.N
+        if tensor.any():
+            iu, iv = np.divmod(cols[tensor], self.N)
+            U = self._dense_table(u_pts)[iu][:, :, None, _SLOT_U]
+            V = self._dense_table(v_pts)[iv][:, None, :, _SLOT_V]
+            out[tensor] = U * V
+        for shape, kind, first, count in self.groups:
+            sel = (cols >= first) & (cols < first + count)
+            if sel.any():
+                out[sel] = shape.jet_batch(kind, cols[sel] - first, u_pts, v_pts)
+        return out
+
+    def expand(self, W, u_pts, v_pts):
+        """Jets of the combinations in the rows of a sparse (m, n_cols) weight
+        matrix on a tensor grid: (m, nu, nv, 6)."""
+        cols = np.unique(W.indices)
+        P = self.jets(cols, u_pts, v_pts)
+        return np.tensordot(W[:, cols].toarray(), P, axes=1)
 
 
 def interior_indices(sol):
@@ -342,6 +395,9 @@ class GlobalC1Space:
             for i in range(len(topology.interfaces))
         ]
         self._shapes = {}
+        self.primitives = [
+            PatchPrimitives(self.sol, self.splus, self.sminus) for _ in topology.patches
+        ]
         self.labels = []
         self.supports = []
         self._build()
@@ -349,11 +405,16 @@ class GlobalC1Space:
     # -- construction -------------------------------------------------
 
     def _edge_shape(self, patch_index, side_map, gluing):
+        """The shape of a (patch, side, tangent orientation), made on first use.
+
+        The gluing data of a side in a given orientation is unique, so edge
+        and vertex functions of one orientation share the shape.
+        """
         key = (patch_index, side_map.side, side_map.t_flip)
         if key not in self._shapes:
-            self._shapes[key] = EdgeShape(
-                patch_index, side_map, gluing, self.sol, self.splus, self.sminus
-            )
+            shape = EdgeShape(patch_index, side_map, gluing, self.sol, self.splus, self.sminus)
+            self._shapes[key] = shape
+            self.primitives[patch_index].add_shape(shape)
         return self._shapes[key]
 
     def _side_gluing(self, patch_index, side):
@@ -418,14 +479,8 @@ class GlobalC1Space:
             bottom_side, left_side = _CORNER_SIDES[corner]
             bmap = SideMap(bottom_side, t_flip=fu)
             lmap = SideMap(left_side, t_flip=fv)
-            bshape = EdgeShape(
-                k, bmap, self._vertex_anchored_gluing(k, bottom_side, fu),
-                self.sol, self.splus, self.sminus,
-            )
-            lshape = EdgeShape(
-                k, lmap, self._vertex_anchored_gluing(k, left_side, fv),
-                self.sol, self.splus, self.sminus,
-            )
+            bshape = self._edge_shape(k, bmap, self._vertex_anchored_gluing(k, bottom_side, fu))
+            lshape = self._edge_shape(k, lmap, self._vertex_anchored_gluing(k, left_side, fv))
 
             N = self.sol.dim
 
@@ -455,13 +510,11 @@ class GlobalC1Space:
             u0, v0 = _CORNER_UV[corner]
             patch = self.topology.patches[k]
             _, jac, hess = patch.jet_at(u0, v0)
+            prims = self.primitives[k]
 
             def jet_matrix(family):
-                M = np.empty((_VERTEX_JET_SLOTS, 6))
-                for a, ev in enumerate(family):
-                    par = ev.jet_grid(np.array([u0]), np.array([v0]))[0, 0]
-                    M[:, a] = physical_jet(par, jac, hess)
-                return M
+                par = prims.expand(prims.weights(family), [u0], [v0])[:, 0, 0]
+                return physical_jet(par, jac, hess).T
 
             coeffs = []
             for fam in (fam_edge0, fam_edge1, fam_corner):
@@ -512,14 +565,97 @@ def build_c1_space(topology, p, r, n):
     return GlobalC1Space(topology, p, r, n)
 
 
-def _kernel_split(M, rel_tol):
-    """(kernel, complement) orthonormal bases of a small dense matrix."""
-    _, s, vt = np.linalg.svd(M, full_matrices=True)
-    smax = s[0] if len(s) else 0.0
-    if smax == 0.0:
-        return np.eye(M.shape[1]), np.zeros((M.shape[1], 0))
-    rank = int(np.sum(s > rel_tol * smax))
-    return vt[rank:].T, vt[:rank].T
+def _box_cells(boxes, n):
+    """(box index, cell eu * n + ev) of every element in inclusive boxes
+    (eu0, eu1, ev0, ev1), ordered by cell and then box index."""
+    ku = (boxes[:, 1] - boxes[:, 0]).max() + 1
+    kv = (boxes[:, 3] - boxes[:, 2]).max() + 1
+    du, dv = np.divmod(np.arange(ku * kv), kv)
+    eu = boxes[:, :1] + du
+    ev = boxes[:, 2:3] + dv
+    idx, off = np.nonzero((eu <= boxes[:, 1:2]) & (ev <= boxes[:, 3:4]))
+    cell = eu[idx, off] * n + ev[idx, off]
+    order = np.lexsort((idx, cell))
+    return idx[order], cell[order]
+
+
+class ExtractionRow(NamedTuple):
+    """The extracted dofs of one element row of a patch.
+
+    ``evs`` lists the row's cells (element columns) that hold such dofs.
+    Per cell, ``fids`` (nc, nd) holds the dof ids padded with -1, ``pos``
+    (nc, ne) indexes the cell's edge primitives in ``cols`` (the edge
+    primitive columns of the whole row), padded with ``len(cols)``, and
+    ``blocks`` (nc, nd, (p+1)^2 + ne) the coefficients of each dof over
+    the cell's tensor window (u-major) followed by its edge primitives.
+    """
+
+    evs: np.ndarray
+    fids: np.ndarray
+    cols: np.ndarray
+    pos: np.ndarray
+    blocks: np.ndarray
+
+
+class PatchExtraction:
+    """Every dof of a space view on one patch as a sparse row over the
+    patch primitives, multiplied out once (element extraction).
+
+    ``matrix`` is (n_total, n_cols).  Dofs that are a lone tensor
+    B-spline (the interior block) are read through the tensor window of
+    an element; all others are listed per element row in ``rows``.
+    """
+
+    def __init__(self, prims, matrix, direct, n):
+        self.prims = prims
+        self.matrix = matrix
+        sol = prims.sol
+        self._p1, step, N = sol.p + 1, sol.p - sol.r, prims.N
+        other = np.flatnonzero(~direct & (np.diff(matrix.indptr) > 0))
+        coo = matrix[other].tocoo()
+        self.rows = {}
+        if not coo.nnz:
+            return
+        # a dof is listed on every element of its support box (the union
+        # of its columns' boxes); its entries on the elements of their own
+        # column's box
+        box = prims.boxes()[coo.col]
+        row_start = np.searchsorted(coo.row, np.arange(len(other)))  # rows are sorted
+        dof_box = np.column_stack(
+            [f.reduceat(box[:, c], row_start) for c, f in enumerate((np.minimum, np.maximum) * 2)]
+        )
+        d_idx, d_cell = _box_cells(dof_box, n)
+        e_idx, e_cell = _box_cells(box, n)
+        cells, starts = np.unique(d_cell, return_index=True)
+        lo = np.searchsorted(e_cell, cells, side="left")
+        hi = np.searchsorted(e_cell, cells, side="right")
+        per_row = {}
+        for c, dofs, a, b in zip(cells, np.split(d_idx, starts[1:]), lo, hi):
+            cu, cv = divmod(int(c), n)
+            seg = e_idx[a:b]
+            col, w = coo.col[seg], coo.data[seg]
+            r_loc = np.searchsorted(dofs, coo.row[seg])
+            edge = col >= N * N
+            ecols, e_loc = np.unique(col[edge], return_inverse=True)
+            iu, iv = np.divmod(col[~edge], N)
+            block = np.zeros((len(dofs), self._p1 ** 2 + len(ecols)))
+            block[r_loc[~edge], (iu - cu * step) * self._p1 + iv - cv * step] = w[~edge]
+            block[r_loc[edge], self._p1 ** 2 + e_loc] = w[edge]
+            per_row.setdefault(cu, []).append((cv, other[dofs], ecols, block))
+        self.rows = {eu: self._padded(row) for eu, row in per_row.items()}
+
+    def _padded(self, row):
+        nd = max(len(f) for _, f, _, _ in row)
+        ne = max(len(e) for _, _, e, _ in row)
+        cols = np.unique(np.concatenate([e for _, _, e, _ in row]))
+        fids = -np.ones((len(row), nd), dtype=int)
+        pos = np.full((len(row), ne), len(cols))
+        blocks = np.zeros((len(row), nd, self._p1 ** 2 + ne))
+        for i, (_, f, e, b) in enumerate(row):
+            fids[i, : len(f)] = f
+            pos[i, : len(e)] = np.searchsorted(cols, e)
+            blocks[i, : len(f), : b.shape[1]] = b
+        return ExtractionRow(np.array([cv for cv, _, _, _ in row]), fids, cols, pos, blocks)
 
 
 class ConstrainedC1Space:
@@ -544,8 +680,8 @@ class ConstrainedC1Space:
             raise ParameterError(f"unknown boundary tags {bad}; use 'gn' or 'gl'")
         self.dofs = []  # (label, supports)
         self.n_free = 0
-        self._tables = {}
         self._partition()
+        self._tables = [self._extract(k) for k in range(len(space.topology.patches))]
 
     def _partition(self):
         space = self.space
@@ -617,15 +753,15 @@ class ConstrainedC1Space:
             _, jac, hess = frame.line_jets(ts)
             g = frame.geom(ts)
             pos = [p for p, (kk, _c) in enumerate(vertex.incident) if kk == k][0]
-            jets = np.stack(
-                [np.take(supports[q][pos][1].jet_grid(us, vs), 0, axis=axis) for q in range(6)]
-            )
+            prims = self.space.primitives[k]
+            W = prims.weights([supports[q][pos][1] for q in range(6)])
+            jets = np.take(prims.expand(W, us, vs), 0, axis=axis + 1)
             phys = physical_jet(jets, jac, hess)  # (6, m, 6)
             rows.append(phys[:, :, 0].T)
             if tag == "gn":
                 rows.append(np.einsum("mc,qmc->mq", g["n_out"], phys[:, :, 1:3]))
         M = np.vstack(rows) if rows else np.zeros((1, 6))
-        return _kernel_split(M, self.KERNEL_TOL)
+        return kernel_split(M, self.KERNEL_TOL)
 
     # -- assembly support ----------------------------------------------
 
@@ -633,32 +769,37 @@ class ConstrainedC1Space:
     def n_total(self):
         return len(self.dofs)
 
-    def element_table(self, patch_index):
-        """Per-element dof lists on one patch.
-
-        Returns ``(tensor_fids, others)`` where ``tensor_fids`` is an
-        (N, N) int array mapping solution-space tensor indices to final
-        dof ids (-1 when absent) and ``others`` maps element (eu, ev) to
-        a list of (fid, evaluator) pairs for edge and vertex functions.
-        """
-        if patch_index in self._tables:
-            return self._tables[patch_index]
-        N = self.space.sol.dim
-        n = self.space.n
-        tensor_fids = -np.ones((N, N), dtype=int)
-        others = {}
+    def _extract(self, k):
+        """Tensor-dof map and extraction of patch k (see :meth:`element_table`)."""
+        prims = self.space.primitives[k]
+        fids, evs = [], []
         for fid, (_lab, supports) in enumerate(self.dofs):
-            for (k, ev) in supports:
-                if k != patch_index:
-                    continue
-                if isinstance(ev, TensorEval):
-                    tensor_fids[ev.iu, ev.iv] = fid
-                else:
-                    eu0, eu1, ev0, ev1 = ev.support_box()
-                    for eu in range(max(eu0, 0), min(eu1, n - 1) + 1):
-                        for evv in range(max(ev0, 0), min(ev1, n - 1) + 1):
-                            others.setdefault((eu, evv), []).append((fid, ev))
-        self._tables[patch_index] = (tensor_fids, others)
+            for kk, ev in supports:
+                if kk == k:
+                    fids.append(fid)
+                    evs.append(ev)
+        fids = np.asarray(fids, dtype=int)
+        W = prims.weights(evs).tocoo()
+        matrix = scipy.sparse.csr_matrix(
+            (W.data, (fids[W.row], W.col)), shape=(self.n_total, prims.n_cols)
+        )
+        tensor_fids = -np.ones((prims.N, prims.N), dtype=int)
+        direct = np.zeros(self.n_total, dtype=bool)
+        for fid, ev in zip(fids, evs):
+            if isinstance(ev, TensorEval):
+                tensor_fids[ev.iu, ev.iv] = fid
+                direct[fid] = True
+        return tensor_fids, PatchExtraction(prims, matrix, direct, self.space.n)
+
+    def element_table(self, patch_index):
+        """Dofs of one patch for assembly.
+
+        Returns ``(tensor_fids, extraction)``: ``tensor_fids`` is an (N, N)
+        int array mapping solution-space tensor indices to the dof ids of
+        lone tensor B-splines (-1 when absent); the
+        :class:`PatchExtraction` writes every dof over the patch
+        primitives and lists the other dofs per element row.
+        """
         return self._tables[patch_index]
 
     def free_labels(self):

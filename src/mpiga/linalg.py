@@ -1,6 +1,6 @@
 """Minimal numerical linear algebra for the solver: sparse symmetric storage,
 SPD solves, generalized eigen-extremes by power iteration, the leading
-eigenvalue of a low-rank Gram pencil, and a rank-revealing nullspace."""
+eigenvalue of a low-rank Gram pencil, and a rank-revealing kernel split."""
 
 import numpy as np
 import scipy.linalg
@@ -24,12 +24,6 @@ class SparseSymMatrix:
         self._rows = []
         self._cols = []
         self._vals = []
-        self._csr = None
-
-    def add(self, i, j, v):
-        self._rows.append(i)
-        self._cols.append(j)
-        self._vals.append(v)
         self._csr = None
 
     def add_block(self, row_ids, col_ids, block):
@@ -286,11 +280,12 @@ def gram_pencil_max(R, B):
     return scipy.linalg.eigvalsh(0.5 * (S + S.T))[-1]
 
 
-def nullspace(M, rel_tol):
-    """Orthonormal basis of the numerical kernel of a dense matrix.
+def kernel_split(M, rel_tol):
+    """Orthonormal bases ``(kernel, complement)`` of the numerical kernel of a
+    dense matrix and of its orthogonal complement.
 
-    Columns v satisfy ||M v|| <= rel_tol * sigma_max * ||v||; computed from a
-    full rank-revealing orthogonal (singular value) factorization.
+    Kernel columns v satisfy ||M v|| <= rel_tol * sigma_max * ||v||; both
+    bases come from one full singular value factorization.
     """
     if not 0.0 < rel_tol < 1.0:
         raise ParameterError(f"rel_tol must lie in (0, 1), got {rel_tol}")
@@ -299,6 +294,6 @@ def nullspace(M, rel_tol):
     smax = s[0] if len(s) else 0.0
     ncols = M.shape[1]
     if smax == 0.0:
-        return np.eye(ncols)
+        return np.eye(ncols), np.zeros((ncols, 0))
     rank = int(np.sum(s > rel_tol * smax))
-    return vt[rank:].T
+    return vt[rank:].T, vt[:rank].T

@@ -4,6 +4,8 @@ import numpy as np
 
 from mpiga.geometry import EdgeFrame, SideMap, physical_jet
 
+from oracles import piece_jets
+
 CORNER_UV = {1: (0.0, 0.0), 2: (1.0, 0.0), 3: (1.0, 1.0), 4: (0.0, 1.0)}
 
 
@@ -22,12 +24,12 @@ def dof_jet_on_patch(space, gid, k, us, vs):
         if kk != k:
             continue
         if const_u:
-            out += ev.jet_grid(us[:1], vs)[0]
+            out += piece_jets(ev, us[:1], vs)[0]
         elif const_v:
-            out += ev.jet_grid(us, vs[:1])[:, 0]
+            out += piece_jets(ev, us, vs[:1])[:, 0]
         else:
             for m in range(len(us)):
-                out[m] += ev.jet_grid([us[m]], [vs[m]])[0, 0]
+                out[m] += piece_jets(ev, us[m : m + 1], vs[m : m + 1])[0, 0]
     return out
 
 

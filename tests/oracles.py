@@ -4,17 +4,18 @@ These deliberately avoid the library's algorithms: basis functions come
 from the textbook two-term recursion, derivatives from its recursive
 derivative identity, jets from central finite differences, and
 eigenvalues from cyclic Jacobi rotations.  The per-point geometry jets
-and the per-element volume loops at the end are the straightforward
-forms of the library's batched kernels: one point pair, one element and
-one tensor jet slot at a time, with edge and vertex functions from the
-library's per-element evaluation.
+and the per-element and per-span loops at the end are the straightforward
+forms of the library's batched kernels: one point pair, one element or
+edge span and one tensor jet slot at a time.  Approx-C1 dofs are
+evaluated from their ``supports``, piece by piece through nested
+combinations, never through the library's extraction.
 """
 
 import numpy as np
 
-from mpiga.assembly import _Assembler
 from mpiga.bspline import JET_ORDERS, gauss_legendre
-from mpiga.geometry import physical_jet
+from mpiga.c1space import ComboEval, ConstrainedC1Space, EdgeEval, TensorEval
+from mpiga.geometry import EdgeFrame, SideMap, physical_jet
 
 
 def naive_bspline(knots, p, i, x):
@@ -143,53 +144,184 @@ def per_point_jet_grid(patch, us, vs):
     return point, jac, hess
 
 
-def _element_dof_jets(asm, k, elem, u_pts, v_pts):
-    """Parametric jets of the dofs on one element: tensor window slot by
-    slot, edge and vertex functions from the library's per-element path."""
-    tensor_fids, others = asm.view.element_table(k)
-    first_u, U = asm.sol.eval_many(u_pts, 2)
-    first_v, V = asm.sol.eval_many(v_pts, 2)
-    p1 = asm.sol.p + 1
-    window = tensor_fids[first_u[0] : first_u[0] + p1, first_v[0] : first_v[0] + p1].ravel()
-    tensor = np.empty((p1 * p1, len(u_pts), len(v_pts), 6))
-    for slot, (a, b) in enumerate(JET_ORDERS):
-        prod = np.einsum("qi,rj->ijqr", U[:, a, :], V[:, b, :])
-        tensor[..., slot] = prod.reshape(p1 * p1, len(u_pts), len(v_pts))
-    fids_o, jets_o = asm._other_jets(others, elem, u_pts, v_pts)
-    keep = window >= 0
-    return np.concatenate([window[keep], fids_o]).astype(int), np.concatenate([tensor[keep], jets_o])
+def piece_jets(ev, u_pts, v_pts, memo=None):
+    """Parametric jets (nu, nv, 6) of one support piece of a dof on a tensor
+    grid, summed piece by piece through nested combinations down to single
+    edge functions and tensor B-splines.  ``memo`` caches the leaves of one
+    grid by identity."""
+    if isinstance(ev, ComboEval):
+        out = np.zeros((len(u_pts), len(v_pts), 6))
+        for w, piece in ev.pieces:
+            out += w * piece_jets(piece, u_pts, v_pts, memo)
+        return out
+    if memo is not None and id(ev) in memo:
+        return memo[id(ev)]
+    if isinstance(ev, EdgeEval):
+        jets = ev.shape.jet_grid(ev.kind, ev.j, u_pts, v_pts)
+    else:
+        U = ev.sol.eval_one(ev.iu, u_pts, 2)
+        V = ev.sol.eval_one(ev.iv, v_pts, 2)
+        jets = np.empty((len(U), len(V), 6))
+        for slot, (a, b) in enumerate(JET_ORDERS):
+            jets[:, :, slot] = np.outer(U[:, a], V[:, b])
+    if memo is not None:
+        memo[id(ev)] = jets
+    return jets
 
 
-def _per_element(asm):
-    """Yields (ids, phys (nd, Q, 6), w (Q,), point (Q, 2)) per element."""
-    h = asm.sol.h
-    nodes, weights = gauss_legendre(asm.nq)
-    wq = np.outer(weights, weights).ravel() * h * h
-    for k, patch in enumerate(asm.topology.patches):
-        for eu in range(asm.n):
-            u_pts = (eu + nodes) * h
-            for ev in range(asm.n):
-                v_pts = (ev + nodes) * h
-                ids, jets = _element_dof_jets(asm, k, (eu, ev), u_pts, v_pts)
-                point, jac, hess = per_point_jet_grid(patch, u_pts, v_pts)
-                det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-                Q = len(u_pts) * len(v_pts)
-                phys = physical_jet(
-                    jets.reshape(len(ids), Q, 6), jac.reshape(Q, 2, 2), hess.reshape(Q, 2, 2, 2)
-                )
-                yield ids, phys, wq * det.ravel(), point.reshape(Q, 2)
+def piece_box(ev):
+    """Inclusive element box (eu0, eu1, ev0, ev1) holding a piece's support."""
+    if isinstance(ev, ComboEval):
+        boxes = np.array([piece_box(piece) for _, piece in ev.pieces])
+        return boxes[:, 0].min(), boxes[:, 1].max(), boxes[:, 2].min(), boxes[:, 3].max()
+    if isinstance(ev, TensorEval):
+        return ev.sol.basis_support(ev.iu) + ev.sol.basis_support(ev.iv)
+    shape = ev.shape
+    n = shape.sol.n
+    space = shape.splus if ev.kind == "trace" else shape.sminus
+    t0, t1 = space.basis_support(ev.j)
+    # b1 + b2 and b2 vanish beyond two elements off the edge
+    a = shape.map.elements_to_patch(0, t0, n)
+    b = shape.map.elements_to_patch(min(1, n - 1), t1, n)
+    return min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1])
+
+
+class _Reference:
+    """Dof jets of a space view one element (or edge span) at a time.
+
+    C0 views evaluate the tensor window slot by slot; approx-C1 views
+    evaluate every dof from its ``supports``, piece by piece.
+    """
+
+    def __init__(self, view, quad_scale):
+        self.view = view
+        self.c1 = isinstance(view, ConstrainedC1Space)
+        self.sol = view.space.sol if self.c1 else view.sol
+        self.topology = view.space.topology if self.c1 else view.topology
+        self.n, self.h, p = self.sol.n, self.sol.h, self.sol.p
+        self.nq = quad_scale * (p + 2)
+        self.edge_nq = quad_scale * (2 * p + 1)
+        self.pieces = {}  # patch -> [(fid, piece, box)]
+        if self.c1:
+            for fid, (_lab, supports) in enumerate(view.dofs):
+                for k, ev in supports:
+                    self.pieces.setdefault(k, []).append((fid, ev, piece_box(ev)))
+
+    def dof_jets(self, k, elem, u_pts, v_pts):
+        """(ids, parametric jets (nd, nu, nv, 6)) of the dofs on one element."""
+        if self.c1:
+            memo = {}
+            ids, jets = [], []
+            for fid, ev, (a0, a1, b0, b1) in self.pieces.get(k, ()):
+                if a0 <= elem[0] <= a1 and b0 <= elem[1] <= b1:
+                    ids.append(fid)
+                    jets.append(piece_jets(ev, u_pts, v_pts, memo))
+            return np.asarray(ids, dtype=int), np.array(jets).reshape(-1, len(u_pts), len(v_pts), 6)
+        first_u, U = self.sol.eval_many(u_pts, 2)
+        first_v, V = self.sol.eval_many(v_pts, 2)
+        p1 = self.sol.p + 1
+        fids = self.view.patch_fids[k]
+        window = fids[first_u[0] : first_u[0] + p1, first_v[0] : first_v[0] + p1].ravel()
+        tensor = np.empty((p1 * p1, len(u_pts), len(v_pts), 6))
+        for slot, (a, b) in enumerate(JET_ORDERS):
+            prod = np.einsum("qi,rj->ijqr", U[:, a, :], V[:, b, :])
+            tensor[..., slot] = prod.reshape(p1 * p1, len(u_pts), len(v_pts))
+        keep = window >= 0
+        return window[keep], tensor[keep]
+
+    def elements(self):
+        """Yields (ids, phys (nd, Q, 6), w (Q,), point (Q, 2)) per element."""
+        nodes, weights = gauss_legendre(self.nq)
+        wq = np.outer(weights, weights).ravel() * self.h * self.h
+        for k, patch in enumerate(self.topology.patches):
+            for eu in range(self.n):
+                u_pts = (eu + nodes) * self.h
+                for ev in range(self.n):
+                    v_pts = (ev + nodes) * self.h
+                    ids, jets = self.dof_jets(k, (eu, ev), u_pts, v_pts)
+                    point, jac, hess = per_point_jet_grid(patch, u_pts, v_pts)
+                    det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+                    Q = len(u_pts) * len(v_pts)
+                    phys = physical_jet(
+                        jets.reshape(len(ids), Q, 6), jac.reshape(Q, 2, 2), hess.reshape(Q, 2, 2, 2)
+                    )
+                    yield ids, phys, wq * det.ravel(), point.reshape(Q, 2)
+
+    def span(self, k, side_map, et):
+        """(ids, physical jets (nd, edge_nq, 6)) at the Gauss points of one
+        edge span of a patch side, in the order of the side map's parameter."""
+        nodes, _ = gauss_legendre(self.edge_nq)
+        ts = (et + nodes) * self.h
+        u, v = side_map.to_patch(np.zeros_like(ts), ts)
+        grid = [u, v]
+        axis = side_map.trans_axis
+        grid[axis] = grid[axis][:1]
+        ids, jets = self.dof_jets(k, side_map.elements_to_patch(0, et, self.n), *grid)
+        patch = self.topology.patches[k]
+        _, jac, hess = (np.take(a, 0, axis=axis) for a in per_point_jet_grid(patch, *grid))
+        return ids, physical_jet(np.take(jets, 0, axis=axis + 1), jac, hess)
+
+
+def interface_rows_reference(view, quad_scale=1):
+    """Per interface, dense (n_total, n * edge_nq) jump and average rows,
+    the (n * edge_nq,) weights and the largest one-sided normal
+    derivative, one edge span at a time.
+
+    Jumps of approx-C1 dofs cancel one-sided normal derivatives down to
+    the coupling error, so their rounding is relative to the last value.
+    """
+    ref = _Reference(view, quad_scale)
+    nodes, weights = gauss_legendre(ref.edge_nq)
+    out = []
+    for itf in ref.topology.interfaces:
+        m = ref.n * ref.edge_nq
+        jump, avg = np.zeros((view.n_total, m)), np.zeros((view.n_total, m))
+        frame = EdgeFrame(ref.topology.patches[itf.k], itf.side_k, False)
+        ts = (np.arange(ref.n)[:, None] + nodes).ravel() * ref.h
+        g = frame.geom(ts)
+        side_max = 0.0
+        for et in range(ref.n):
+            cols = slice(et * ref.edge_nq, (et + 1) * ref.edge_nq)
+            for k, side_map, sign in (
+                (itf.k, SideMap(itf.side_k, False), -1.0),
+                (itf.l, SideMap(itf.side_l, itf.reverse), 1.0),
+            ):
+                ids, phys = ref.span(k, side_map, et)
+                dn = np.einsum("mc,amc->am", g["n_out"][cols], phys[:, :, 1:3])
+                jump[ids, cols] += sign * dn
+                avg[ids, cols] += 0.5 * (phys[:, :, 3] + phys[:, :, 5])
+                side_max = max(side_max, np.abs(dn).max(initial=0.0))
+        out.append((jump, avg, np.tile(weights, ref.n) * ref.h * g["tau"], side_max))
+    return out
+
+
+def boundary_load_reference(view, g2, bc_tags, quad_scale=1):
+    """(g2, dn psi) over the 'gl' boundary edges, one edge span at a time."""
+    ref = _Reference(view, quad_scale)
+    nodes, weights = gauss_legendre(ref.edge_nq)
+    F = np.zeros(view.n_total)
+    for (k, side), tag in bc_tags.items():
+        if tag != "gl":
+            continue
+        frame = EdgeFrame(ref.topology.patches[k], side, False)
+        for et in range(ref.n):
+            g = frame.geom((et + nodes) * ref.h)
+            ids, phys = ref.span(k, frame.map, et)
+            dn = np.einsum("mc,amc->am", g["n_out"], phys[:, :, 1:3])
+            F[ids] += dn @ (weights * ref.h * g["tau"] * g2(g["point"][:, 0], g["point"][:, 1]))
+    return F
 
 
 def per_element_reference(view, f, coeffs, exact_jets, quad_scale=1):
     """Dense stiffness K, load F and broken H2 Gram G of the view's dofs, and
     (L2, H1, H2, jumps) of ``coeffs`` against each of ``exact_jets`` (None
     compares against zero), summed one element at a time."""
-    asm = _Assembler(view, quad_scale)
+    ref = _Reference(view, quad_scale)
     K = np.zeros((view.n_total, view.n_total))
     F = np.zeros(view.n_total)
     G = np.zeros((view.n_total, view.n_total))
     acc = np.zeros((len(exact_jets), 3))
-    for ids, phys, w, point in _per_element(asm):
+    for ids, phys, w, point in ref.elements():
         lap = phys[:, :, 3] + phys[:, :, 5]
         K[np.ix_(ids, ids)] += np.einsum("aq,q,bq->ab", lap, w, lap)
         F[ids] += phys[:, :, 0] @ (w * f(point[:, 0], point[:, 1]))
@@ -201,14 +333,10 @@ def per_element_reference(view, f, coeffs, exact_jets, quad_scale=1):
             acc[row, 0] += w @ err[:, 0] ** 2
             acc[row, 1] += w @ (err[:, 1] ** 2 + err[:, 2] ** 2)
             acc[row, 2] += w @ (err[:, 3] ** 2 + err[:, 4] ** 2 + err[:, 5] ** 2)
-    jumps = []
-    for idx in range(len(asm.topology.interfaces)):
-        total = 0.0
-        for fids, jump, _avg, w in asm.interface_edge_rows(idx):
-            if len(fids) == 0:
-                continue
-            total += w @ (coeffs[fids] @ jump) ** 2
-        jumps.append(np.sqrt(total))
+    jumps = [
+        np.sqrt(w @ (coeffs @ jump) ** 2)
+        for jump, _avg, w, _side_max in interface_rows_reference(view, quad_scale)
+    ]
     norms = [
         (np.sqrt(a[0]), np.sqrt(a[0] + a[1]), np.sqrt(a.sum()), jumps) for a in acc
     ]

@@ -1,5 +1,6 @@
-"""Batched geometry jets and element-row volume kernels against the
-per-point and per-element reference loops in ``oracles``."""
+"""Batched geometry jets, element-row volume kernels and edge-span rows
+against the per-point, per-element and per-span reference loops in
+``oracles``, which evaluate approx-C1 dofs piece by piece."""
 
 import numpy as np
 import pytest
@@ -10,13 +11,19 @@ from mpiga.assembly import (
     broken_gram,
     error_norms,
     manufactured_jet,
+    manufactured_laplacian,
     manufactured_rhs,
 )
 from mpiga.c1space import build_c1_space, homogeneous_subspace
 from mpiga.fixtures import BUILTIN_NAMES, builtin_geometry
 from mpiga.geometry import Patch
 
-from oracles import per_element_reference, per_point_jet_grid
+from oracles import (
+    boundary_load_reference,
+    interface_rows_reference,
+    per_element_reference,
+    per_point_jet_grid,
+)
 
 RTOL = 1e-12
 P, N = 3, 4
@@ -27,23 +34,32 @@ def rel_gap(a, b):
     return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
 
 
-def make_view(name, kind):
+def make_view(name, kind, n=N):
     topo = builtin_geometry(name)
     tags = {e: kind.split("-")[-1] for e in topo.boundary_edges}
     if kind == "c0":
-        return C0Space(topo, P, P - 1, N)
+        return C0Space(topo, P, P - 1, n)
     if kind.startswith("c0-"):
-        return C0Space(topo, P, P - 1, N, tags)
-    return homogeneous_subspace(build_c1_space(topo, P, P - 1, N), tags)
+        return C0Space(topo, P, P - 1, n, tags)
+    return homogeneous_subspace(build_c1_space(topo, P, P - 1, n), tags)
 
 
-CASES = [(name, kind, 1) for name in BUILTIN_NAMES for kind in ("c0", "c0-gn", "c1-gn", "c1-gl")]
-CASES += [("square-2-bicubic", "c0-gl", 2), ("square-2-bicubic", "c1-gn", 2)]
+CASES = [(name, kind, 1, N) for name in BUILTIN_NAMES for kind in ("c0", "c0-gn", "c1-gn", "c1-gl")]
+CASES += [("square-2-bicubic", "c0-gl", 2, N), ("square-2-bicubic", "c1-gn", 2, N)]
+# at n=4 the three-element vertex supports cover almost every element; at
+# n=8 the restriction of dofs to elements and the combinations at inner
+# vertices (valence 3 and 4) are exercised
+CASES += [("square-6-bilinear", "c1-gn", 1, 8), ("square-6-bilinear", "c1-gl", 1, 8)]
 
 
-@pytest.mark.parametrize("name,kind,quad_scale", CASES)
-def test_volume_kernels_match_per_element_loops(name, kind, quad_scale):
-    view = make_view(name, kind)
+def case_id(case):
+    name, kind, quad_scale, n = case
+    return f"{name}-{kind}-{quad_scale}" + ("" if n == N else f"-n{n}")
+
+
+@pytest.mark.parametrize("name,kind,quad_scale,n", CASES, ids=[case_id(c) for c in CASES])
+def test_volume_kernels_match_per_element_loops(name, kind, quad_scale, n):
+    view = make_view(name, kind, n)
     coeffs = np.random.default_rng(7).standard_normal(view.n_total)
     exact_jets = (None, manufactured_jet)
     K_ref, F_ref, G_ref, norms_ref = per_element_reference(
@@ -57,6 +73,29 @@ def test_volume_kernels_match_per_element_loops(name, kind, quad_scale):
         report = error_norms(view, coeffs, exact, quad_scale)
         got = [report.l2, report.h1, report.h2] + report.jumps
         assert rel_gap(got, [l2, h1, h2] + jumps) <= RTOL
+
+
+@pytest.mark.parametrize("name,kind,quad_scale,n", CASES, ids=[case_id(c) for c in CASES])
+def test_edge_span_rows_match_per_span_loops(name, kind, quad_scale, n):
+    view = make_view(name, kind, n)
+    asm = _Assembler(view, quad_scale)
+    refs = interface_rows_reference(view, quad_scale)
+    for idx, (jump_ref, avg_ref, w_ref, side_max) in enumerate(refs):
+        jump, avg, w = np.zeros_like(jump_ref), np.zeros_like(avg_ref), np.zeros_like(w_ref)
+        for span, (fids, j, a, ws) in enumerate(asm.interface_edge_rows(idx)):
+            cols = slice(span * asm.edge_nq, (span + 1) * asm.edge_nq)
+            jump[fids, cols], avg[fids, cols], w[cols] = j, a, ws
+        # jumps of approx-C1 dofs are differences of nearly equal sides
+        assert np.abs(jump - jump_ref).max() <= RTOL * side_max
+        assert rel_gap(avg, avg_ref) <= RTOL
+        assert rel_gap(w, w_ref) <= RTOL
+    if kind.endswith("gl"):
+        tags = {e: "gl" for e in asm.topology.boundary_edges}
+        F_ref = boundary_load_reference(view, manufactured_laplacian, tags, quad_scale)
+        F = np.zeros(view.n_total)
+        asm.boundary_moment_load(F, manufactured_laplacian, tags)
+        assert np.abs(F_ref).max() > 0.0
+        assert rel_gap(F, F_ref) <= RTOL
 
 
 def multi_element_patch():

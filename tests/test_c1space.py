@@ -14,7 +14,7 @@ from mpiga.c1space import (
 from mpiga.errors import ParameterError
 from mpiga.geometry import _CORNER_SIDES, EdgeFrame, SideMap, gluing_data, physical_jet
 
-from oracles import sampled_nullspace
+from oracles import piece_jets, sampled_nullspace
 
 from helpers import (
     CORNER_UV,
@@ -387,11 +387,11 @@ def boundary_edge_jets(topo, k, ev, side, ts):
     frame = EdgeFrame(topo.patches[k], side, False)
     u, v = frame.points(ts)
     if np.ptp(u) == 0.0:
-        jets = ev.jet_grid(u[:1], v)[0]
+        jets = piece_jets(ev, u[:1], v)[0]
         _, jac, hess = topo.patches[k].jet_grid(u[:1], v)
         jac, hess = jac[0], hess[0]
     else:
-        jets = ev.jet_grid(u, v[:1])[:, 0]
+        jets = piece_jets(ev, u, v[:1])[:, 0]
         _, jac, hess = topo.patches[k].jet_grid(u, v[:1])
         jac, hess = jac[:, 0], hess[:, 0]
     return physical_jet(jets, jac, hess), frame.geom(ts)["n_out"]

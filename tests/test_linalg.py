@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse
 
 from mpiga.errors import IndefiniteSystemError, ParameterError
-from mpiga.linalg import SparseSymMatrix, eigen_extreme, nullspace, solve_spd
+from mpiga.linalg import SparseSymMatrix, eigen_extreme, kernel_split, solve_spd
 
 from oracles import jacobi_eigenvalues, jacobi_generalized_max
 
@@ -40,7 +40,7 @@ def test_solve_indefinite_raises():
 def test_sparse_sym_matrix_blocks():
     M = SparseSymMatrix(4)
     M.add_block(np.array([0, 2]), np.array([0, 2]), np.array([[2.0, 1.0], [1.0, 3.0]]))
-    M.add(1, 1, 5.0)
+    M.add_block(np.array([1]), np.array([1]), np.array([[5.0]]))
     K = M.todense()
     assert K[0, 2] == 1.0 and K[2, 0] == 1.0 and K[1, 1] == 5.0
     assert M.symmetry_gap() == 0.0
@@ -88,13 +88,13 @@ def test_generalized_vs_jacobi_oracle():
 
 
 def test_nullspace_zero_matrix():
-    basis = nullspace(np.zeros((3, 3)), 1e-10)
-    assert basis.shape == (3, 3)
+    basis, compl = kernel_split(np.zeros((3, 3)), 1e-10)
+    assert basis.shape == (3, 3) and compl.shape == (3, 0)
 
 
 def test_nullspace_projection():
     M = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    basis = nullspace(M, 1e-10)
+    basis, _ = kernel_split(M, 1e-10)
     assert basis.shape == (3, 1)
     assert abs(abs(basis[2, 0]) - 1.0) <= 1e-12
 
@@ -104,12 +104,13 @@ def test_nullspace_random_rank2():
     U = rng.randn(4, 2)
     V = rng.randn(2, 6)
     M = U @ V
-    basis = nullspace(M, 1e-8)
-    assert basis.shape == (6, 4)
+    basis, compl = kernel_split(M, 1e-8)
+    assert basis.shape == (6, 4) and compl.shape == (6, 2)
     assert np.abs(M @ basis).max() <= 1e-10
-    assert np.abs(basis.T @ basis - np.eye(4)).max() <= 1e-12
+    Q = np.hstack([basis, compl])
+    assert np.abs(Q.T @ Q - np.eye(6)).max() <= 1e-12
 
 
 def test_nullspace_tol_validation():
     with pytest.raises(ParameterError):
-        nullspace(np.eye(2), 2.0)
+        kernel_split(np.eye(2), 2.0)
