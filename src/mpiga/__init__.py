@@ -12,11 +12,11 @@ from .assembly import (
     error_norms,
     estimate_stability_constant,
 )
-from .bspline import KnotVector, SplineSpace, TensorSplineSpace, l2_project, tensor_eval
+from .bspline import KnotVector, SplineSpace, TensorSplineSpace, l2_project
 from .c1space import GlobalC1Space, approximate_gluing_data, build_c1_space, homogeneous_subspace
 from .experiments import ExperimentConfig, run_convergence, run_eta_sweep, run_jump_study
 from .fixtures import builtin_geometry, load_geometry, save_geometry
-from .geometry import Patch, Topology, canonical_edge, detect_topology, gluing_data
+from .geometry import Patch, Topology, detect_topology, gluing_data
 
 __version__ = "0.1.0"
 
@@ -34,7 +34,6 @@ __all__ = [
     "assemble_nitsche",
     "build_c1_space",
     "builtin_geometry",
-    "canonical_edge",
     "detect_topology",
     "error_norms",
     "estimate_stability_constant",
@@ -46,5 +45,4 @@ __all__ = [
     "run_eta_sweep",
     "run_jump_study",
     "save_geometry",
-    "tensor_eval",
 ]

@@ -20,7 +20,7 @@ import numpy as np
 from .bspline import JET_ORDERS, gauss_legendre
 from .c1space import ConstrainedC1Space
 from .errors import ParameterError
-from .geometry import EdgeFrame, SideMap, detect_topology, physical_jet
+from .geometry import EdgeFrame, SideMap, detect_topology, physical_jet, pullback
 from .linalg import SparseSymMatrix, gram_pencil_max, solve_spd
 
 __all__ = [
@@ -224,41 +224,18 @@ class _Assembler:
         jets = row.blocks[cells] @ prim.reshape(nc, prim.shape[1], -1)
         return row.fids[cells], jets.reshape((nc, -1) + prim.shape[2:])
 
-    def element_jets(self, patch_index, elem, u_pts, v_pts):
-        """All dof jets on a point grid inside one patch element.
-
-        Returns (fids, jets) with jets of shape (nd, nu, nv, 6).
-        """
-        tensor_fids, ext = self.view.element_table(patch_index)
-        first_u, tab_u = self.sol.eval_many(u_pts, 2)
-        first_v, tab_v = self.sol.eval_many(v_pts, 2)
-        p1 = self.sol.p + 1
-        window = tensor_fids[first_u[0] : first_u[0] + p1, first_v[0] : first_v[0] + p1].ravel()
-        mask = window >= 0
-        jets_t = _window_jets(tab_u, tab_v).reshape(p1 * p1, len(u_pts), len(v_pts), 6)
-        fids, jets = list(window[mask]), [jets_t[mask]]
-        row = ext.rows.get(elem[0]) if ext is not None else None
-        if row is not None and elem[1] in row.evs:
-            cell = np.flatnonzero(row.evs == elem[1])
-            used = row.pos[cell[0]][row.pos[cell[0]] < len(row.cols)]
-            edge = np.zeros((1, len(row.cols), len(u_pts), len(v_pts), 6))
-            edge[0, used] = ext.prims.jets(row.cols[used], u_pts, v_pts)
-            ids, ej = self._extracted(row, cell, jets_t[None], edge)
-            keep = ids[0] >= 0
-            fids += list(ids[0][keep])
-            jets.append(ej[0][keep])
-        return fids, np.concatenate(jets, axis=0)
-
     # -- volume form ----------------------------------------------------
 
     def element_rows(self, patch_index):
         """Volume quadrature data of one patch, one element row at a time.
 
-        For the row of elements (eu, 0..n-1) yields ``(ids, phys, w,
-        point)``: dof ids (n, nd) padded with -1, physical jets (n, nd,
-        Q, 6), quadrature weights times det J (n, Q) and quadrature points
-        (n, Q, 2), with the Q = nq^2 points of an element ordered u-major.
-        Jets of padded ids are meaningless and must be masked out.
+        For the row of elements (eu, 0..n-1) yields ``(ids, jets, pull, w,
+        point)``: dof ids (n, nd) padded with -1, parametric jets (n, nd,
+        Q, 6), the per-point :func:`~mpiga.geometry.pullback` maps (n, Q,
+        6, 6) to physical jets, quadrature weights times det J (n, Q) and
+        quadrature points (n, Q, 2), with the Q = nq^2 points of an
+        element ordered u-major.  Jets of padded ids are meaningless and
+        must be masked out.
         """
         n, nq, p1 = self.n, self.nq, self.sol.p + 1
         Q = nq * nq
@@ -292,8 +269,7 @@ class _Assembler:
                 for a in patch.jet_grid(u_pts, pts)
             )
             det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-            phys = physical_jet(jets, jac[:, None], hess[:, None])
-            yield ids, phys, wq * det, point
+            yield ids, jets, pullback(jac, hess), wq * det, point
 
     def volume_system(self, f=None):
         """Stiffness (Delta, Delta) and load (f, psi) over all dofs."""
@@ -301,97 +277,147 @@ class _Assembler:
         K = SparseSymMatrix(view.n_total)
         F = np.zeros(view.n_total)
         for k in range(len(self.topology.patches)):
-            for ids, phys, w, point in self.element_rows(k):
-                lap = (phys[..., 3] + phys[..., 5]) * np.sqrt(w)[:, None, :]
+            for ids, jets, pull, w, point in self.element_rows(k):
+                lap_row = pull[..., 3, :] + pull[..., 5, :]
+                lap = np.einsum("eaqs,eqs->eaq", jets, lap_row) * np.sqrt(w)[:, None, :]
                 K.add_blocks(ids, lap @ lap.swapaxes(1, 2))
                 if f is not None:
                     fx = _at_points(f, point)
                     keep = ids >= 0
-                    np.add.at(F, ids[keep], np.einsum("eaq,eq->ea", phys[..., 0], w * fx)[keep])
+                    # values are the same in parametric and physical jets
+                    np.add.at(F, ids[keep], np.einsum("eaq,eq->ea", jets[..., 0], w * fx)[keep])
         return K, F
 
-    # -- edge spans ----------------------------------------------------------
+    # -- edge lines ----------------------------------------------------------
 
-    def side_span(self, patch_index, side_map, et):
-        """Dofs on span ``et`` of a patch side and their physical jets there.
+    def side_line(self, patch_index, side_map):
+        """Dofs on a patch side and their physical jets along the whole side.
 
-        Returns (fids, phys) with phys of shape (nd, edge_nq, 6) at the
-        Gauss points of the span in the order of the side map's edge
-        parameter; phys is None when no dof lives on the span.
+        The edge_nq Gauss points of span s of the side map's edge
+        parameter lie in one patch element.  Returns ``(ids, phys, geom)``:
+        dof ids (n, nd) padded with -1, physical jets (n, nd, edge_nq, 6)
+        at the points of each span in the order of the side map's
+        parameter, and the :meth:`~mpiga.geometry.EdgeFrame.geom`
+        quantities at all n * edge_nq points.  Jets of padded ids are
+        meaningless and must be masked out.
         """
-        ts = (et + self.enodes) * self.sol.h
-        order = slice(None, None, -1) if side_map.t_flip else slice(None)
-        axis = side_map.trans_axis  # grid axis pinned to the side
-        grid = [pts[order] for pts in side_map.to_patch(np.zeros_like(ts), ts)]
-        grid[axis] = grid[axis][:1]
-        elem = side_map.elements_to_patch(0, et, self.n)
-        fids, jets = self.element_jets(patch_index, elem, *grid)
-        if not fids:
-            return fids, None
-        _, jac, hess = (
-            np.take(a, 0, axis=axis)[order]
-            for a in self.topology.patches[patch_index].jet_grid(*grid)
-        )
-        return fids, physical_jet(np.take(jets, 0, axis=axis + 1)[:, order], jac, hess)
+        n, nq, p1 = self.n, self.edge_nq, self.sol.p + 1
+        frame = EdgeFrame(self.topology.patches[patch_index], side_map.side, side_map.t_flip)
+        ts = (np.arange(n)[:, None] + self.enodes).ravel() * self.sol.h
+        us, vs, axis = frame.line(ts)
+        # univariate tables and tensor windows per span: the coordinate across
+        # the side has one point, which every span shares
+        firsts, tabs = [], []
+        for pts in (us, vs):
+            first, tab = self.sol.eval_many(pts, 2)
+            firsts.append(np.broadcast_to(first, (n * nq,))[::nq, None] + np.arange(p1))
+            tabs.append(np.broadcast_to(tab, (n * nq,) + tab.shape[1:]).reshape(n, nq, 3, p1))
+        tensor_fids, ext = self.view.element_table(patch_index)
+        ids = tensor_fids[firsts[0][:, :, None], firsts[1][:, None, :]].reshape(n, p1 * p1)
+        jets = np.einsum("sqki,sqkj->sijqk", tabs[0][:, :, _SLOT_U], tabs[1][:, :, _SLOT_V])
+        jets = jets.reshape(n, p1 * p1, nq, 6)
+        if ext is not None:
+            ids, jets = self._line_extracted(ext, side_map, us, vs, axis, ids, jets)
+        geom = frame.geom(ts)
+        jac = geom["jac"].reshape(n, 1, nq, 2, 2)
+        hess = geom["hess"].reshape(n, 1, nq, 2, 2, 2)
+        return ids, physical_jet(jets, jac, hess), geom
+
+    def _line_extracted(self, ext, side_map, us, vs, axis, ids, jets):
+        """Append the extracted dofs of the side's cells to the tensor-window
+        ``ids`` (n, (p+1)^2) and ``jets`` (n, (p+1)^2, edge_nq, 6) of a line."""
+        n, nq = self.n, self.edge_nq
+        eu, ev = np.broadcast_arrays(*side_map.elements_to_patch(0, np.arange(n), n))
+        hits = []  # (spans, row, the spans' cells in the row)
+        for r in np.unique(eu):
+            row = ext.rows.get(r)
+            if row is None:
+                continue
+            spans = np.flatnonzero((eu == r) & np.isin(ev, row.evs))
+            if len(spans):
+                hits.append((spans, row, np.searchsorted(row.evs, ev[spans])))
+        if not hits:
+            return ids, jets
+        # every edge primitive of these rows, once along the whole line
+        cols = np.unique(np.concatenate([row.cols for _, row, _ in hits]))
+        prim = np.take(ext.prims.jets(cols, us, vs), 0, axis=axis + 1).reshape(len(cols), n, nq, 6)
+        width = max(row.fids.shape[1] for _, row, _ in hits)
+        ext_ids = -np.ones((n, width), dtype=int)
+        ext_jets = np.zeros((n, width, nq, 6))
+        for spans, row, cells in hits:
+            edge = prim[np.searchsorted(cols, row.cols)][:, spans].swapaxes(0, 1)
+            fids, ej = self._extracted(row, cells, jets[spans], edge)
+            ext_ids[spans, : fids.shape[1]] = fids
+            ext_jets[spans, : fids.shape[1]] = ej
+        return np.concatenate([ids, ext_ids], axis=1), np.concatenate([jets, ext_jets], axis=1)
 
     def boundary_moment_load(self, F, g2, bc_tags):
         """Add (g2, dn psi) over 'gl' boundary edges to the load vector."""
+        if g2 is None:
+            return
+        n, nq = self.n, self.edge_nq
         for (k, side), tag in bc_tags.items():
-            if tag != "gl" or g2 is None:
+            if tag != "gl":
                 continue
-            frame = EdgeFrame(self.topology.patches[k], side, False)
-            for et in range(self.n):
-                fids, phys = self.side_span(k, frame.map, et)
-                if not fids:
-                    continue
-                g = frame.geom((et + self.enodes) * self.sol.h)
-                dn = np.einsum("mc,amc->am", g["n_out"], phys[:, :, 1:3])
-                vals = g2(g["point"][:, 0], g["point"][:, 1])
-                w = self.eweights * self.sol.h * g["tau"]
-                F[np.asarray(fids)] += dn @ (w * vals)
+            ids, phys, g = self.side_line(k, SideMap(side, False))
+            dn = np.einsum("sqc,saqc->saq", g["n_out"].reshape(n, nq, 2), phys[..., 1:3])
+            w = np.tile(self.eweights, n) * self.sol.h * g["tau"]
+            wg = (w * g2(g["point"][:, 0], g["point"][:, 1])).reshape(n, nq)
+            keep = ids >= 0
+            np.add.at(F, ids[keep], np.einsum("saq,sq->sa", dn, wg)[keep])
 
     # -- interface machinery ---------------------------------------------
 
     def interface_edge_rows(self, iface_index):
-        """Per-span normal-derivative and Laplacian rows on both interface sides.
+        """Normal-derivative jump and Laplacian average rows of an interface.
 
-        Yields (fids, jump_rows, avg_rows, weights) per edge span, where
-        rows have shape (nd, edge_nq), the jump is (higher side) minus
-        (lower side) of the normal derivative along the interface normal
-        and the average is the mean Laplacian; weights include the
-        arc-length factor.
+        Returns ``(ids, jump, avg, w)`` over the n edge spans: the dofs of
+        both sides per span (n, nd), each once and padded with -1, their
+        jump and average rows (n, nd, edge_nq), zero at padding, and the
+        weights (n, edge_nq) including the arc-length factor.  The jump is
+        (higher side) minus (lower side) of the normal derivative along
+        the interface normal and the average is the mean Laplacian.
         """
-        topo = self.topology
-        itf = topo.interfaces[iface_index]
-        frame_k = EdgeFrame(topo.patches[itf.k], itf.side_k, False)
-        sides = (
-            (itf.k, SideMap(itf.side_k, False), -1.0),
-            (itf.l, SideMap(itf.side_l, itf.reverse), +1.0),
-        )
-        h = self.sol.h
-        for et in range(self.n):
-            ts = (et + self.enodes) * h
-            g = frame_k.geom(ts)
-            normal = g["n_out"]
-            w = self.eweights * h * g["tau"]
-            gather = {}
-            for kk, sm, sign in sides:
-                fids, phys = self.side_span(kk, sm, et)
-                if not fids:
-                    continue
-                dn = np.einsum("mc,amc->am", normal, phys[:, :, 1:3])
-                lap = phys[:, :, 3] + phys[:, :, 5]
-                for row, fid in enumerate(fids):
-                    slot = gather.setdefault(
-                        fid,
-                        [np.zeros(self.edge_nq), np.zeros(self.edge_nq)],
-                    )
-                    slot[0] += sign * dn[row]
-                    slot[1] += 0.5 * lap[row]
-            fids = sorted(gather)
-            jump = np.array([gather[f][0] for f in fids])
-            avg = np.array([gather[f][1] for f in fids])
-            yield np.asarray(fids, dtype=int), jump, avg, w
+        itf = self.topology.interfaces[iface_index]
+        ids_k, phys_k, g = self.side_line(itf.k, SideMap(itf.side_k, False))
+        ids_l, phys_l, _ = self.side_line(itf.l, SideMap(itf.side_l, itf.reverse))
+        n, nq = self.n, self.edge_nq
+        ids = np.concatenate([ids_k, ids_l], axis=1)
+        phys = np.concatenate([phys_k, phys_l], axis=1)
+        sign = np.repeat([-1.0, 1.0], [ids_k.shape[1], ids_l.shape[1]])
+        dn = np.einsum("sqc,saqc->saq", g["n_out"].reshape(n, nq, 2), phys[..., 1:3])
+        ids, jump, avg = _merge_rows(ids, sign[:, None] * dn, 0.5 * (phys[..., 3] + phys[..., 5]))
+        w = self.eweights * self.sol.h * g["tau"].reshape(n, nq)
+        return ids, jump, avg, w
+
+
+def _merge_rows(ids, *rows):
+    """Sum the rows of equal ids within each span.
+
+    ``ids`` (ns, m) are padded with -1 and each of ``rows`` is (ns, m,
+    ...).  Returns the distinct ids of each span in ascending order,
+    padded with -1, and per row array the sums over equal ids, zero at
+    padding.
+    """
+    order = np.argsort(ids, axis=1, kind="stable")
+    sid = np.take_along_axis(ids, order, axis=1)
+    valid = sid >= 0
+    new = valid.copy()
+    new[:, 1:] &= sid[:, 1:] != sid[:, :-1]
+    slot = np.cumsum(new, axis=1) - 1  # merged position of every entry
+    width = int(slot.max(initial=-1)) + 1
+    span, col = np.nonzero(valid)  # span-major, ascending ids within a span
+    starts = np.flatnonzero(new[span, col])
+    at = span[starts], slot[span[starts], col[starts]]
+    out_ids = -np.ones((ids.shape[0], width), dtype=int)
+    out_ids[at] = sid[span[starts], col[starts]]
+    out = [out_ids]
+    for r in rows:
+        merged = np.zeros((ids.shape[0], width) + r.shape[2:])
+        if len(starts):
+            merged[at] = np.add.reduceat(r[span, order[span, col]], starts, axis=0)
+        out.append(merged)
+    return out
 
 
 class ErrorReport:
@@ -456,11 +482,10 @@ def _lift_boundary_data(asm, g0, g1, bc_tags):
     for (k, side), tag in bc_tags.items():
         frame = EdgeFrame(topo.patches[k], side, False)
         us, vs, axis = frame.line(ts)
-        _, jac, hess = frame.line_jets(ts)
         g = frame.geom(ts)
         _, ext = view.element_table(k)
         jets = np.take(ext.prims.expand(ext.matrix[view.n_free :], us, vs), 0, axis=axis + 1)
-        phys = physical_jet(jets, jac, hess)  # (nb, m, 6)
+        phys = physical_jet(jets, g["jac"], g["hess"])  # (nb, m, 6)
         rows.append(phys[:, :, 0].T)
         targets.append(
             np.zeros(len(ts)) if g0 is None else np.asarray(g0(g["point"][:, 0], g["point"][:, 1]))
@@ -481,9 +506,10 @@ def broken_gram(view, quad_scale=1):
     asm = _Assembler(view, quad_scale)
     G = SparseSymMatrix(view.n_total)
     for k in range(len(asm.topology.patches)):
-        for ids, phys, w, _point in asm.element_rows(k):
-            jets = (phys * np.sqrt(w)[:, None, :, None]).reshape(ids.shape + (-1,))
-            G.add_blocks(ids, jets @ jets.swapaxes(1, 2))
+        for ids, jets, pull, w, _point in asm.element_rows(k):
+            phys = (pull[:, None] @ jets[..., None])[..., 0] * np.sqrt(w)[:, None, :, None]
+            phys = phys.reshape(ids.shape + (-1,))
+            G.add_blocks(ids, phys @ phys.swapaxes(1, 2))
     return G
 
 
@@ -534,16 +560,13 @@ def assemble_nitsche(view, f, g2=None, bc_tags=None, eta=None, g0=None, g1=None,
         asm.boundary_moment_load(F, g2, bc_tags)
     h = view.sol.h
     for idx in range(len(view.topology.interfaces)):
-        scale = eta[idx] / h
-        for fids, jump, avg, w in asm.interface_edge_rows(idx):
-            if len(fids) == 0:
-                continue
-            consistency = np.einsum("aq,q,bq->ab", jump, w, avg)
-            penalty = np.einsum("aq,q,bq->ab", jump, w, jump)
-            # integrating Lap^2 u * v by parts patch-wise leaves
-            # +{Lap u}[dn v] with this jump orientation
-            block = consistency + consistency.T + scale * penalty
-            K.add_block(fids, fids, block)
+        ids, jump, avg, w = asm.interface_edge_rows(idx)
+        jw = jump * w[:, None, :]
+        consistency = jw @ avg.swapaxes(1, 2)
+        penalty = jw @ jump.swapaxes(1, 2)
+        # integrating Lap^2 u * v by parts patch-wise leaves
+        # +{Lap u}[dn v] with this jump orientation
+        K.add_blocks(ids, consistency + consistency.swapaxes(1, 2) + eta[idx] / h * penalty)
     return AssembledSystem(view, K, F, "nitsche", eta=eta)
 
 
@@ -563,10 +586,12 @@ def estimate_stability_constant(topology, iface_index, p, r, n):
     space = C0Space(sub, p, r, n, bc_tags=None)
     asm = _Assembler(space)
     B, _ = asm.volume_system(None)
+    ids, _jump, avg, w = asm.interface_edge_rows(0)
+    span, pos = np.nonzero(ids >= 0)
     R = np.zeros((asm.n * asm.edge_nq, space.n_total))
-    for span, (fids, _jump, avg, w) in enumerate(asm.interface_edge_rows(0)):
-        rows = span * asm.edge_nq + np.arange(asm.edge_nq)
-        R[rows[:, None], fids] = (avg * np.sqrt(w)).T
+    R[span[:, None] * asm.edge_nq + np.arange(asm.edge_nq), ids[span, pos][:, None]] = (
+        avg * np.sqrt(w)[:, None, :]
+    )[span, pos]
     return gram_pencil_max(R, B)
 
 
@@ -586,9 +611,9 @@ def error_norms(view, coeffs, exact_jet=None, quad_scale=1):
         )
     acc = np.zeros(3)  # L2^2, H1-semi^2, H2-semi^2
     for k in range(len(asm.topology.patches)):
-        for ids, phys, w, point in asm.element_rows(k):
+        for ids, jets, pull, w, point in asm.element_rows(k):
             c = np.where(ids >= 0, coeffs[ids], 0.0)
-            err = np.einsum("ea,eaqs->eqs", c, phys)
+            err = (pull @ np.einsum("ea,eaqs->eqs", c, jets)[..., None])[..., 0]
             if exact_jet is not None:
                 err = err - _at_points(exact_jet, point)
             sq = err * err
@@ -597,13 +622,9 @@ def error_norms(view, coeffs, exact_jet=None, quad_scale=1):
             acc[2] += np.sum(w * (sq[..., 3] + sq[..., 4] + sq[..., 5]))
     jumps = []
     for idx in range(len(asm.topology.interfaces)):
-        total = 0.0
-        for fids, jump, _avg, w in asm.interface_edge_rows(idx):
-            if len(fids) == 0:
-                continue
-            j = coeffs[fids] @ jump
-            total += w @ j ** 2
-        jumps.append(np.sqrt(total))
+        ids, jump, _avg, w = asm.interface_edge_rows(idx)
+        j = np.einsum("sa,saq->sq", np.where(ids >= 0, coeffs[ids], 0.0), jump)
+        jumps.append(np.sqrt(np.sum(w * j ** 2)))
     l2 = np.sqrt(acc[0])
     h1 = np.sqrt(acc[0] + acc[1])
     h2 = np.sqrt(acc.sum())

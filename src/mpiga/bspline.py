@@ -302,11 +302,3 @@ class TensorSplineSpace:
             if a + b <= max_deriv:
                 jet[slot] = tu[a] @ block @ tv[b]
         return jet
-
-
-def tensor_eval(tspace, coeffs, u, v, max_deriv=2):
-    """Partial derivatives of a tensor spline at one point (module-level alias)."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim == 1:
-        coeffs = coeffs.reshape(tspace.shape())
-    return tspace.eval_jet(coeffs, u, v, max_deriv)

@@ -750,13 +750,12 @@ class ConstrainedC1Space:
             tag = self.bc[(k, side)]
             frame = EdgeFrame(topo.patches[k], side, t_flip)
             us, vs, axis = frame.line(ts)
-            _, jac, hess = frame.line_jets(ts)
             g = frame.geom(ts)
             pos = [p for p, (kk, _c) in enumerate(vertex.incident) if kk == k][0]
             prims = self.space.primitives[k]
             W = prims.weights([supports[q][pos][1] for q in range(6)])
             jets = np.take(prims.expand(W, us, vs), 0, axis=axis + 1)
-            phys = physical_jet(jets, jac, hess)  # (6, m, 6)
+            phys = physical_jet(jets, g["jac"], g["hess"])  # (6, m, 6)
             rows.append(phys[:, :, 0].T)
             if tag == "gn":
                 rows.append(np.einsum("mc,qmc->mq", g["n_out"], phys[:, :, 1:3]))

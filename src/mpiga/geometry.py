@@ -195,15 +195,6 @@ class Patch:
         return det.min()
 
 
-def eval_geometry(patch, u, v):
-    """Point, Jacobian and component Hessians of the geometry map at (u, v)."""
-    point, jac, hess = patch.jet_at(u, v)
-    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-    if det <= 0.0:
-        raise GeometryError(f"non-positive Jacobian determinant {det:.3e} at ({u}, {v})")
-    return point, jac, hess
-
-
 class InterfaceRecord:
     """A conforming interface between patch ``k`` (side ``side_k``) and ``l``."""
 
@@ -434,13 +425,15 @@ class EdgeFrame:
         return self.line_jets(ts)[0]
 
     def geom(self, ts):
-        """First-order edge frame quantities at the given parameters.
+        """Edge frame quantities at the given parameters, from one
+        :meth:`line_jets` evaluation.
 
         Returns a dict with ``point``, ``tangent`` (dF/dt), ``tau``,
-        ``t0``, ``d_in`` (inward transversal derivative of F) and
-        ``n_out`` (unit outward normal).
+        ``t0``, ``d_in`` (inward transversal derivative of F), ``n_out``
+        (unit outward normal) and the geometry's ``jac`` and ``hess`` at
+        the edge points.
         """
-        point, jac, _ = self.line_jets(ts)
+        point, jac, hess = self.line_jets(ts)
         sgn_t = -1.0 if self.map.t_flip else 1.0
         sgn_s = -1.0 if self.map.trans_flip else 1.0
         tangent = sgn_t * jac[:, :, self.map.tang_axis]
@@ -460,12 +453,9 @@ class EdgeFrame:
             "t0": t0,
             "d_in": d_in,
             "n_out": n_out,
+            "jac": jac,
+            "hess": hess,
         }
-
-
-def canonical_edge(patch, side, reverse=False):
-    """Edge frame for a side, as if it were the u=0 side of the patch."""
-    return EdgeFrame(patch, side, reverse)
 
 
 def interface_frames(topology, iface):
@@ -500,32 +490,19 @@ def gluing_data(topology, iface, side, ts):
     return alpha, beta
 
 
-def exact_normal_derivative(frame, d_trans, d_tang, ts):
-    """Unit outward normal derivative from canonical-frame derivatives.
+def pullback(jac, hess):
+    """Per-point linear map from parametric to physical 2-jets.
 
-    ``d_trans`` and ``d_tang`` are the transversal and tangential
-    parametric derivatives of the pulled-back function at edge points
-    ``ts``.  Uses the frame's own outward normal, so the result is the
-    physical derivative n . grad(phi) regardless of tangent speed.
+    ``jac`` is (..., 2, 2) with component rows and coordinate columns and
+    ``hess`` is (..., 2, 2, 2).  Returns M of shape (..., 6, 6) with
+    M @ (value, du, dv, duu, duv, dvv) = (value, dx, dy, dxx, dxy, dyy).
+    The gradient is g = P grad_uv with P = J^{-T}, and the second
+    derivatives are S (H_uv - g_x H_x - g_y H_y), where S is the map
+    H -> P H P^T on the (uu, uv, vv) slots of a symmetric H.  Raises
+    :class:`GeometryError` where det J is not positive.
     """
-    g = frame.geom(ts)
-    alpha = -g["tau"] * np.einsum("mc,mc->m", g["n_out"], g["d_in"])
-    if np.abs(alpha).min() == 0.0:
-        raise GeometryError("singular gluing data: alpha vanishes on the edge")
-    beta = np.einsum("mc,mc->m", g["d_in"], g["t0"]) / g["tau"]
-    return -(g["tau"] / alpha) * (np.asarray(d_trans) - beta * np.asarray(d_tang))
-
-
-def physical_jet(jets, jac, hess):
-    """Transform parametric 2-jets into physical-space 2-jets.
-
-    ``jets`` has shape (..., 6) in the order (value, du, dv, duu, duv,
-    dvv); ``jac`` is (..., 2, 2) with component rows and coordinate
-    columns, ``hess`` is (..., 2, 2, 2).  Returns (..., 6) jets
-    (value, dx, dy, dxx, dxy, dyy).  The gradient solves J^T g = grad_uv
-    and the Hessian is J^{-T} (H_uv - g_x H_x - g_y H_y) J^{-1}.
-    """
-    jets = np.asarray(jets, dtype=float)
+    jac = np.asarray(jac, dtype=float)
+    hess = np.asarray(hess, dtype=float)
     xu, xv = jac[..., 0, 0], jac[..., 0, 1]
     yu, yv = jac[..., 1, 0], jac[..., 1, 1]
     det = xu * yv - xv * yu
@@ -533,24 +510,32 @@ def physical_jet(jets, jac, hess):
         raise GeometryError(
             f"non-positive Jacobian determinant (min {np.min(det):.3e}) in jet transform"
         )
-    fu, fv = jets[..., 1], jets[..., 2]
-    gx = (yv * fu - yu * fv) / det
-    gy = (xu * fv - xv * fu) / det
-
-    muu = jets[..., 3] - gx * hess[..., 0, 0, 0] - gy * hess[..., 1, 0, 0]
-    muv = jets[..., 4] - gx * hess[..., 0, 0, 1] - gy * hess[..., 1, 0, 1]
-    mvv = jets[..., 5] - gx * hess[..., 0, 1, 1] - gy * hess[..., 1, 1, 1]
-
-    p11, p12 = yv / det, -yu / det
-    p21, p22 = -xv / det, xu / det
-    out = np.empty_like(jets)
-    out[..., 0] = jets[..., 0]
-    out[..., 1] = gx
-    out[..., 2] = gy
-    out[..., 3] = p11 * p11 * muu + 2.0 * p11 * p12 * muv + p12 * p12 * mvv
-    out[..., 4] = p11 * p21 * muu + (p11 * p22 + p12 * p21) * muv + p12 * p22 * mvv
-    out[..., 5] = p21 * p21 * muu + 2.0 * p21 * p22 * muv + p22 * p22 * mvv
+    out = np.zeros(det.shape + (6, 6))
+    out[..., 0, 0] = 1.0
+    P = out[..., 1:3, 1:3]
+    P[..., 0, 0], P[..., 0, 1] = yv / det, -yu / det
+    P[..., 1, 0], P[..., 1, 1] = -xv / det, xu / det
+    p11, p12, p21, p22 = P[..., 0, 0], P[..., 0, 1], P[..., 1, 0], P[..., 1, 1]
+    S = out[..., 3:, 3:]
+    S[..., 0, 0], S[..., 0, 1], S[..., 0, 2] = p11 * p11, 2.0 * p11 * p12, p12 * p12
+    S[..., 1, 0], S[..., 1, 1], S[..., 1, 2] = p11 * p21, p11 * p22 + p12 * p21, p12 * p22
+    S[..., 2, 0], S[..., 2, 1], S[..., 2, 2] = p21 * p21, 2.0 * p21 * p22, p22 * p22
+    # (uu, uv, vv) rows of the component Hessians, components as columns
+    H = hess[..., :, [0, 0, 1], [0, 1, 1]].swapaxes(-1, -2)
+    out[..., 3:, 1:3] = -(S @ (H @ P))
     return out
+
+
+def physical_jet(jets, jac, hess):
+    """Transform parametric 2-jets into physical-space 2-jets.
+
+    ``jets`` has shape (..., 6) in the order (value, du, dv, duu, duv,
+    dvv); ``jac`` (..., 2, 2) and ``hess`` (..., 2, 2, 2) broadcast
+    against its leading axes.  Returns (..., 6) jets (value, dx, dy, dxx,
+    dxy, dyy): the :func:`pullback` map applied to ``jets``.
+    """
+    jets = np.asarray(jets, dtype=float)
+    return (pullback(jac, hess) @ jets[..., None])[..., 0]
 
 
 def patch_to_dict(patch):

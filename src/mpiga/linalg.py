@@ -26,16 +26,6 @@ class SparseSymMatrix:
         self._vals = []
         self._csr = None
 
-    def add_block(self, row_ids, col_ids, block):
-        """Accumulate a dense block at the given global indices."""
-        block = np.asarray(block)
-        r = np.repeat(row_ids, len(col_ids))
-        c = np.tile(col_ids, len(row_ids))
-        self._rows.append(r)
-        self._cols.append(c)
-        self._vals.append(block.ravel())
-        self._csr = None
-
     def add_blocks(self, ids, blocks):
         """Accumulate a stack of dense square blocks (nb, nd, nd) at the ids
         (nb, nd); entries whose row or column id is -1 are dropped."""

@@ -3,7 +3,8 @@
 These deliberately avoid the library's algorithms: basis functions come
 from the textbook two-term recursion, derivatives from its recursive
 derivative identity, jets from central finite differences, and
-eigenvalues from cyclic Jacobi rotations.  The per-point geometry jets
+eigenvalues from cyclic Jacobi rotations, and physical jets from the
+closed-form chain rule.  The per-point geometry jets
 and the per-element and per-span loops at the end are the straightforward
 forms of the library's batched kernels: one point pair, one element or
 edge span and one tensor jet slot at a time.  Approx-C1 dofs are
@@ -15,7 +16,8 @@ import numpy as np
 
 from mpiga.bspline import JET_ORDERS, gauss_legendre
 from mpiga.c1space import ComboEval, ConstrainedC1Space, EdgeEval, TensorEval
-from mpiga.geometry import EdgeFrame, SideMap, physical_jet
+from mpiga.errors import GeometryError
+from mpiga.geometry import EdgeFrame, SideMap
 
 
 def naive_bspline(knots, p, i, x):
@@ -116,6 +118,70 @@ def sampled_nullspace(columns_fn, n_cols, samples, rel_tol=1e-8):
         return np.eye(n_cols)
     rank = int(np.sum(s > rel_tol * smax))
     return vt[rank:].T
+
+
+def tensor_eval(tspace, coeffs, u, v, max_deriv=2):
+    """Partial derivatives of a tensor spline at one point."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim == 1:
+        coeffs = coeffs.reshape(tspace.shape())
+    return tspace.eval_jet(coeffs, u, v, max_deriv)
+
+
+def eval_geometry(patch, u, v):
+    """Point, Jacobian and component Hessians of the geometry map at (u, v)."""
+    point, jac, hess = patch.jet_at(u, v)
+    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+    if det <= 0.0:
+        raise GeometryError(f"non-positive Jacobian determinant {det:.3e} at ({u}, {v})")
+    return point, jac, hess
+
+
+def canonical_edge(patch, side, reverse=False):
+    """Edge frame for a side, as if it were the u=0 side of the patch."""
+    return EdgeFrame(patch, side, reverse)
+
+
+def exact_normal_derivative(frame, d_trans, d_tang, ts):
+    """Unit outward normal derivative from canonical-frame derivatives.
+
+    ``d_trans`` and ``d_tang`` are the transversal and tangential
+    parametric derivatives of the pulled-back function at edge points
+    ``ts``.  Uses the frame's own outward normal, so the result is the
+    physical derivative n . grad(phi) regardless of tangent speed.
+    """
+    g = frame.geom(ts)
+    alpha = -g["tau"] * np.einsum("mc,mc->m", g["n_out"], g["d_in"])
+    if np.abs(alpha).min() == 0.0:
+        raise GeometryError("singular gluing data: alpha vanishes on the edge")
+    beta = np.einsum("mc,mc->m", g["d_in"], g["t0"]) / g["tau"]
+    return -(g["tau"] / alpha) * (np.asarray(d_trans) - beta * np.asarray(d_tang))
+
+
+def closed_form_physical_jet(jets, jac, hess):
+    """Physical 2-jets (value, dx, dy, dxx, dxy, dyy) from parametric ones by
+    the chain rule written out slot by slot: the gradient solves
+    J^T g = grad_uv and the Hessian is J^{-T} (H_uv - g_x H_x - g_y H_y) J^{-1}."""
+    jets = np.asarray(jets, dtype=float)
+    xu, xv = jac[..., 0, 0], jac[..., 0, 1]
+    yu, yv = jac[..., 1, 0], jac[..., 1, 1]
+    det = xu * yv - xv * yu
+    fu, fv = jets[..., 1], jets[..., 2]
+    gx = (yv * fu - yu * fv) / det
+    gy = (xu * fv - xv * fu) / det
+    muu = jets[..., 3] - gx * hess[..., 0, 0, 0] - gy * hess[..., 1, 0, 0]
+    muv = jets[..., 4] - gx * hess[..., 0, 0, 1] - gy * hess[..., 1, 0, 1]
+    mvv = jets[..., 5] - gx * hess[..., 0, 1, 1] - gy * hess[..., 1, 1, 1]
+    p11, p12 = yv / det, -yu / det
+    p21, p22 = -xv / det, xu / det
+    out = np.empty(np.broadcast_shapes(jets.shape, det.shape + (6,)))
+    out[..., 0] = jets[..., 0]
+    out[..., 1] = gx
+    out[..., 2] = gy
+    out[..., 3] = p11 * p11 * muu + 2.0 * p11 * p12 * muv + p12 * p12 * mvv
+    out[..., 4] = p11 * p21 * muu + (p11 * p22 + p12 * p21) * muv + p12 * p22 * mvv
+    out[..., 5] = p21 * p21 * muu + 2.0 * p21 * p22 * muv + p22 * p22 * mvv
+    return out
 
 
 def per_point_jet_grid(patch, us, vs):
@@ -242,7 +308,7 @@ class _Reference:
                     point, jac, hess = per_point_jet_grid(patch, u_pts, v_pts)
                     det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
                     Q = len(u_pts) * len(v_pts)
-                    phys = physical_jet(
+                    phys = closed_form_physical_jet(
                         jets.reshape(len(ids), Q, 6), jac.reshape(Q, 2, 2), hess.reshape(Q, 2, 2, 2)
                     )
                     yield ids, phys, wq * det.ravel(), point.reshape(Q, 2)
@@ -259,7 +325,7 @@ class _Reference:
         ids, jets = self.dof_jets(k, side_map.elements_to_patch(0, et, self.n), *grid)
         patch = self.topology.patches[k]
         _, jac, hess = (np.take(a, 0, axis=axis) for a in per_point_jet_grid(patch, *grid))
-        return ids, physical_jet(np.take(jets, 0, axis=axis + 1), jac, hess)
+        return ids, closed_form_physical_jet(np.take(jets, 0, axis=axis + 1), jac, hess)
 
 
 def interface_rows_reference(view, quad_scale=1):

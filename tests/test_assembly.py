@@ -17,12 +17,12 @@ from mpiga.assembly import (
 )
 from mpiga.bspline import SplineSpace, TensorSplineSpace
 from mpiga.c1space import build_c1_space, homogeneous_subspace
-from mpiga.errors import ParameterError
+from mpiga.errors import GeometryError, ParameterError
 from mpiga.fixtures import builtin_geometry
-from mpiga.geometry import Patch, detect_topology
+from mpiga.geometry import InterfaceRecord, Patch, Topology, detect_topology, pullback
 from mpiga.linalg import eigen_extreme
 
-from oracles import fd_bilaplacian
+from oracles import closed_form_physical_jet, fd_bilaplacian
 
 
 def scaled_squares(s=1.0):
@@ -49,15 +49,20 @@ def gl_tags(topo):
 # -- physical jets -------------------------------------------------------------
 
 
-def test_physical_jet_curved_symbolic_oracle():
-    # pull x^3 y back through a curved bicubic map and transform forward again
+def curved_bicubic():
+    """One curved bicubic patch and its control net."""
     sp = SplineSpace(3, 2, 1)
     u = np.array([0.0, 1 / 3, 2 / 3, 1.0])
     ctrl = np.empty((4, 4, 2))
     for i in range(4):
         for j in range(4):
             ctrl[i, j] = (u[i] + 0.07 * np.sin(np.pi * u[j]), u[j] + 0.05 * u[i] * (1 - u[i]))
-    patch = Patch(TensorSplineSpace(sp, sp), ctrl)
+    return Patch(TensorSplineSpace(sp, sp), ctrl), sp, ctrl
+
+
+def test_physical_jet_curved_symbolic_oracle():
+    # pull x^3 y back through a curved bicubic map and transform forward again
+    patch, sp, ctrl = curved_bicubic()
 
     def exact(x, y):
         return np.array([x ** 3 * y, 3 * x * x * y, x ** 3, 6 * x * y, 3 * x * x, 0.0])
@@ -103,6 +108,44 @@ def test_physical_jet_curved_symbolic_oracle():
         out = physical_jet(jx, jac, hess)
         # the x-component has physical jet (x, 1, 0, 0, 0, 0)
         assert np.abs(out - np.array([pt[0], 1, 0, 0, 0, 0])).max() <= 1e-9
+
+
+def test_pullback_matches_closed_form_chain_rule():
+    patch, _, _ = curved_bicubic()
+    xs = np.linspace(0.05, 0.95, 7)
+    _, jac, hess = patch.jet_grid(xs, xs)
+    jets = np.random.default_rng(5).standard_normal((3, 7, 7, 6))
+    got = (pullback(jac, hess) @ jets[..., None])[..., 0]
+    ref = closed_form_physical_jet(jets, jac, hess)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.array_equal(physical_jet(jets, jac, hess), got)
+
+
+def folded_topology():
+    """Two bilinear patches glued along x = 1 (patch 0 side 2 to patch 1
+    side 4).  Patch 0 pulls its corner (1, 1) in to (0.2, 0.2), so det J =
+    1 - 0.8 (u + v) changes sign inside it and on its sides 2 and 3; the
+    topology is built directly because detection rejects the fold."""
+    sp = SplineSpace(1, 0, 1)
+    folded = Patch(TensorSplineSpace(sp, sp), [[[0.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.2, 0.2]]])
+    right = Patch(TensorSplineSpace(sp, sp), [[[1.0, 0.0], [0.2, 0.2]], [[2.0, 0.0], [2.0, 1.0]]])
+    boundary = [(0, 1), (0, 3), (0, 4), (1, 1), (1, 2), (1, 3)]
+    return Topology([folded, right], [InterfaceRecord(0, 2, 1, 4, False)], boundary, [], 1e-9)
+
+
+def test_folded_geometry_raises_in_volume_and_edge_kernels():
+    topo = folded_topology()
+    with pytest.raises(GeometryError):
+        topo.patches[0].check_regularity()
+    assert topo.patches[1].check_regularity() > 0.0
+    space = C0Space(topo, 3, 2, 4, {e: "gl" for e in topo.boundary_edges})
+    asm = _Assembler(space)
+    with pytest.raises(GeometryError):
+        asm.volume_system(manufactured_rhs)
+    with pytest.raises(GeometryError):
+        asm.interface_edge_rows(0)
+    with pytest.raises(GeometryError):
+        asm.boundary_moment_load(np.zeros(space.n_total), manufactured_laplacian, {(0, 3): "gl"})
 
 
 # -- manufactured solution -------------------------------------------------------
@@ -212,10 +255,9 @@ def test_nitsche_terms_vanish_for_smooth_function():
         for i in range(sol.dim):
             for j in range(sol.dim):
                 coeffs[fid[i, j]] = grev[i] + k  # x-coordinate on [0,2]
-    worst = 0.0
-    for fids, jump, _avg, _w in asm.interface_edge_rows(0):
-        worst = max(worst, np.abs(coeffs[fids] @ jump).max())
-    assert worst <= 1e-11
+    ids, jump, _avg, _w = asm.interface_edge_rows(0)
+    jumps = np.einsum("sa,saq->sq", np.where(ids >= 0, coeffs[ids], 0.0), jump)
+    assert np.abs(jumps).max() <= 1e-11
 
 
 def test_nitsche_single_patch_equals_plain_form(topo1):
@@ -307,8 +349,10 @@ def test_stability_constant_matches_dense_pencil(fixture, n, rtol):
     asm = _Assembler(C0Space(topo, p, p - 1, n))
     B, _ = asm.volume_system(None)
     A = np.zeros((B.dim, B.dim))
-    for fids, _jump, avg, w in asm.interface_edge_rows(0):
-        A[np.ix_(fids, fids)] += np.einsum("aq,q,bq->ab", avg, w, avg)
+    ids, _jump, avg, w = asm.interface_edge_rows(0)
+    for fids, rows, ws in zip(ids, avg, w):
+        keep = fids >= 0
+        A[np.ix_(fids[keep], fids[keep])] += np.einsum("aq,q,bq->ab", rows[keep], ws, rows[keep])
     B = B.todense()
     B_reg = B + 1e-12 * np.trace(B) / B.shape[0] * np.eye(B.shape[0])
     lam = scipy.linalg.eigh(A, B_reg, eigvals_only=True)[-1]

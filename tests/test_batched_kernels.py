@@ -1,5 +1,5 @@
-"""Batched geometry jets, element-row volume kernels and edge-span rows
-against the per-point, per-element and per-span reference loops in
+"""Batched geometry jets, element-row volume kernels and whole-line edge
+rows against the per-point, per-element and per-span reference loops in
 ``oracles``, which evaluate approx-C1 dofs piece by piece."""
 
 import numpy as np
@@ -46,10 +46,15 @@ def make_view(name, kind, n=N):
 
 CASES = [(name, kind, 1, N) for name in BUILTIN_NAMES for kind in ("c0", "c0-gn", "c1-gn", "c1-gl")]
 CASES += [("square-2-bicubic", "c0-gl", 2, N), ("square-2-bicubic", "c1-gn", 2, N)]
+# the boundary moment load of a C0 'gl' view at the volume rule's own
+# quadrature, on a curved interface and on a reversed one ((2, side 3) and
+# (5, side 3) of square-6-bilinear)
+CASES += [("square-2-bicubic", "c0-gl", 1, N), ("square-6-bilinear", "c0-gl", 1, N)]
 # at n=4 the three-element vertex supports cover almost every element; at
 # n=8 the restriction of dofs to elements and the combinations at inner
-# vertices (valence 3 and 4) are exercised
+# vertices (valence 3 and 4) are exercised, and edge lines hold 8 spans
 CASES += [("square-6-bilinear", "c1-gn", 1, 8), ("square-6-bilinear", "c1-gl", 1, 8)]
+CASES += [("square-6-bilinear", "c0-gl", 1, 8)]
 
 
 def case_id(case):
@@ -81,10 +86,16 @@ def test_edge_span_rows_match_per_span_loops(name, kind, quad_scale, n):
     asm = _Assembler(view, quad_scale)
     refs = interface_rows_reference(view, quad_scale)
     for idx, (jump_ref, avg_ref, w_ref, side_max) in enumerate(refs):
-        jump, avg, w = np.zeros_like(jump_ref), np.zeros_like(avg_ref), np.zeros_like(w_ref)
-        for span, (fids, j, a, ws) in enumerate(asm.interface_edge_rows(idx)):
+        jump, avg = np.zeros_like(jump_ref), np.zeros_like(avg_ref)
+        ids, j, a, w = asm.interface_edge_rows(idx)
+        for span, fids in enumerate(ids):
+            keep = fids >= 0
+            # every dof once per span; padding carries zero rows
+            assert len(np.unique(fids[keep])) == keep.sum()
+            assert not np.any(j[span, ~keep]) and not np.any(a[span, ~keep])
             cols = slice(span * asm.edge_nq, (span + 1) * asm.edge_nq)
-            jump[fids, cols], avg[fids, cols], w[cols] = j, a, ws
+            jump[fids[keep], cols], avg[fids[keep], cols] = j[span, keep], a[span, keep]
+        w = w.ravel()
         # jumps of approx-C1 dofs are differences of nearly equal sides
         assert np.abs(jump - jump_ref).max() <= RTOL * side_max
         assert rel_gap(avg, avg_ref) <= RTOL

@@ -7,11 +7,10 @@ from mpiga.bspline import (
     TensorSplineSpace,
     gauss_legendre,
     l2_project,
-    tensor_eval,
 )
 from mpiga.errors import DomainError, ParameterError
 
-from oracles import naive_bspline, naive_bspline_deriv
+from oracles import naive_bspline, naive_bspline_deriv, tensor_eval
 
 
 def test_uniform_open_knot_vector_paper_example():

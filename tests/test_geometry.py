@@ -5,10 +5,7 @@ from mpiga.bspline import SplineSpace, TensorSplineSpace
 from mpiga.errors import ConformityError, GeometryError, NonManifoldError
 from mpiga.geometry import (
     Patch,
-    canonical_edge,
     detect_topology,
-    eval_geometry,
-    exact_normal_derivative,
     gluing_data,
     interface_frames,
     patch_from_dict,
@@ -16,7 +13,7 @@ from mpiga.geometry import (
     physical_jet,
 )
 
-from oracles import fd_gradient
+from oracles import canonical_edge, eval_geometry, exact_normal_derivative, fd_gradient
 
 
 def bilinear(c00, c10, c11, c01):

@@ -39,10 +39,12 @@ def test_solve_indefinite_raises():
 
 def test_sparse_sym_matrix_blocks():
     M = SparseSymMatrix(4)
-    M.add_block(np.array([0, 2]), np.array([0, 2]), np.array([[2.0, 1.0], [1.0, 3.0]]))
-    M.add_block(np.array([1]), np.array([1]), np.array([[5.0]]))
+    # a stack of two blocks; the second is padded with -1, whose entries drop out
+    ids = np.array([[0, 2], [1, -1]])
+    M.add_blocks(ids, np.array([[[2.0, 1.0], [1.0, 3.0]], [[5.0, 7.0], [7.0, 9.0]]]))
     K = M.todense()
     assert K[0, 2] == 1.0 and K[2, 0] == 1.0 and K[1, 1] == 5.0
+    assert K[2, 2] == 3.0 and np.count_nonzero(K) == 5
     assert M.symmetry_gap() == 0.0
 
 
