@@ -39,7 +39,16 @@ class DegenerateVertexError(MpigaError):
 
 
 class IndefiniteSystemError(MpigaError):
-    """A matrix expected to be SPD has a non-positive pivot or CG detects negative curvature."""
+    """A matrix expected to be SPD has a non-positive pivot in its symmetric
+    factorization, or the factorization cannot witness definiteness.
+
+    ``nonpositive_pivots`` is the number of non-positive pivots, i.e. of
+    non-positive eigenvalues, when the factorization counted them.
+    """
+
+    def __init__(self, message, nonpositive_pivots=None):
+        super().__init__(message)
+        self.nonpositive_pivots = nonpositive_pivots
 
 
 class NumericalError(MpigaError):

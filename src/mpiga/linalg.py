@@ -1,6 +1,7 @@
 """Minimal numerical linear algebra for the solver: sparse symmetric storage,
-SPD solves, generalized eigen-extremes by power iteration, the leading
-eigenvalue of a low-rank Gram pencil, and a rank-revealing kernel split."""
+one symmetric sparse factorization whose pivots witness definiteness (shared
+by the SPD solve and the low-rank Gram pencil), and a rank-revealing kernel
+split."""
 
 import numpy as np
 import scipy.linalg
@@ -8,8 +9,6 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import IndefiniteSystemError, NumericalError, ParameterError
-
-_DENSE_CUTOFF = 2600  # dense Cholesky below this size gives exact pivot-based SPD detection
 
 
 class SparseSymMatrix:
@@ -87,185 +86,71 @@ def _regularized(B):
     return (Bc + eps * scipy.sparse.identity(n, format="csr")).tocsc()
 
 
-def _jacobi_cg(K, b, tol=1e-12, maxiter=None):
-    """Jacobi-preconditioned CG with negative-curvature detection."""
-    n = len(b)
-    maxiter = maxiter if maxiter is not None else 50 * n
-    d = K.diagonal().copy()
-    if np.any(d <= 0.0):
-        raise IndefiniteSystemError("non-positive diagonal entry in CG preconditioner")
-    x = np.zeros(n)
-    r = b - K @ x
-    z = r / d
-    p = z.copy()
-    rz = r @ z
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return x
-    for _ in range(maxiter):
-        Kp = K @ p
-        curv = p @ Kp
-        if curv <= 0.0:
-            raise IndefiniteSystemError("negative curvature encountered in CG")
-        a = rz / curv
-        x += a * p
-        r -= a * Kp
-        if np.linalg.norm(r) <= tol * bnorm:
-            return x
-        z = r / d
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise IndefiniteSystemError("CG stagnated before reaching tolerance")
+def _factor_spd(A):
+    """Sparse LU of a symmetric matrix, accepted only as a witness of SPD.
+
+    SuperLU's symmetric mode orders A + A^T by minimum degree and takes the
+    diagonal pivots, so the factorization is P A P^T = L U with
+    ``perm_r == perm_c``.  For symmetric A, U = D L^T, and by Sylvester's law
+    of inertia the signs of the U pivots count the eigenvalues of A of each
+    sign.  Raises :class:`IndefiniteSystemError` on a non-positive pivot, on
+    a row permutation (its pivots witness nothing) or on exact singularity.
+    """
+    try:
+        lu = scipy.sparse.linalg.splu(
+            A.tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:
+        raise IndefiniteSystemError(f"sparse factorization failed: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise IndefiniteSystemError("sparse factorization pivoted off the diagonal")
+    count = int(np.count_nonzero(~(lu.U.diagonal() > 0.0)))  # NaN pivots count too
+    if count:
+        raise IndefiniteSystemError(
+            f"{count} non-positive pivots in the symmetric factorization", nonpositive_pivots=count
+        )
+    return lu
 
 
 def solve_spd(K, b, residual_tol=1e-10):
     """Solve K x = b for symmetric positive definite K.
 
-    Small systems use a dense Cholesky factorization, whose failure is the
-    exact non-positive-pivot witness; larger systems use a sparse LU solve
-    with a residual check and a Jacobi-preconditioned CG fallback.  Raises
-    :class:`IndefiniteSystemError` when K is detected not to be SPD.
+    One symmetric sparse factorization serves every size; its pivot signs
+    witness definiteness (:class:`IndefiniteSystemError` otherwise), and a
+    backward error above ``residual_tol`` raises :class:`NumericalError`.
     """
     b = np.asarray(b, dtype=float)
     A = _as_csr(K)
     n = A.shape[0]
     if b.shape[0] != n:
         raise ParameterError(f"rhs length {b.shape[0]} does not match matrix size {n}")
-    if n <= _DENSE_CUTOFF:
-        try:
-            c = scipy.linalg.cho_factor(A.toarray(), check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise IndefiniteSystemError(f"dense Cholesky failed: {exc}") from exc
-        x = scipy.linalg.cho_solve(c, b, check_finite=False)
-    else:
-        # partial pivoting permutes rows, so U-diagonal signs carry no inertia
-        # information here; indefiniteness on this path surfaces through the
-        # CG fallback's curvature test
-        try:
-            lu = scipy.sparse.linalg.splu(A.tocsc())
-            x = lu.solve(b)
-            x += lu.solve(b - A @ x)  # one step of iterative refinement
-        except RuntimeError:
-            x = _jacobi_cg(A, b)
+    x = _factor_spd(A).solve(b)
 
     # backward-stable residual scale: |b| alone undersells ill-conditioned
     # but perfectly solvable systems (extreme penalty weights)
-    def _scale(x):
-        return max(np.linalg.norm(b), abs(A).max() * np.linalg.norm(x), 1e-300)
-
+    scale = max(np.linalg.norm(b), abs(A).max() * np.linalg.norm(x), 1e-300)
     res = np.linalg.norm(A @ x - b)
-    if res > residual_tol * _scale(x):
-        x = _jacobi_cg(A, b)
-        res = np.linalg.norm(A @ x - b)
-        if res > residual_tol * _scale(x):
-            raise NumericalError(
-                f"solver residual {res / _scale(x):.3e} above tolerance {residual_tol:.1e}"
-            )
+    if res > residual_tol * scale:
+        raise NumericalError(
+            f"solver residual {res / scale:.3e} above tolerance {residual_tol:.1e}"
+        )
     return x
-
-
-def _start_block(n, m):
-    # deterministic, not aligned with coordinate axes
-    i = np.arange(1, n + 1, dtype=float)[:, None]
-    k = np.arange(1, m + 1, dtype=float)[None, :]
-    V = np.sin(i * k) + 0.5 * np.cos(3.0 * i + k) + 1e-3 * i * k / n
-    q, _ = np.linalg.qr(V)
-    return q
-
-
-def _block_power(op, A_mat, B_mat, n, which, tol, maxiter, block=6):
-    """Subspace (block power) iteration on ``op``; returns the extreme Ritz pair.
-
-    ``op`` maps an (n, m) block to its image; the Ritz values of the
-    pencil (A, B) on the converged subspace give the extreme eigenvalue.
-    A small block keeps clustered or symmetric-degenerate leading
-    eigenvalues from stalling the iteration.
-    """
-    m = min(block, n)
-    V = _start_block(n, m)
-    history = []
-    best = None  # (residual, lam, v)
-    for it in range(maxiter):
-        W = op(V)
-        V, _ = np.linalg.qr(W)
-        AV = A_mat @ V
-        BV = B_mat @ V if B_mat is not None else V
-        Ar = V.T @ AV
-        Br = V.T @ BV
-        try:
-            ev, Y = scipy.linalg.eigh(Ar, Br)
-        except scipy.linalg.LinAlgError:
-            ev, Y = np.linalg.eigh(np.linalg.solve(Br, Ar))
-        idx = -1 if which == "max" else 0
-        lam = ev[idx]
-        v = V @ Y[:, idx]
-        v /= np.linalg.norm(v)
-        Av = A_mat @ v
-        Bv = B_mat @ v if B_mat is not None else v
-        resid = np.linalg.norm(Av - lam * Bv) / max(np.linalg.norm(Av), 1e-300)
-        if best is None or resid < best[0]:
-            best = (resid, lam, v)
-        if resid <= tol:
-            return lam, v
-        history.append(lam)
-        # a regularized singular pencil floors the vector residual near the
-        # solve noise; accept once the Ritz value itself has stabilized
-        if it >= 80 and it % 20 == 0:
-            window = np.asarray(history[-40:])
-            spread = window.max() - window.min()
-            if best[0] <= 1e-4 and spread <= 1e-6 * max(abs(lam), 1e-300):
-                return best[1], best[2]
-    raise NumericalError("power iteration did not converge")
-
-
-def eigen_extreme(A, B=None, which="max", tol=1e-8, maxiter=10000):
-    """Extreme eigenvalue of A x = lambda B x by (shifted/inverse) power iteration.
-
-    A must be symmetric; B symmetric positive semidefinite (regularized
-    internally as B + eps I with eps = 1e-12 trace(B)/dim) or None for the
-    standard problem.  Returns ``(lam, vec)`` with the Rayleigh-quotient
-    residual ||A v - lam B v|| <= tol ||A v||.  A small deterministic
-    subspace is iterated so clustered extremes converge as well.
-    """
-    A = _as_csr(A)
-    n = A.shape[0]
-    if which not in ("max", "min"):
-        raise ParameterError(f"which must be 'max' or 'min', got {which!r}")
-
-    if B is not None:
-        Breg = _regularized(B)
-        lu = scipy.sparse.linalg.splu(Breg)
-        if which == "min":
-            raise ParameterError("generalized minimum mode is not supported")
-        return _block_power(lambda V: lu.solve(A @ V), A, Breg.tocsr(), n, "max", tol, maxiter)
-
-    if which == "max":
-        return _block_power(lambda V: A @ V, A, None, n, "max", tol, maxiter)
-
-    # minimum eigenvalue: inverse iteration targets the eigenvalue nearest zero,
-    # with a spectral-shift fallback when the matrix is numerically singular
-    try:
-        lu = scipy.sparse.linalg.splu(A.tocsc())
-        return _block_power(lambda V: lu.solve(V), A, None, n, "min", tol, maxiter)
-    except RuntimeError:
-        smax, _ = eigen_extreme(A, None, "max", tol, maxiter)
-        shift = abs(smax) * 1.000001 + 1e-300
-        S = (shift * scipy.sparse.identity(n, format="csr") - A).tocsr()
-        mu, v = eigen_extreme(S, None, "max", tol, maxiter)
-        return shift - mu, v
 
 
 def gram_pencil_max(R, B):
     """Largest eigenvalue of A x = lambda B x for a low-rank Gram matrix A = R^T R.
 
     ``R`` is a dense (m, n) array with m much smaller than n and B is
-    symmetric positive semidefinite, regularized as in
-    :func:`eigen_extreme`.  The nonzero eigenvalues of the pencil are those
-    of the m x m matrix R B^-1 R^T, so one sparse factorization of B and
-    one dense symmetric eigen-solve give the answer directly.
+    symmetric positive semidefinite, regularized as B + eps I with
+    eps = 1e-12 trace(B)/dim.  The nonzero eigenvalues of the pencil are
+    those of the m x m matrix R B^-1 R^T, so one symmetric sparse
+    factorization of B and one dense symmetric eigen-solve give the answer
+    directly.
     """
-    lu = scipy.sparse.linalg.splu(_regularized(B))
+    lu = _factor_spd(_regularized(B))
     S = R @ lu.solve(R.T)
     return scipy.linalg.eigvalsh(0.5 * (S + S.T))[-1]
 

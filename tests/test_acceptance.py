@@ -15,6 +15,7 @@ does not resolve the curved interface.
 import time
 
 import numpy as np
+import scipy.linalg
 
 from mpiga.assembly import (
     C0Space,
@@ -38,7 +39,7 @@ from mpiga.experiments import (
 )
 from mpiga.fixtures import builtin_geometry, default_bc
 from mpiga.geometry import EdgeFrame
-from mpiga.linalg import eigen_extreme
+from mpiga.linalg import gram_pencil_max
 
 from helpers import normal_jump
 from oracles import (
@@ -180,7 +181,9 @@ def test_criterion_5_coercivity_threshold():
         stable = assemble_nitsche(
             view, manufactured_rhs, g2=manufactured_laplacian, bc_tags=tags, eta=32.0 * h * c
         )
-        lam, _ = eigen_extreme(stable.matrix, which="min")
+        lam = scipy.linalg.eigh(
+            stable.matrix.todense(), eigvals_only=True, subset_by_index=[0, 0]
+        )[0]
         spd = lam > 0.0
         ok &= spd
         x = stable.solve()
@@ -303,7 +306,7 @@ def test_criterion_8_oracle_suites():
         B = N.T @ N + n * np.eye(n)
         import scipy.sparse
 
-        lam, _ = eigen_extreme(scipy.sparse.csr_matrix(A), scipy.sparse.csr_matrix(B))
+        lam = gram_pencil_max(M, scipy.sparse.csr_matrix(B))
         ref = jacobi_generalized_max(A, B)
         worst = max(worst, abs(lam - ref) / max(abs(ref), 1.0))
     ok &= worst <= 1e-8

@@ -17,10 +17,9 @@ from mpiga.assembly import (
 )
 from mpiga.bspline import SplineSpace, TensorSplineSpace
 from mpiga.c1space import build_c1_space, homogeneous_subspace
-from mpiga.errors import GeometryError, ParameterError
+from mpiga.errors import GeometryError, IndefiniteSystemError, ParameterError
 from mpiga.fixtures import builtin_geometry
 from mpiga.geometry import InterfaceRecord, Patch, Topology, detect_topology, pullback
-from mpiga.linalg import eigen_extreme
 
 from oracles import closed_form_physical_jet, fd_bilaplacian
 
@@ -285,8 +284,8 @@ def test_nitsche_coercive_at_reference_eta():
     c = estimate_stability_constant(topo, 0, 3, 2, 4)
     view = C0Space(topo, 3, 2, 4, gn_tags(topo))
     system = assemble_nitsche(view, manufactured_rhs, bc_tags=gn_tags(topo), eta=4.0 * c / 0.25)
-    lam, _ = eigen_extreme(system.matrix, which="min")
-    assert lam > 0.0
+    lam = scipy.linalg.eigh(system.matrix.todense(), eigvals_only=True, subset_by_index=[0, 0])
+    assert lam[0] > 0.0
 
 
 def test_nitsche_indefinite_at_tiny_eta():
@@ -297,6 +296,22 @@ def test_nitsche_indefinite_at_tiny_eta():
                               eta=1e-3 * 0.25 * c)
     w = np.linalg.eigvalsh(system.matrix.todense())
     assert w[0] < 0.0
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_pivot_count_is_negative_eigenvalue_count(n):
+    # Sylvester's law of inertia: the symmetric factorization's non-positive
+    # pivots count the negative eigenvalues of the unstable Nitsche system
+    topo = builtin_geometry("square-2-bicubic")
+    tags = gl_tags(topo)
+    h = 1.0 / n
+    c = estimate_stability_constant(topo, 0, 3, 2, n)
+    view = C0Space(topo, 3, 2, n, tags)
+    system = assemble_nitsche(view, manufactured_rhs, bc_tags=tags, eta=1e-3 * h * c)
+    negative = int(np.sum(np.linalg.eigvalsh(system.matrix.todense()) < 0.0))
+    with pytest.raises(IndefiniteSystemError) as info:
+        system.solve()
+    assert negative > 0 and info.value.nonpositive_pivots == negative
 
 
 def bubble_jet(x, y):

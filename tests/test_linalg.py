@@ -3,9 +3,9 @@ import pytest
 import scipy.sparse
 
 from mpiga.errors import IndefiniteSystemError, ParameterError
-from mpiga.linalg import SparseSymMatrix, eigen_extreme, kernel_split, solve_spd
+from mpiga.linalg import SparseSymMatrix, gram_pencil_max, kernel_split, solve_spd
 
-from oracles import jacobi_eigenvalues, jacobi_generalized_max
+from oracles import jacobi_generalized_max
 
 
 def test_solve_identity():
@@ -33,8 +33,37 @@ def test_solve_random_spd_residual():
 
 def test_solve_indefinite_raises():
     K = scipy.sparse.diags([1.0, -1.0, 2.0]).tocsr()
-    with pytest.raises(IndefiniteSystemError):
+    with pytest.raises(IndefiniteSystemError) as info:
         solve_spd(K, np.ones(3))
+    assert info.value.nonpositive_pivots == 1
+
+
+def laplacian_5pt(m):
+    """Five-point Dirichlet Laplacian on an m x m grid and its eigenvalues."""
+    T = scipy.sparse.diags([-np.ones(m - 1), 2.0 * np.ones(m), -np.ones(m - 1)], [-1, 0, 1])
+    eye = scipy.sparse.identity(m)
+    lam1 = 4.0 * np.sin(np.arange(1, m + 1) * np.pi / (2 * (m + 1))) ** 2
+    return (scipy.sparse.kron(T, eye) + scipy.sparse.kron(eye, T)).tocsr(), np.add.outer(lam1, lam1)
+
+
+def test_pivot_inertia_witness_at_3600_dofs():
+    # the non-positive pivots count the eigenvalues below the shift exactly
+    K, lam = laplacian_5pt(60)
+    b = np.ones(K.shape[0])
+    x = solve_spd(K, b)
+    assert np.linalg.norm(K @ x - b) <= 1e-10 * abs(K).max() * np.linalg.norm(x)
+    shift = 0.05  # strictly between the 11th and 12th eigenvalue
+    below = int(np.sum(lam < shift))
+    assert below == 11 and np.min(np.abs(lam - shift)) > 1e-3
+    with pytest.raises(IndefiniteSystemError) as info:
+        solve_spd(K - shift * scipy.sparse.identity(K.shape[0], format="csr"), b)
+    assert info.value.nonpositive_pivots == below
+
+
+def test_row_pivoting_is_no_witness():
+    K = scipy.sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(IndefiniteSystemError):
+        solve_spd(K, np.ones(2))
 
 
 def test_sparse_sym_matrix_blocks():
@@ -48,33 +77,10 @@ def test_sparse_sym_matrix_blocks():
     assert M.symmetry_gap() == 0.0
 
 
-def test_eigen_extreme_diagonal():
-    A = scipy.sparse.diags([1.0, 2.0, 3.0]).tocsr()
-    lam, _ = eigen_extreme(A, which="max")
-    assert abs(lam - 3.0) <= 1e-8
-    lam, _ = eigen_extreme(A, which="min")
-    assert abs(lam - 1.0) <= 1e-8
-
-
-def test_eigen_extreme_generalized():
-    A = scipy.sparse.diags([2.0, 8.0]).tocsr()
+def test_gram_pencil_max_diagonal():
+    R = np.diag([np.sqrt(2.0), np.sqrt(8.0)])
     B = scipy.sparse.diags([1.0, 2.0]).tocsr()
-    lam, _ = eigen_extreme(A, B, which="max")
-    assert abs(lam - 4.0) <= 1e-7
-
-
-def test_eigen_extreme_vs_jacobi_oracle():
-    rng = np.random.RandomState(5)
-    for n in (6, 17, 30):
-        for _ in range(4):
-            M = rng.randn(n, n)
-            A = 0.5 * (M + M.T)
-            ref = jacobi_eigenvalues(A)
-            lam, _ = eigen_extreme(scipy.sparse.csr_matrix(A), which="max")
-            # power iteration tracks the largest-magnitude eigenvalue branch
-            target = ref[-1] if abs(ref[-1]) >= abs(ref[0]) else None
-            if target is not None:
-                assert abs(lam - target) <= 1e-8 * max(1.0, abs(target))
+    assert abs(gram_pencil_max(R, B) - 4.0) <= 1e-7
 
 
 def test_generalized_vs_jacobi_oracle():
@@ -84,7 +90,7 @@ def test_generalized_vs_jacobi_oracle():
         A = M.T @ M
         N = rng.randn(n, n)
         B = N.T @ N + n * np.eye(n)
-        lam, _ = eigen_extreme(scipy.sparse.csr_matrix(A), scipy.sparse.csr_matrix(B))
+        lam = gram_pencil_max(M, scipy.sparse.csr_matrix(B))
         ref = jacobi_generalized_max(A, B)
         assert abs(lam - ref) <= 1e-8 * max(1.0, abs(ref))
 
