@@ -27,6 +27,7 @@ __all__ = [
     "AssembledSystem",
     "C0Space",
     "ErrorReport",
+    "NitscheForm",
     "assemble_approx_c1",
     "assemble_nitsche",
     "broken_gram",
@@ -36,6 +37,7 @@ __all__ = [
     "manufactured_laplacian",
     "manufactured_rhs",
     "physical_jet",
+    "stacked_error_norms",
 ]
 
 
@@ -536,38 +538,66 @@ def assemble_approx_c1(view, f, g2=None, bc_tags=None, g0=None, g1=None, quad_sc
     return AssembledSystem(view, red, load, "approx-c1", boundary_values=bvals)
 
 
+class NitscheForm:
+    """The eta-independent part of the symmetric interior penalty form.
+
+    Assembles, over the C0 space view, the volume stiffness and load with
+    the boundary moment term, and per interface the dof ids, the symmetric
+    consistency block ({Lap u}, [dn v]) + ({Lap v}, [dn u]) and the penalty
+    block ([dn u], [dn v]) of every edge span, with the jump orientation of
+    :meth:`_Assembler.interface_edge_rows`.  :meth:`system` adds the
+    weighted penalty for one choice of the stability weights.
+    """
+
+    def __init__(self, view, f, g2=None, bc_tags=None, quad_scale=1):
+        asm = _Assembler(view, quad_scale)
+        self.view = view
+        self.volume, self.load = asm.volume_system(f)
+        if bc_tags:
+            asm.boundary_moment_load(self.load, g2, bc_tags)
+        self.interfaces = []  # (ids, consistency + its transpose, penalty) per interface
+        for idx in range(len(view.topology.interfaces)):
+            ids, jump, avg, w = asm.interface_edge_rows(idx)
+            jw = jump * w[:, None, :]
+            consistency = jw @ avg.swapaxes(1, 2)
+            # integrating Lap^2 u * v by parts patch-wise leaves
+            # +{Lap u}[dn v] with this jump orientation
+            self.interfaces.append(
+                (ids, consistency + consistency.swapaxes(1, 2), jw @ jump.swapaxes(1, 2))
+            )
+
+    def system(self, eta):
+        """The assembled system for the stability weights ``eta``.
+
+        ``eta`` is a positive scalar applied to every interface or a
+        mapping from interface index to the per-interface weight; the
+        penalty term scales it by 1/h of the current mesh.  The interface
+        blocks follow the volume triplets, so equal weights give a
+        bit-identical matrix.
+        """
+        if eta is None:
+            raise ParameterError("Nitsche assembly requires a stability parameter eta")
+        if np.isscalar(eta):
+            eta = {i: float(eta) for i in range(len(self.interfaces))}
+        if any(val <= 0.0 for val in eta.values()):
+            raise ParameterError("stability parameters must be positive")
+        h = self.view.sol.h
+        K = self.volume.copy()
+        for idx, (ids, sym, penalty) in enumerate(self.interfaces):
+            K.add_blocks(ids, sym + eta[idx] / h * penalty)
+        return AssembledSystem(self.view, K, self.load, "nitsche", eta=eta)
+
+
 def assemble_nitsche(view, f, g2=None, bc_tags=None, eta=None, g0=None, g1=None, quad_scale=1):
     """Assemble the symmetric interior penalty form over the C0 space.
 
     Per interface the form adds ({Lap u}, [dn v]) + ({Lap v}, [dn u]) +
-    (eta/h) ([dn u], [dn v]) to the volume term, which is consistent with
-    the jump orientation of :meth:`_Assembler.interface_edge_rows`.
-    ``eta`` is a positive scalar applied to every interface or a mapping
-    from interface index to the per-interface stability weight; the
-    penalty term scales it by 1/h of the current mesh.
+    (eta/h) ([dn u], [dn v]) to the volume term; this is
+    :class:`NitscheForm` followed by :meth:`NitscheForm.system`.
     """
-    if eta is None:
-        raise ParameterError("Nitsche assembly requires a stability parameter eta")
-    if np.isscalar(eta):
-        eta = {i: float(eta) for i in range(len(view.topology.interfaces))}
-    if any(val <= 0.0 for val in eta.values()):
-        raise ParameterError("stability parameters must be positive")
     if g0 is not None or g1 is not None:
         raise ParameterError("inhomogeneous essential data is not supported for Nitsche runs")
-    asm = _Assembler(view, quad_scale)
-    K, F = asm.volume_system(f)
-    if bc_tags:
-        asm.boundary_moment_load(F, g2, bc_tags)
-    h = view.sol.h
-    for idx in range(len(view.topology.interfaces)):
-        ids, jump, avg, w = asm.interface_edge_rows(idx)
-        jw = jump * w[:, None, :]
-        consistency = jw @ avg.swapaxes(1, 2)
-        penalty = jw @ jump.swapaxes(1, 2)
-        # integrating Lap^2 u * v by parts patch-wise leaves
-        # +{Lap u}[dn v] with this jump orientation
-        K.add_blocks(ids, consistency + consistency.swapaxes(1, 2) + eta[idx] / h * penalty)
-    return AssembledSystem(view, K, F, "nitsche", eta=eta)
+    return NitscheForm(view, f, g2, bc_tags, quad_scale).system(eta)
 
 
 def estimate_stability_constant(topology, iface_index, p, r, n):
@@ -601,31 +631,54 @@ def error_norms(view, coeffs, exact_jet=None, quad_scale=1):
     ``coeffs`` is the full coefficient vector over the view's dofs;
     ``exact_jet(x, y)`` returns (..., 6) physical jets (None compares
     against zero).  Also returns the normal-derivative jump norm of the
-    discrete function per interface.
+    discrete function per interface.  This is :func:`stacked_error_norms`
+    of a one-vector stack.
+    """
+    return stacked_error_norms(view, np.asarray(coeffs, dtype=float)[None], exact_jet, quad_scale)[0]
+
+
+def _sums(x):
+    """Sum over all but the first axis, each entry's block in C order.
+
+    Numpy's summation order follows memory layout, and a stacked product
+    need not lay each function out as a lone one would; summing C-ordered
+    blocks makes a function's norms independent of the stack it is in.
+    """
+    return np.ascontiguousarray(x).reshape(len(x), -1).sum(axis=1)
+
+
+def stacked_error_norms(view, stack, exact_jet=None, quad_scale=1):
+    """:func:`error_norms` of every row of an (m, dofs) coefficient stack.
+
+    One pass over the element rows and edge lines serves all m discrete
+    functions; returns one :class:`ErrorReport` per row.
     """
     asm = _Assembler(view, quad_scale)
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape[0] != view.n_total:
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 2 or stack.shape[1] != view.n_total:
         raise ParameterError(
-            f"coefficient length {coeffs.shape[0]} does not match dof count {view.n_total}"
+            f"coefficient length {stack.shape[-1]} does not match dof count {view.n_total}"
         )
-    acc = np.zeros(3)  # L2^2, H1-semi^2, H2-semi^2
+    acc = np.zeros((3, len(stack)))  # L2^2, H1-semi^2, H2-semi^2 per function
     for k in range(len(asm.topology.patches)):
         for ids, jets, pull, w, point in asm.element_rows(k):
-            c = np.where(ids >= 0, coeffs[ids], 0.0)
-            err = (pull @ np.einsum("ea,eaqs->eqs", c, jets)[..., None])[..., 0]
+            c = np.where(ids >= 0, stack[:, ids], 0.0)
+            err = (pull @ np.einsum("mea,eaqs->meqs", c, jets)[..., None])[..., 0]
             if exact_jet is not None:
                 err = err - _at_points(exact_jet, point)
             sq = err * err
-            acc[0] += np.sum(w * sq[..., 0])
-            acc[1] += np.sum(w * (sq[..., 1] + sq[..., 2]))
-            acc[2] += np.sum(w * (sq[..., 3] + sq[..., 4] + sq[..., 5]))
+            acc[0] += _sums(w * sq[..., 0])
+            acc[1] += _sums(w * (sq[..., 1] + sq[..., 2]))
+            acc[2] += _sums(w * (sq[..., 3] + sq[..., 4] + sq[..., 5]))
     jumps = []
     for idx in range(len(asm.topology.interfaces)):
         ids, jump, _avg, w = asm.interface_edge_rows(idx)
-        j = np.einsum("sa,saq->sq", np.where(ids >= 0, coeffs[ids], 0.0), jump)
-        jumps.append(np.sqrt(np.sum(w * j ** 2)))
+        j = np.einsum("msa,saq->msq", np.where(ids >= 0, stack[:, ids], 0.0), jump)
+        jumps.append(np.sqrt(_sums(w * j ** 2)))
     l2 = np.sqrt(acc[0])
     h1 = np.sqrt(acc[0] + acc[1])
-    h2 = np.sqrt(acc.sum())
-    return ErrorReport(asm.sol.h, view.n_free, l2, h1, h2, jumps)
+    h2 = np.sqrt(acc.sum(axis=0))
+    return [
+        ErrorReport(asm.sol.h, view.n_free, l2[i], h1[i], h2[i], [jm[i] for jm in jumps])
+        for i in range(len(stack))
+    ]

@@ -20,13 +20,14 @@ import numpy as np
 
 from .assembly import (
     C0Space,
+    NitscheForm,
     assemble_approx_c1,
-    assemble_nitsche,
     error_norms,
     estimate_stability_constant,
     manufactured_jet,
     manufactured_laplacian,
     manufactured_rhs,
+    stacked_error_norms,
 )
 from .c1space import build_c1_space, homogeneous_subspace
 from .errors import IndefiniteSystemError, NumericalError, ParameterError
@@ -88,6 +89,18 @@ def stability_parameters(config):
     return etas
 
 
+def _moment_data(config):
+    """Boundary moment data g2 of the reference problem ('gl' edges only)."""
+    return manufactured_laplacian if config.bc == "gl" else None
+
+
+def _nitsche_form(config, n):
+    """The eta-independent Nitsche form of the reference problem at level n."""
+    tags = config.bc_tags()
+    view = C0Space(config.topology, config.p, config.r, n, tags)
+    return NitscheForm(view, manufactured_rhs, g2=_moment_data(config), bc_tags=tags)
+
+
 def solve_level(config, n, eta=None):
     """Build, assemble and solve one refinement level.
 
@@ -95,18 +108,15 @@ def solve_level(config, n, eta=None):
     supplied per-interface ``eta`` mapping (or a scalar).
     """
     config.resolve()
-    topo = config.topology
-    tags = config.bc_tags()
-    g2 = manufactured_laplacian if config.bc == "gl" else None
     if config.method == "approx-c1":
-        space = build_c1_space(topo, config.p, config.r, n)
-        view = homogeneous_subspace(space, tags)
-        system = assemble_approx_c1(view, manufactured_rhs, g2=g2)
+        space = build_c1_space(config.topology, config.p, config.r, n)
+        view = homogeneous_subspace(space, config.bc_tags())
+        system = assemble_approx_c1(view, manufactured_rhs, g2=_moment_data(config))
     else:
         if eta is None:
             eta = stability_parameters(config)
-        view = C0Space(topo, config.p, config.r, n, tags)
-        system = assemble_nitsche(view, manufactured_rhs, g2=g2, bc_tags=tags, eta=eta)
+        system = _nitsche_form(config, n).system(eta)
+        view = system.view
     coeffs = system.solve()
     report = error_norms(view, coeffs, manufactured_jet)
     return report, system, view, coeffs
@@ -211,8 +221,13 @@ def fit_rate(reports, select, levels=3):
 def run_eta_sweep(config, factors=None, n=None):
     """Errors versus the (single, global) stability weight at fixed mesh size.
 
-    Sweeps multiplicatively around the frozen reference weight; factor
-    1.0 reproduces the convergence-study system bit for bit.
+    Sweeps multiplicatively around the frozen reference weight.  The view
+    and the eta-independent form are assembled once; each factor adds its
+    penalty and solves, and one stacked pass computes the error norms of
+    every solution.  Each factor's system is the one :func:`solve_level`
+    builds for that weight bit for bit, so factor 1.0 reproduces the
+    convergence-study system.  A factor whose system is indefinite or
+    fails to solve is recorded and the sweep continues.
     """
     config.resolve()
     if config.method != "nitsche":
@@ -224,19 +239,28 @@ def run_eta_sweep(config, factors=None, n=None):
     if not etas:
         raise ParameterError("the geometry has no interfaces to stabilize")
     base = max(etas.values())
+    form = _nitsche_form(config, n)
+    outcomes = []  # per factor, the coefficient vector or the solver's exception
+    for fac in factors:
+        try:
+            outcomes.append(form.system(fac * base).solve())
+        except (IndefiniteSystemError, NumericalError) as exc:
+            outcomes.append(exc)
+    solved = [out for out in outcomes if not isinstance(out, Exception)]
+    reports = iter(stacked_error_norms(form.view, np.array(solved), manufactured_jet) if solved else ())
     rows = []
     results = []
-    for fac in factors:
+    for fac, out in zip(factors, outcomes):
         eta_val = fac * base
-        try:
-            report, *_ = solve_level(config, n, eta=eta_val)
-            rows.append(
-                [_fmt(eta_val), _fmt(fac), _fmt(report.l2), _fmt(report.h1), _fmt(report.h2), "ok"]
-            )
-            results.append((fac, report, "ok"))
-        except (IndefiniteSystemError, NumericalError) as exc:
+        if isinstance(out, Exception):
             rows.append([_fmt(eta_val), _fmt(fac), "", "", "", "indefinite"])
-            results.append((fac, None, f"indefinite: {exc}"))
+            results.append((fac, None, f"indefinite: {out}"))
+            continue
+        report = next(reports)
+        rows.append(
+            [_fmt(eta_val), _fmt(fac), _fmt(report.l2), _fmt(report.h1), _fmt(report.h2), "ok"]
+        )
+        results.append((fac, report, "ok"))
     text = _write_csv(config.out, ["eta", "factor", "l2", "h1", "h2", "status"], rows)
     return results, text
 

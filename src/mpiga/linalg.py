@@ -36,6 +36,15 @@ class SparseSymMatrix:
         self._vals.append(blocks[keep])
         self._csr = None
 
+    def copy(self):
+        """A matrix holding the same triplets, open to further blocks.
+
+        Triplet arrays are never modified in place, so the copy shares them.
+        """
+        out = SparseSymMatrix(self.dim)
+        out._rows, out._cols, out._vals = list(self._rows), list(self._cols), list(self._vals)
+        return out
+
     @classmethod
     def from_sparse(cls, A):
         """Wrap an existing scipy sparse matrix (kept as triplets)."""
@@ -160,7 +169,9 @@ def kernel_split(M, rel_tol):
     dense matrix and of its orthogonal complement.
 
     Kernel columns v satisfy ||M v|| <= rel_tol * sigma_max * ||v||; both
-    bases come from one full singular value factorization.
+    bases come from one full singular value factorization.  Singular
+    vectors have arbitrary signs, so each column is signed to make its
+    largest-magnitude entry (the first of equal ones) positive.
     """
     if not 0.0 < rel_tol < 1.0:
         raise ParameterError(f"rel_tol must lie in (0, 1), got {rel_tol}")
@@ -171,4 +182,6 @@ def kernel_split(M, rel_tol):
     if smax == 0.0:
         return np.eye(ncols), np.zeros((ncols, 0))
     rank = int(np.sum(s > rel_tol * smax))
+    lead = vt[np.arange(ncols), np.argmax(np.abs(vt), axis=1)]
+    vt = vt * np.where(lead < 0.0, -1.0, 1.0)[:, None]
     return vt[rank:].T, vt[:rank].T

@@ -14,6 +14,7 @@ from mpiga.assembly import (
     manufactured_laplacian,
     manufactured_rhs,
     physical_jet,
+    stacked_error_norms,
 )
 from mpiga.bspline import SplineSpace, TensorSplineSpace
 from mpiga.c1space import build_c1_space, homogeneous_subspace
@@ -432,3 +433,27 @@ def test_error_norms_exact_solution_is_zero(topo1):
     coeffs = system.solve()
     rep = error_norms(view, coeffs, exact)
     assert rep.h2 <= 1e-10 * 137.0  # scale of the solution's H2 norm
+
+
+@pytest.mark.parametrize("kind", ["c0", "approx-c1"])
+def test_stacked_error_norms_match_single_calls(topo6, kind):
+    tags = gn_tags(topo6)
+    if kind == "c0":
+        view = C0Space(topo6, 3, 2, 4, tags)
+    else:
+        view = homogeneous_subspace(build_c1_space(topo6, 3, 2, 4), tags)
+    stack = np.random.RandomState(3).randn(3, view.n_total)
+    for exact in (None, manufactured_jet):
+        reports = stacked_error_norms(view, stack, exact)
+        assert len(reports) == 3
+        for coeffs, rep in zip(stack, reports):
+            ref = error_norms(view, coeffs, exact)
+            got = [rep.l2, rep.h1, rep.h2] + rep.jumps
+            want = [ref.l2, ref.h1, ref.h2] + ref.jumps
+            assert len(got) == len(want) == 3 + len(topo6.interfaces)
+            for a, b in zip(got, want):
+                assert abs(a - b) <= 1e-14 * abs(b)
+    with pytest.raises(ParameterError):
+        error_norms(view, stack[0, :-1])
+    with pytest.raises(ParameterError):
+        stacked_error_norms(view, stack[:, :-1])

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from mpiga.assembly import NitscheForm
 from mpiga.cli import main
-from mpiga.errors import NumericalError, ParameterError
+from mpiga.errors import IndefiniteSystemError, NumericalError, ParameterError
 from mpiga.experiments import (
     ExperimentConfig,
     expected_dof_count,
@@ -11,6 +12,7 @@ from mpiga.experiments import (
     run_jump_study,
     run_solve,
     solve_level,
+    stability_parameters,
 )
 
 
@@ -91,6 +93,42 @@ def test_eta_sweep_reference_factor_matches_convergence(topo2c):
     assert abs(rep.l2 - ref.l2) <= 1e-12 * max(ref.l2, 1e-300)
 
 
+def test_eta_sweep_matches_per_factor_solves(topo2c, monkeypatch):
+    # oracle: one full solve_level per factor; the sweep assembles once
+    cfg = small_config(method="nitsche", h0=1.0 / 8.0, levels=(8,))
+    cfg.topology = topo2c
+    base = max(stability_parameters(cfg).values())
+    factors = (1e-3, 1.0, 1e2)  # 1e-3 gives an indefinite system on this mesh
+    systems = []
+    form_system = NitscheForm.system
+
+    def recording(self, eta):
+        systems.append(form_system(self, eta))
+        return systems[-1]
+
+    monkeypatch.setattr(NitscheForm, "system", recording)
+    sweep, _ = run_eta_sweep(cfg, factors=factors, n=8)
+    monkeypatch.undo()
+    assert [fac for fac, _, _ in sweep] == list(factors)
+    statuses = []
+    for (fac, rep, status), system in zip(sweep, systems):
+        try:
+            ref, ref_system, _, _ = solve_level(cfg, 8, eta=fac * base)
+        except (IndefiniteSystemError, NumericalError):
+            statuses.append("failed")
+            assert rep is None and status.startswith("indefinite")
+            continue
+        statuses.append("ok")
+        assert status == "ok"
+        for a, b in zip([rep.l2, rep.h1, rep.h2] + rep.jumps, [ref.l2, ref.h1, ref.h2] + ref.jumps):
+            assert abs(a - b) <= 1e-12 * abs(b)
+        if fac == 1.0:
+            K, K_ref = system.matrix.tocsr(), ref_system.matrix.tocsr()
+            for attr in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(K, attr), getattr(K_ref, attr))
+    assert statuses == ["failed", "ok", "ok"]
+
+
 def test_eta_sweep_extremes(topo2c):
     # locking requires the resolved regime; h0 = 1/16 is the reference scale
     cfg = small_config(method="nitsche", h0=1.0 / 16.0)
@@ -145,6 +183,16 @@ def test_cli_success(tmp_path, capsys):
     ])
     assert code == 0
     assert out.exists()
+
+
+def test_cli_sweep_eta_deterministic(capsys):
+    argv = ["sweep-eta", "--geometry", "square-2-bicubic", "--p", "3", "--h0", "0.125"]
+    texts = []
+    for _ in range(2):
+        assert main(argv) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert texts[0].split("\n")[0] == "eta,factor,l2,h1,h2,status"
 
 
 def test_cli_config_error(capsys):

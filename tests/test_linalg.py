@@ -122,3 +122,20 @@ def test_nullspace_random_rank2():
 def test_nullspace_tol_validation():
     with pytest.raises(ParameterError):
         kernel_split(np.eye(2), 2.0)
+
+
+def test_kernel_split_signs_are_reproducible():
+    # rank 3 on 4 columns with distinct singular values: the kernel is one
+    # line and every basis column is fixed up to the sign convention
+    rng = np.random.RandomState(5)
+    U, _ = np.linalg.qr(rng.randn(5, 5))
+    V, _ = np.linalg.qr(rng.randn(4, 4))
+    M = U[:, :4] @ np.diag([3.0, 2.0, 1.0, 0.0]) @ V.T
+    kernel, compl = kernel_split(M, 1e-10)
+    assert kernel.shape == (4, 1) and compl.shape == (4, 3)
+    for variant in (-M, M[[3, 0, 4, 2, 1]]):
+        k2, c2 = kernel_split(variant, 1e-10)
+        assert np.abs(k2 - kernel).max() <= 1e-12
+        assert np.abs(c2 - compl).max() <= 1e-12
+    for Q in (kernel, compl):
+        assert np.all(Q[np.argmax(np.abs(Q), axis=0), np.arange(Q.shape[1])] > 0.0)
