@@ -17,7 +17,7 @@ lower-indexed patch.
 
 import numpy as np
 
-from .bspline import JET_ORDERS, gauss_legendre
+from .bspline import _SLOT_U, _SLOT_V, gauss_legendre
 from .c1space import ConstrainedC1Space
 from .errors import ParameterError
 from .geometry import EdgeFrame, SideMap, detect_topology, physical_jet, pullback
@@ -113,20 +113,6 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def _side_line(side, layer, N):
-    """Tensor indices of the coefficient line at the given depth from a side."""
-    rng = np.arange(N)
-    if side == 1:
-        return [(i, layer) for i in rng]
-    if side == 2:
-        return [(N - 1 - layer, j) for j in rng]
-    if side == 3:
-        return [(i, N - 1 - layer) for i in rng]
-    if side == 4:
-        return [(layer, j) for j in rng]
-    raise ParameterError(f"invalid side {side}")
-
-
 class C0Space:
     """C0-coupled multi-patch tensor spline space with optional boundary conditions.
 
@@ -143,10 +129,16 @@ class C0Space:
         self.p, self.r, self.n = p, r, n
         self.sol = SplineSpace(p, r, n)
         N = self.sol.dim
+
+        def side_line(side, layer):
+            """Tensor indices of the coefficient line at depth ``layer`` from a side."""
+            lines = SideMap(side).elements_to_patch(layer, np.arange(N), N)
+            return list(zip(*(a.tolist() for a in np.broadcast_arrays(*lines))))
+
         uf = _UnionFind()
         for itf in topology.interfaces:
-            line_k = _side_line(itf.side_k, 0, N)
-            line_l = _side_line(itf.side_l, 0, N)
+            line_k = side_line(itf.side_k, 0)
+            line_l = side_line(itf.side_l, 0)
             if itf.reverse:
                 line_l = line_l[::-1]
             for a, b in zip(line_k, line_l):
@@ -157,7 +149,7 @@ class C0Space:
             for (k, side), tag in bc_tags.items():
                 layers = (0, 1) if tag == "gn" else (0,)
                 for layer in layers:
-                    for ij in _side_line(side, layer, N):
+                    for ij in side_line(side, layer):
                         eliminated.add(uf.find((k,) + ij))
 
         ids = {}
@@ -184,19 +176,6 @@ class C0Space:
 # generic element evaluation over a space view
 
 
-_SLOT_U = [a for a, _ in JET_ORDERS]
-_SLOT_V = [b for _, b in JET_ORDERS]
-
-
-def _window_jets(tab_u, tab_v):
-    """Jets of the (p+1)^2 tensor window from univariate derivative tables.
-
-    ``tab_u`` is (nu, 3, p+1) and ``tab_v`` is (..., nv, 3, p+1); returns
-    (..., p+1, p+1, nu, nv, 6), the window index of u first.
-    """
-    return np.einsum("qsi,...rsj->...ijqrs", tab_u[:, _SLOT_U], tab_v[..., _SLOT_V, :])
-
-
 class _Assembler:
     """Shared element machinery over a space view (C1 or C0)."""
 
@@ -211,20 +190,58 @@ class _Assembler:
         self.edge_nq = quad_scale * (2 * p + 1)
         self.enodes, self.eweights = gauss_legendre(self.edge_nq)
 
-    @staticmethod
-    def _extracted(row, cells, window_jets, edge_jets):
-        """Extracted dofs on some cells of one element row: (fids, jets).
+    def cells(self, patch_index, eu, ev, u, v):
+        """Dof ids and parametric jets on some cells of one patch.
 
-        ``cells`` indexes the row's cells; ``window_jets`` (nc, (p+1)^2,
-        ...) are the cells' tensor-window jets and ``edge_jets`` (nc,
-        len(row.cols), ...) the jets of the row's edge primitives on them.
-        Returns dof ids (nc, nd) padded with -1 and jets (nc, nd, ...).
+        Cell c is the element (eu[c], ev[c]) with a tensor grid of points
+        inside it.  ``u`` and ``v`` are the grid's points and their
+        :meth:`~mpiga.bspline.SplineSpace.eval_many` tables (two
+        derivatives) along each axis: one axis has points (nc, m) and
+        tables (nc, m, 3, p+1) per cell, the other (m,) and (m, 3, p+1)
+        shared by every cell.  Returns dof ids (nc, nd) padded with -1
+        and jets (nc, nd, mu * mv, 6), points u-major: the (p+1)^2 tensor
+        window (u-major) first, then the extracted dofs of the extraction
+        rows the cells fall in.  Jets of padded ids are meaningless.
         """
-        nc = len(cells)
-        edge = np.concatenate([edge_jets, np.zeros_like(edge_jets[:, :1])], axis=1)
-        prim = np.concatenate([window_jets, edge[np.arange(nc)[:, None], row.pos[cells]]], axis=1)
-        jets = row.blocks[cells] @ prim.reshape(nc, prim.shape[1], -1)
-        return row.fids[cells], jets.reshape((nc, -1) + prim.shape[2:])
+        nc, p1, step = len(eu), self.sol.p + 1, self.sol.p - self.sol.r
+        (u_pts, u_tab), (v_pts, v_tab) = u, v
+        tensor_fids, ext = self.view.element_table(patch_index)
+        wu, wv = ((e * step)[:, None] + np.arange(p1) for e in (eu, ev))
+        ids = tensor_fids[wu[:, :, None], wv[:, None, :]].reshape(nc, p1 * p1)
+        jets = np.einsum("...qsi,...rsj->...ijqrs", u_tab[..., _SLOT_U, :], v_tab[..., _SLOT_V, :])
+        jets = jets.reshape(nc, p1 * p1, -1, 6)
+        if ext is None:
+            return ids, jets
+        slot = ext.cells[eu, ev]
+        hit = np.flatnonzero(slot >= 0)
+        if not len(hit):
+            return ids, jets
+        rows = np.unique(eu[hit])
+        # every edge primitive of these rows, once on the points of the hit
+        # cells: (columns and a zero column for padding, hit cell, mu, mv, 6)
+        cols = np.unique(np.concatenate([ext.rows[r].cols for r in rows]))
+        if u_pts.ndim == 1:
+            prim = ext.prims.jets(cols, u_pts, v_pts[hit].ravel())
+            prim = prim.reshape(len(cols), len(u_pts), len(hit), -1, 6).swapaxes(1, 2)
+        else:
+            prim = ext.prims.jets(cols, u_pts[hit].ravel(), v_pts)
+            prim = prim.reshape(len(cols), len(hit), -1, len(v_pts), 6)
+        prim = np.concatenate([prim, np.zeros_like(prim[:1])])
+        width = max(ext.rows[r].fids.shape[1] for r in rows)
+        ext_ids = -np.ones((nc, width), dtype=int)
+        ext_jets = np.zeros((nc, width) + jets.shape[2:])
+        for r in rows:
+            row = ext.rows[r]
+            at = np.flatnonzero(eu[hit] == r)
+            cell, nd, na = slot[hit[at]], row.fids.shape[1], len(at)
+            # per cell, its tensor window and its edge primitives
+            col = np.append(np.searchsorted(cols, row.cols), len(cols))[row.pos[cell]]
+            edge = prim[col, at[:, None]].reshape(na, col.shape[1], -1, 6)
+            local = np.concatenate([jets[hit[at]], edge], axis=1)
+            ext_ids[hit[at], :nd] = row.fids[cell]
+            dof_jets = row.blocks[cell] @ local.reshape(na, local.shape[1], -1)
+            ext_jets[hit[at], :nd] = dof_jets.reshape(na, nd, *jets.shape[2:])
+        return np.concatenate([ids, ext_ids], axis=1), np.concatenate([jets, ext_jets], axis=1)
 
     # -- volume form ----------------------------------------------------
 
@@ -239,36 +256,21 @@ class _Assembler:
         element ordered u-major.  Jets of padded ids are meaningless and
         must be masked out.
         """
-        n, nq, p1 = self.n, self.nq, self.sol.p + 1
+        n, nq = self.n, self.nq
         Q = nq * nq
         patch = self.topology.patches[patch_index]
-        tensor_fids, ext = self.view.element_table(patch_index)
         pts = (np.arange(n)[:, None] + self.nodes).ravel() * self.sol.h
-        first, tables = self.sol.eval_many(pts, 2)
-        window = first[::nq, None] + np.arange(p1)  # (n, p1) basis indices per element
-        tables = tables.reshape(n, nq, 3, p1)
+        _, tables = self.sol.eval_many(pts, 2)
+        per_cell = pts.reshape(n, nq), tables.reshape(n, nq, 3, -1)
+        ev = np.arange(n)
         wq = np.outer(self.weights, self.weights).ravel() * self.sol.h ** 2
         for eu in range(n):
-            u_pts = pts[eu * nq : (eu + 1) * nq]
-            ids = tensor_fids[window[eu][None, :, None], window[:, None, :]].reshape(n, p1 * p1)
-            jets = _window_jets(tables[eu], tables).reshape(n, p1 * p1, Q, 6)
-            row = ext.rows.get(eu) if ext is not None else None
-            if row is not None:
-                # the row's edge primitives on the points of its cells, regrouped per cell
-                nc = len(row.evs)
-                v_cells = pts.reshape(n, nq)[row.evs].ravel()
-                edge = ext.prims.jets(row.cols, u_pts, v_cells).reshape(-1, nq, nc, nq, 6)
-                edge = edge.transpose(2, 0, 1, 3, 4).reshape(nc, -1, Q, 6)
-                fids, ej = self._extracted(row, np.arange(nc), jets[row.evs], edge)
-                width = fids.shape[1]
-                ids = np.concatenate([ids, -np.ones((n, width), dtype=int)], axis=1)
-                jets = np.concatenate([jets, np.zeros((n, width, Q, 6))], axis=1)
-                ids[row.evs, p1 * p1 :] = fids
-                jets[row.evs, p1 * p1 :] = ej
+            row = per_cell[0][eu], per_cell[1][eu]
+            ids, jets = self.cells(patch_index, np.full(n, eu), ev, row, per_cell)
             # geometry on the row's nq x (n nq) grid, regrouped per element
             point, jac, hess = (
                 a.reshape(nq, n, nq, *a.shape[2:]).swapaxes(0, 1).reshape(n, Q, *a.shape[2:])
-                for a in patch.jet_grid(u_pts, pts)
+                for a in patch.jet_grid(row[0], pts)
             )
             det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
             yield ids, jets, pullback(jac, hess), wq * det, point
@@ -303,55 +305,21 @@ class _Assembler:
         quantities at all n * edge_nq points.  Jets of padded ids are
         meaningless and must be masked out.
         """
-        n, nq, p1 = self.n, self.edge_nq, self.sol.p + 1
+        n, nq = self.n, self.edge_nq
         frame = EdgeFrame(self.topology.patches[patch_index], side_map.side, side_map.t_flip)
         ts = (np.arange(n)[:, None] + self.enodes).ravel() * self.sol.h
         us, vs, axis = frame.line(ts)
-        # univariate tables and tensor windows per span: the coordinate across
-        # the side has one point, which every span shares
-        firsts, tabs = [], []
+        # each span's points along the side; the one point across it is shared
+        grid = []
         for pts in (us, vs):
-            first, tab = self.sol.eval_many(pts, 2)
-            firsts.append(np.broadcast_to(first, (n * nq,))[::nq, None] + np.arange(p1))
-            tabs.append(np.broadcast_to(tab, (n * nq,) + tab.shape[1:]).reshape(n, nq, 3, p1))
-        tensor_fids, ext = self.view.element_table(patch_index)
-        ids = tensor_fids[firsts[0][:, :, None], firsts[1][:, None, :]].reshape(n, p1 * p1)
-        jets = np.einsum("sqki,sqkj->sijqk", tabs[0][:, :, _SLOT_U], tabs[1][:, :, _SLOT_V])
-        jets = jets.reshape(n, p1 * p1, nq, 6)
-        if ext is not None:
-            ids, jets = self._line_extracted(ext, side_map, us, vs, axis, ids, jets)
+            _, tab = self.sol.eval_many(pts, 2)
+            grid.append((pts, tab) if len(pts) == 1 else (pts.reshape(n, nq), tab.reshape(n, nq, 3, -1)))
+        eu, ev = np.broadcast_arrays(*side_map.elements_to_patch(0, np.arange(n), n))
+        ids, jets = self.cells(patch_index, eu, ev, *grid)
         geom = frame.geom(ts)
         jac = geom["jac"].reshape(n, 1, nq, 2, 2)
         hess = geom["hess"].reshape(n, 1, nq, 2, 2, 2)
         return ids, physical_jet(jets, jac, hess), geom
-
-    def _line_extracted(self, ext, side_map, us, vs, axis, ids, jets):
-        """Append the extracted dofs of the side's cells to the tensor-window
-        ``ids`` (n, (p+1)^2) and ``jets`` (n, (p+1)^2, edge_nq, 6) of a line."""
-        n, nq = self.n, self.edge_nq
-        eu, ev = np.broadcast_arrays(*side_map.elements_to_patch(0, np.arange(n), n))
-        hits = []  # (spans, row, the spans' cells in the row)
-        for r in np.unique(eu):
-            row = ext.rows.get(r)
-            if row is None:
-                continue
-            spans = np.flatnonzero((eu == r) & np.isin(ev, row.evs))
-            if len(spans):
-                hits.append((spans, row, np.searchsorted(row.evs, ev[spans])))
-        if not hits:
-            return ids, jets
-        # every edge primitive of these rows, once along the whole line
-        cols = np.unique(np.concatenate([row.cols for _, row, _ in hits]))
-        prim = np.take(ext.prims.jets(cols, us, vs), 0, axis=axis + 1).reshape(len(cols), n, nq, 6)
-        width = max(row.fids.shape[1] for _, row, _ in hits)
-        ext_ids = -np.ones((n, width), dtype=int)
-        ext_jets = np.zeros((n, width, nq, 6))
-        for spans, row, cells in hits:
-            edge = prim[np.searchsorted(cols, row.cols)][:, spans].swapaxes(0, 1)
-            fids, ej = self._extracted(row, cells, jets[spans], edge)
-            ext_ids[spans, : fids.shape[1]] = fids
-            ext_jets[spans, : fids.shape[1]] = ej
-        return np.concatenate([ids, ext_ids], axis=1), np.concatenate([jets, ext_jets], axis=1)
 
     def boundary_moment_load(self, F, g2, bc_tags):
         """Add (g2, dn psi) over 'gl' boundary edges to the load vector."""

@@ -19,6 +19,9 @@ from .errors import DomainError, ParameterError
 
 #: Derivative orders of a bivariate 2-jet, in evaluation order.
 JET_ORDERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+#: Per jet slot, the derivative order in u and in v (rows of univariate tables).
+_SLOT_U = [a for a, _ in JET_ORDERS]
+_SLOT_V = [b for _, b in JET_ORDERS]
 
 
 def gauss_legendre(npts):
@@ -189,13 +192,14 @@ class SplineSpace:
             hit = self._memo[key] = (first, tables)
         return hit
 
-    def eval_one(self, i, xs, max_deriv=0):
-        """Values/derivatives of the single basis function b_i: shape (m, d+1)."""
+    def eval_columns(self, js, xs, max_deriv=0):
+        """Values/derivatives of the basis functions b_j, j in ``js``, at many
+        points: shape (len(js), m, d+1), zero where b_j vanishes."""
         first, tables = self.eval_many(xs, max_deriv)
-        out = np.zeros((len(first), max_deriv + 1))
-        col = i - first
-        inside = (col >= 0) & (col <= self.p)
-        out[inside] = tables[inside, :, col[inside]].reshape(inside.sum(), max_deriv + 1)
+        col = np.asarray(js)[:, None] - first
+        rows, pts = np.nonzero((col >= 0) & (col <= self.p))
+        out = np.zeros((len(col), len(first), max_deriv + 1))
+        out[rows, pts] = tables[pts, :, col[rows, pts]]
         return out
 
     def eval_spline(self, coeffs, xs, max_deriv=0):

@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse
 
-from .bspline import JET_ORDERS, SplineSpace, l2_project
+from .bspline import _SLOT_U, _SLOT_V, SplineSpace, l2_project
 from .errors import (
     DegenerateVertexError,
     IllConditionedInterfaceError,
@@ -127,29 +127,18 @@ class EdgeShape:
         self.sminus = sminus
         self.scale = sol.h / sol.p
 
-    @staticmethod
-    def _window_columns(space, js, first, tables):
-        """Per-basis-function tables at many points: (len(js), m, nd)."""
-        cols = np.asarray(js)[:, None] - first[None, :]
-        rows, pts = np.nonzero((cols >= 0) & (cols <= space.p))
-        out = np.zeros((len(cols), len(first), tables.shape[1]))
-        out[rows, pts] = tables[pts, :, cols[rows, pts]]
-        return out
-
     def jet_st_batch(self, kind, js, sig, ts):
         """Parametric jets of many edge functions on a (sigma, t) grid.
 
         Returns shape (len(js), len(sig), len(ts), 6).
         """
-        first, tables = self.sol.eval_many(sig, 2)
-        b1, b2 = self._window_columns(self.sol, [0, 1], first, tables)
+        b1, b2 = self.sol.eval_columns([0, 1], sig, 2)
         B, D = b1 + b2, b2  # trace blend, derivative carrier
         ts = np.asarray(ts, dtype=float)
         nt = len(ts)
         nj = len(js)
         if kind == "trace":
-            first, tables = self.splus.eval_many(ts, 3)
-            A = self._window_columns(self.splus, js, first, tables)  # (nj, nt, 4)
+            A = self.splus.eval_columns(js, ts, 3)  # (nj, nt, 4)
             bt = self.gluing.eval_beta(ts, 2)
             C = np.empty((nj, nt, 3))
             C[:, :, 0] = bt[:, 0] * A[:, :, 1]
@@ -161,8 +150,7 @@ class EdgeShape:
             )
             Arow = A[:, :, :3]
         elif kind == "transversal":
-            first, tables = self.sminus.eval_many(ts, 2)
-            W = self._window_columns(self.sminus, js, first, tables)  # (nj, nt, 3)
+            W = self.sminus.eval_columns(js, ts, 2)  # (nj, nt, 3)
             at = self.gluing.eval_alpha(ts, 2)
             C = np.empty((nj, nt, 3))
             C[:, :, 0] = at[:, 0] * W[:, :, 0]
@@ -244,10 +232,6 @@ class ComboEval:
         self.pieces = [(float(w), ev) for w, ev in pieces if w != 0.0]
 
 
-_SLOT_U = [a for a, _ in JET_ORDERS]
-_SLOT_V = [b for _, b in JET_ORDERS]
-
-
 class PatchPrimitives:
     """The patch-local functions every approx-C1 dof on one patch is made of.
 
@@ -310,15 +294,6 @@ class PatchPrimitives:
             vals += list(flat.values())
         return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(len(evaluators), self.n_cols))
 
-    def _dense_table(self, pts):
-        """Univariate 2-jets of all N solution B-splines: (N, m, 3)."""
-        first, tables = self.sol.eval_many(pts, 2)
-        out = np.zeros((self.N, len(pts), 3))
-        out[first[:, None] + np.arange(self.sol.p + 1), np.arange(len(pts))[:, None]] = (
-            tables.transpose(0, 2, 1)
-        )
-        return out
-
     def jets(self, cols, u_pts, v_pts):
         """Parametric jets of the given columns on a tensor grid: (len(cols), nu, nv, 6)."""
         cols = np.asarray(cols, dtype=int)
@@ -328,8 +303,8 @@ class PatchPrimitives:
         tensor = cols < self.N * self.N
         if tensor.any():
             iu, iv = np.divmod(cols[tensor], self.N)
-            U = self._dense_table(u_pts)[iu][:, :, None, _SLOT_U]
-            V = self._dense_table(v_pts)[iv][:, None, :, _SLOT_V]
+            U = self.sol.eval_columns(iu, u_pts, 2)[:, :, None, _SLOT_U]
+            V = self.sol.eval_columns(iv, v_pts, 2)[:, None, :, _SLOT_V]
             out[tensor] = U * V
         for shape, kind, first, count in self.groups:
             sel = (cols >= first) & (cols < first + count)
@@ -582,15 +557,15 @@ def _box_cells(boxes, n):
 class ExtractionRow(NamedTuple):
     """The extracted dofs of one element row of a patch.
 
-    ``evs`` lists the row's cells (element columns) that hold such dofs.
-    Per cell, ``fids`` (nc, nd) holds the dof ids padded with -1, ``pos``
-    (nc, ne) indexes the cell's edge primitives in ``cols`` (the edge
-    primitive columns of the whole row), padded with ``len(cols)``, and
-    ``blocks`` (nc, nd, (p+1)^2 + ne) the coefficients of each dof over
-    the cell's tensor window (u-major) followed by its edge primitives.
+    The row's cells that hold such dofs are numbered by
+    :attr:`PatchExtraction.cells`.  Per cell, ``fids`` (nc, nd) holds the
+    dof ids padded with -1, ``pos`` (nc, ne) indexes the cell's edge
+    primitives in ``cols`` (the edge primitive columns of the whole row),
+    padded with ``len(cols)``, and ``blocks`` (nc, nd, (p+1)^2 + ne) the
+    coefficients of each dof over the cell's tensor window (u-major)
+    followed by its edge primitives.
     """
 
-    evs: np.ndarray
     fids: np.ndarray
     cols: np.ndarray
     pos: np.ndarray
@@ -603,7 +578,9 @@ class PatchExtraction:
 
     ``matrix`` is (n_total, n_cols).  Dofs that are a lone tensor
     B-spline (the interior block) are read through the tensor window of
-    an element; all others are listed per element row in ``rows``.
+    an element; all others are listed per element row in ``rows``, and
+    ``cells`` (n, n) gives the position of element (eu, ev) in
+    ``rows[eu]``, -1 where the element holds none of them.
     """
 
     def __init__(self, prims, matrix, direct, n):
@@ -614,6 +591,7 @@ class PatchExtraction:
         other = np.flatnonzero(~direct & (np.diff(matrix.indptr) > 0))
         coo = matrix[other].tocoo()
         self.rows = {}
+        self.cells = -np.ones((n, n), dtype=int)
         if not coo.nnz:
             return
         # a dof is listed on every element of its support box (the union
@@ -641,21 +619,22 @@ class PatchExtraction:
             block = np.zeros((len(dofs), self._p1 ** 2 + len(ecols)))
             block[r_loc[~edge], (iu - cu * step) * self._p1 + iv - cv * step] = w[~edge]
             block[r_loc[edge], self._p1 ** 2 + e_loc] = w[edge]
-            per_row.setdefault(cu, []).append((cv, other[dofs], ecols, block))
+            self.cells[cu, cv] = len(per_row.setdefault(cu, []))
+            per_row[cu].append((other[dofs], ecols, block))
         self.rows = {eu: self._padded(row) for eu, row in per_row.items()}
 
     def _padded(self, row):
-        nd = max(len(f) for _, f, _, _ in row)
-        ne = max(len(e) for _, _, e, _ in row)
-        cols = np.unique(np.concatenate([e for _, _, e, _ in row]))
+        nd = max(len(f) for f, _, _ in row)
+        ne = max(len(e) for _, e, _ in row)
+        cols = np.unique(np.concatenate([e for _, e, _ in row]))
         fids = -np.ones((len(row), nd), dtype=int)
         pos = np.full((len(row), ne), len(cols))
         blocks = np.zeros((len(row), nd, self._p1 ** 2 + ne))
-        for i, (_, f, e, b) in enumerate(row):
+        for i, (f, e, b) in enumerate(row):
             fids[i, : len(f)] = f
             pos[i, : len(e)] = np.searchsorted(cols, e)
             blocks[i, : len(f), : b.shape[1]] = b
-        return ExtractionRow(np.array([cv for cv, _, _, _ in row]), fids, cols, pos, blocks)
+        return ExtractionRow(fids, cols, pos, blocks)
 
 
 class ConstrainedC1Space:
@@ -803,9 +782,6 @@ class ConstrainedC1Space:
 
     def free_labels(self):
         return [lab for lab, _ in self.dofs[: self.n_free]]
-
-    def boundary_labels(self):
-        return [lab for lab, _ in self.dofs[self.n_free :]]
 
 
 def homogeneous_subspace(space, bc_tags):

@@ -52,4 +52,6 @@ class IndefiniteSystemError(MpigaError):
 
 
 class NumericalError(MpigaError):
-    """Iteration failed to converge within its budget."""
+    """A computed result failed its own check: an SPD solve whose backward
+    error exceeds the tolerance, or a convergence-study level whose free
+    dof count disagrees with the block-sum accounting."""

@@ -62,14 +62,6 @@ class SideMap:
             return a, b
         return b, a
 
-    def from_patch(self, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        a, b = (u, v) if self.trans_axis == 0 else (v, u)
-        sigma = 1.0 - a if self.trans_flip else a
-        t = 1.0 - b if self.t_flip else b
-        return sigma, t
-
     def elements_to_patch(self, e_sigma, e_t, n):
         """Map edge-coordinate element indices to patch element indices."""
         ea = n - 1 - e_sigma if self.trans_flip else e_sigma
@@ -204,13 +196,6 @@ class InterfaceRecord:
         self.l = l
         self.side_l = side_l
         self.reverse = bool(reverse)
-
-    def side_of(self, patch_index):
-        if patch_index == self.k:
-            return self.side_k
-        if patch_index == self.l:
-            return self.side_l
-        raise KeyError(patch_index)
 
     def __repr__(self):
         arrow = "~" if self.reverse else "="

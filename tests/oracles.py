@@ -225,8 +225,8 @@ def piece_jets(ev, u_pts, v_pts, memo=None):
     if isinstance(ev, EdgeEval):
         jets = ev.shape.jet_grid(ev.kind, ev.j, u_pts, v_pts)
     else:
-        U = ev.sol.eval_one(ev.iu, u_pts, 2)
-        V = ev.sol.eval_one(ev.iv, v_pts, 2)
+        U = ev.sol.eval_columns([ev.iu], u_pts, 2)[0]
+        V = ev.sol.eval_columns([ev.iv], v_pts, 2)[0]
         jets = np.empty((len(U), len(V), 6))
         for slot, (a, b) in enumerate(JET_ORDERS):
             jets[:, :, slot] = np.outer(U[:, a], V[:, b])

@@ -16,9 +16,10 @@ from mpiga.assembly import (
 )
 from mpiga.c1space import build_c1_space, homogeneous_subspace
 from mpiga.fixtures import BUILTIN_NAMES, builtin_geometry
-from mpiga.geometry import Patch
+from mpiga.geometry import Patch, SideMap
 
 from oracles import (
+    _Reference,
     boundary_load_reference,
     interface_rows_reference,
     per_element_reference,
@@ -107,6 +108,35 @@ def test_edge_span_rows_match_per_span_loops(name, kind, quad_scale, n):
         asm.boundary_moment_load(F, manufactured_laplacian, tags)
         assert np.abs(F_ref).max() > 0.0
         assert rel_gap(F, F_ref) <= RTOL
+
+
+SIDE_CASES = [
+    (name, kind) for name in ("square-6-bilinear", "square-2-bicubic")
+    for kind in ("c0", "c0-gn", "c1-gn", "c1-gl")
+]
+
+
+@pytest.mark.parametrize("name,kind", SIDE_CASES, ids=[f"{n}-{k}" for n, k in SIDE_CASES])
+def test_side_lines_match_per_span_loops(name, kind):
+    """Every patch side in both tangent orientations, interface and boundary
+    sides alike, against the per-span reference."""
+    view = make_view(name, kind)
+    asm = _Assembler(view)
+    ref = _Reference(view, 1)
+    for k in range(len(asm.topology.patches)):
+        for side in (1, 2, 3, 4):
+            for t_flip in (False, True):
+                side_map = SideMap(side, t_flip)
+                ids, phys, _geom = asm.side_line(k, side_map)
+                for span in range(N):
+                    got = np.zeros((view.n_total, asm.edge_nq, 6))
+                    keep = ids[span] >= 0
+                    np.add.at(got, ids[span, keep], phys[span, keep])
+                    want = np.zeros_like(got)
+                    ref_ids, ref_phys = ref.span(k, side_map, span)
+                    np.add.at(want, ref_ids, ref_phys)
+                    assert np.abs(want).max() > 0.0
+                    assert rel_gap(got, want) <= RTOL
 
 
 def multi_element_patch():

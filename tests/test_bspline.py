@@ -67,7 +67,7 @@ def test_local_support():
     xs = np.linspace(0, 1, 201)
     kn = sp.kv.knots
     for i in range(sp.dim):
-        vals = sp.eval_one(i, xs, 0)[:, 0]
+        vals = sp.eval_columns([i], xs, 0)[0, :, 0]
         outside = (xs < kn[i]) | (xs > kn[i + sp.p + 1])
         if outside.any():
             assert np.abs(vals[outside]).max() == 0.0
@@ -90,9 +90,9 @@ def test_derivative_rows_match_finite_differences():
     step = 1e-6
     for x in (0.13, 0.37, 0.81):
         for i in range(sp.dim):
-            lo = sp.eval_one(i, [x - step], 2)
-            hi = sp.eval_one(i, [x + step], 2)
-            mid = sp.eval_one(i, [x], 2)
+            lo = sp.eval_columns([i], [x - step], 2)[0]
+            hi = sp.eval_columns([i], [x + step], 2)[0]
+            mid = sp.eval_columns([i], [x], 2)[0]
             for k in (1, 2):
                 fd = (hi[0, k - 1] - lo[0, k - 1]) / (2 * step)
                 scale = max(abs(mid[0, k]), 1.0)

@@ -141,11 +141,11 @@ def test_edge_function_identities(topo2c):
         _, _, kind, j = space.labels[gid]
         (tr_k, nd_k), (tr_l, nd_l) = two_side_edge_data(space, topo2c, 0, gid, ts)
         if kind == "trace":
-            ref = space.splus.eval_one(j, ts, 0)[:, 0]
+            ref = space.splus.eval_columns([j], ts, 0)[0, :, 0]
             assert np.abs(tr_k - ref).max() <= 1e-12
             assert np.abs(nd_k).max() <= 1e-10
         else:
-            ref = space.sminus.eval_one(j, ts, 0)[:, 0]
+            ref = space.sminus.eval_columns([j], ts, 0)[0, :, 0]
             assert np.abs(tr_k).max() <= 1e-12
             assert np.abs(nd_k + ref).max() <= 1e-10
 
@@ -177,7 +177,8 @@ def test_edge_function_axis_aligned_closed_form():
         sig, t = rng.rand(), rng.rand()
         u, v = sm.to_patch(sig, t)
         val = dof_jet_on_patch(space, gid, itf.k, [float(u)], [float(v)])[0, 0]
-        ref = space.sminus.eval_one(j, [t], 0)[0, 0] * (h / p) * sol.eval_one(1, [sig], 0)[0, 0]
+        w_j = space.sminus.eval_columns([j], [t], 0)[0, 0, 0]
+        ref = w_j * (h / p) * sol.eval_columns([1], [sig], 0)[0, 0, 0]
         assert abs(val - ref) <= 1e-13
 
 
