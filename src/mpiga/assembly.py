@@ -18,9 +18,9 @@ lower-indexed patch.
 import numpy as np
 
 from .bspline import _SLOT_U, _SLOT_V, gauss_legendre
-from .c1space import ConstrainedC1Space
+from .c1space import ConstrainedC1Space, PatchPrimitives
 from .errors import ParameterError
-from .geometry import EdgeFrame, SideMap, detect_topology, physical_jet, pullback
+from .geometry import EdgeFrame, SideMap, interface_frames, physical_jet, pullback
 from .linalg import SparseSymMatrix, gram_pencil_max, solve_spd
 
 __all__ = [
@@ -167,9 +167,16 @@ class C0Space:
             self.patch_fids.append(grid)
         self.n_free = len(ids)
         self.n_total = self.n_free
+        self.primitives = PatchPrimitives(self.sol)
 
     def element_table(self, patch_index):
         return self.patch_fids[patch_index], None
+
+    def patch_combinations(self, patch_index, stack):
+        """Tensor primitives and every row of an (m, n_total) coefficient
+        stack restricted to one patch, as (m, N * N) weights over them."""
+        fids = self.patch_fids[patch_index].ravel()
+        return self.primitives, np.where(fids >= 0, stack[:, fids], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +227,12 @@ class _Assembler:
         # every edge primitive of these rows, once on the points of the hit
         # cells: (columns and a zero column for padding, hit cell, mu, mv, 6)
         cols = np.unique(np.concatenate([ext.rows[r].cols for r in rows]))
+        unit = ext.prims.selection(cols)
         if u_pts.ndim == 1:
-            prim = ext.prims.jets(cols, u_pts, v_pts[hit].ravel())
+            prim = ext.prims.expand(unit, u_pts, v_pts[hit].ravel())
             prim = prim.reshape(len(cols), len(u_pts), len(hit), -1, 6).swapaxes(1, 2)
         else:
-            prim = ext.prims.jets(cols, u_pts[hit].ravel(), v_pts)
+            prim = ext.prims.expand(unit, u_pts[hit].ravel(), v_pts)
             prim = prim.reshape(len(cols), len(hit), -1, len(v_pts), 6)
         prim = np.concatenate([prim, np.zeros_like(prim[:1])])
         width = max(ext.rows[r].fids.shape[1] for r in rows)
@@ -577,11 +585,7 @@ def estimate_stability_constant(topology, iface_index, p, r, n):
     per interface quadrature point, and returns the leading eigenvalue of
     the pencil (A, B) from the small dense matrix R B^-1 R^T.
     """
-    itf = topology.interfaces[iface_index]
-    sub = detect_topology([topology.patches[itf.k], topology.patches[itf.l]])
-    if len(sub.interfaces) != 1:
-        raise ParameterError("interface patch pair does not reduce to a single interface")
-    space = C0Space(sub, p, r, n, bc_tags=None)
+    space = C0Space(topology.interface_pair(iface_index), p, r, n, bc_tags=None)
     asm = _Assembler(space)
     B, _ = asm.volume_system(None)
     ids, _jump, avg, w = asm.interface_edge_rows(0)
@@ -608,18 +612,29 @@ def error_norms(view, coeffs, exact_jet=None, quad_scale=1):
 def _sums(x):
     """Sum over all but the first axis, each entry's block in C order.
 
-    Numpy's summation order follows memory layout, and a stacked product
-    need not lay each function out as a lone one would; summing C-ordered
-    blocks makes a function's norms independent of the stack it is in.
+    Numpy's summation order follows memory layout; summing C-ordered
+    blocks of the same shape makes a function's norms independent of the
+    stack it is in.
     """
     return np.ascontiguousarray(x).reshape(len(x), -1).sum(axis=1)
+
+
+#: (function, quadrature point) pairs per band of element rows in the error norms
+_BAND_SIZE = 2048
 
 
 def stacked_error_norms(view, stack, exact_jet=None, quad_scale=1):
     """:func:`error_norms` of every row of an (m, dofs) coefficient stack.
 
-    One pass over the element rows and edge lines serves all m discrete
-    functions; returns one :class:`ErrorReport` per row.
+    Each row is evaluated as one function per patch: its restriction to
+    the patch's primitives (:meth:`patch_combinations` of the view) is
+    multiplied out from univariate tables (:class:`~mpiga.c1space.GridJets`),
+    so no dof is evaluated on its own.  The geometry of a band of element
+    rows (points, w det J, the pullback) and the exact jet there are
+    computed once for all m functions; jumps come from the same evaluator
+    on each side of every interface line.  Every step treats the rows
+    alone, so a function's report does not depend on the stack it is in.
+    Returns one :class:`ErrorReport` per row.
     """
     asm = _Assembler(view, quad_scale)
     stack = np.asarray(stack, dtype=float)
@@ -627,22 +642,41 @@ def stacked_error_norms(view, stack, exact_jet=None, quad_scale=1):
         raise ParameterError(
             f"coefficient length {stack.shape[-1]} does not match dof count {view.n_total}"
         )
+    n, nq, h = asm.n, asm.nq, asm.sol.h
+    patches = asm.topology.patches
+    combos = [view.patch_combinations(k, stack) for k in range(len(patches))]
+    pts = ((np.arange(n)[:, None] + asm.nodes) * h).ravel()
+    wq = np.outer(np.tile(asm.weights, n), np.tile(asm.weights, n)) * h ** 2
+    band = nq * max(1, _BAND_SIZE // (len(stack) * nq * len(pts)))  # u points per band
     acc = np.zeros((3, len(stack)))  # L2^2, H1-semi^2, H2-semi^2 per function
-    for k in range(len(asm.topology.patches)):
-        for ids, jets, pull, w, point in asm.element_rows(k):
-            c = np.where(ids >= 0, stack[:, ids], 0.0)
-            err = (pull @ np.einsum("mea,eaqs->meqs", c, jets)[..., None])[..., 0]
+    for patch, (prims, rows) in zip(patches, combos):
+        grid = prims.grid(rows, pts, pts)
+        for start in range(0, len(pts), band):
+            sel = slice(start, start + band)
+            point, jac, hess = patch.jet_grid(pts[sel], pts)
+            det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+            w = wq[sel] * det
+            err = physical_jet(grid.jets(sel), jac, hess)
             if exact_jet is not None:
-                err = err - _at_points(exact_jet, point)
+                err -= _at_points(exact_jet, point)
             sq = err * err
             acc[0] += _sums(w * sq[..., 0])
             acc[1] += _sums(w * (sq[..., 1] + sq[..., 2]))
             acc[2] += _sums(w * (sq[..., 3] + sq[..., 4] + sq[..., 5]))
     jumps = []
-    for idx in range(len(asm.topology.interfaces)):
-        ids, jump, _avg, w = asm.interface_edge_rows(idx)
-        j = np.einsum("msa,saq->msq", np.where(ids >= 0, stack[:, ids], 0.0), jump)
-        jumps.append(np.sqrt(_sums(w * j ** 2)))
+    ts = ((np.arange(n)[:, None] + asm.enodes) * h).ravel()
+    for itf in asm.topology.interfaces:
+        dn = []  # normal derivative along the lower side's normal, per side
+        for k, frame in zip((itf.k, itf.l), interface_frames(asm.topology, itf)):
+            geom = frame.geom(ts)
+            us, vs, axis = frame.line(ts)
+            prims, rows = combos[k]
+            jets = np.take(prims.expand(rows, us, vs), 0, axis=axis + 1)
+            phys = physical_jet(jets, geom["jac"], geom["hess"])
+            if k == itf.k:
+                normal, w = geom["n_out"], np.tile(asm.eweights, n) * h * geom["tau"]
+            dn.append(normal[:, 0] * phys[..., 1] + normal[:, 1] * phys[..., 2])
+        jumps.append(np.sqrt(_sums(w * (dn[1] - dn[0]) ** 2)))
     l2 = np.sqrt(acc[0])
     h1 = np.sqrt(acc[0] + acc[1])
     h2 = np.sqrt(acc.sum(axis=0))

@@ -213,6 +213,24 @@ class SplineSpace:
         windows = coeffs[first[:, None] + np.arange(self.p + 1)]
         return np.einsum("mdp,mp->md", tables, windows)
 
+    def eval_splines(self, coeffs, xs, max_deriv=0):
+        """Evaluate the splines of an (m, dim) coefficient array:
+        shape (d+1, m, len(xs)), derivative order first.
+
+        The window sum runs term by term, so a row's values do not depend
+        on the other rows, and a unit row reproduces its basis function
+        exactly.
+        """
+        first, tables = self.eval_many(xs, max_deriv)
+        windows = np.take(coeffs, first + np.arange(self.p + 1)[:, None], axis=1)  # (m, p+1, xs)
+        tables = np.ascontiguousarray(tables.transpose(2, 1, 0))  # (p+1, d+1, xs)
+        out = np.empty((max_deriv + 1,) + windows[:, 0].shape)
+        for k in range(max_deriv + 1):
+            np.multiply(windows[:, 0], tables[0, k], out=out[k])
+            for i in range(1, self.p + 1):
+                out[k] += windows[:, i] * tables[i, k]
+        return out
+
     def element_first_basis(self, e):
         """Index of the first basis function supported on element e."""
         return e * (self.p - self.r)
@@ -231,7 +249,7 @@ class SplineSpace:
 
 
 def l2_project(space, f, quad_pts=None):
-    """L2-orthogonal projection of a scalar function onto a spline space.
+    """L2-orthogonal projection of scalar functions onto a spline space.
 
     The mass matrix is integrated with a per-element Gauss rule exact for
     degree-2p polynomials (p+1 points unless overridden) and solved with a
@@ -241,35 +259,41 @@ def l2_project(space, f, quad_pts=None):
     ----------
     space : SplineSpace
     f : callable
-        Vectorized function of the parameter, evaluable at quadrature nodes.
+        Vectorized function of the parameter, called once on all
+        quadrature nodes; it returns one value per node, or a row of k
+        values per node to project k functions at once.
 
     Returns
     -------
     ndarray
-        Coefficient vector of length ``space.dim``.
+        Coefficient vector of length ``space.dim``, or (space.dim, k)
+        coefficients, one column per function.
     """
     p, n, h = space.p, space.n, space.h
     npts = quad_pts if quad_pts is not None else p + 1
     xg, wg = gauss_legendre(npts)
+    xs = ((np.arange(n)[:, None] + xg) * h).ravel()
+    fx = np.asarray(f(xs), dtype=float)
+    values = fx.reshape(n, npts, -1)
 
     band = np.zeros((p + 1, space.dim))  # lower form for solveh_banded
-    rhs = np.zeros(space.dim)
+    rhs = np.zeros((space.dim, values.shape[-1]))
+    w = wg * h
     for e in range(n):
-        xs = (e + xg) * h
-        first, tables = space.eval_many(xs, 0)
+        first, tables = space.eval_many(xs[e * npts : (e + 1) * npts], 0)
         vals = tables[:, 0, :]  # (npts, p+1)
-        fx = np.asarray(f(xs), dtype=float)
-        w = wg * h
         emass = np.einsum("q,qi,qj->ij", w, vals, vals)
         i0 = space.element_first_basis(e)
         for a in range(p + 1):
-            rhs[i0 + a] += np.dot(w * fx, vals[:, a])
+            for col in range(rhs.shape[1]):
+                rhs[i0 + a, col] += np.dot(w * values[e, :, col], vals[:, a])
             for b in range(a, p + 1):
                 band[b - a, i0 + a] += emass[a, b]
     try:
-        return solveh_banded(band, rhs, lower=True)
+        coeffs = solveh_banded(band, rhs, lower=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by construction
         raise ParameterError(f"singular mass matrix for {space}") from exc
+    return coeffs[:, 0] if fx.ndim == 1 else coeffs
 
 
 class TensorSplineSpace:

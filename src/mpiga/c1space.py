@@ -43,6 +43,13 @@ vertex and boundary-kernel combinations out once into one sparse
 extraction matrix per patch, with a dense coefficient block per element
 (:class:`PatchExtraction`), so assembly evaluates each primitive once
 per element row or edge span and forms dof jets by block products.
+
+Any rows of weights over the primitives -- unit rows for assembly,
+vertex families and kernel samples, the boundary lift, or a whole
+discrete function for the error norms -- are evaluated by one separable
+evaluator (:class:`GridJets`): a tensor spline from basis-table products
+plus, per edge shape, A(t) (b1 + b2)(sigma) + C(t) b2(sigma), so a
+function costs O(points) rather than O(dofs x points).
 """
 
 from typing import NamedTuple
@@ -50,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse
 
-from .bspline import _SLOT_U, _SLOT_V, SplineSpace, l2_project
+from .bspline import JET_ORDERS, SplineSpace, l2_project
 from .errors import (
     DegenerateVertexError,
     IllConditionedInterfaceError,
@@ -103,9 +110,8 @@ def approximate_gluing_data(topology, iface, p, n):
     space = SplineSpace(p - 1, p - 2, n)
     out = []
     for side in (itf.k, itf.l):
-        ca = l2_project(space, lambda t: gluing_data(topology, itf, side, t)[0])
-        cb = l2_project(space, lambda t: gluing_data(topology, itf, side, t)[1])
-        gf = GluingFunctions(space, ca, cb)
+        coeffs = l2_project(space, lambda t: np.column_stack(gluing_data(topology, itf, side, t)))
+        gf = GluingFunctions(space, coeffs[:, 0], coeffs[:, 1])
         probe = gf.eval_alpha(np.linspace(0.0, 1.0, 20 * n + 1))[:, 0]
         if probe.max() * probe.min() <= 0.0:
             raise IllConditionedInterfaceError(
@@ -116,7 +122,14 @@ def approximate_gluing_data(topology, iface, p, n):
 
 
 class EdgeShape:
-    """Edge-expansion evaluator for one patch side in one tangent orientation."""
+    """Edge-expansion factors of one patch side in one tangent orientation.
+
+    The edge functions of the side, weighted by trace coefficients c over
+    S(p, p-1, h) and transversal coefficients d over S(p-1, p-2, h), sum
+    to A(t) (b1 + b2)(sigma) + C(t) b2(sigma) with A = T and
+    C = (alpha W + beta T') h/p, where T = sum_j c_j T_j and
+    W = sum_j d_j W_j.
+    """
 
     def __init__(self, patch_index, side_map, gluing, sol, splus, sminus):
         self.patch_index = patch_index
@@ -127,70 +140,29 @@ class EdgeShape:
         self.sminus = sminus
         self.scale = sol.h / sol.p
 
-    def jet_st_batch(self, kind, js, sig, ts):
-        """Parametric jets of many edge functions on a (sigma, t) grid.
-
-        Returns shape (len(js), len(sig), len(ts), 6).
-        """
+    def carriers(self, sig):
+        """b1 + b2 and b2 at transversal points: two (3, len(sig)) tables,
+        derivative order first."""
         b1, b2 = self.sol.eval_columns([0, 1], sig, 2)
-        B, D = b1 + b2, b2  # trace blend, derivative carrier
+        return np.ascontiguousarray((b1 + b2).T), np.ascontiguousarray(b2.T)
+
+    def along(self, trace, transversal, ts):
+        """The factors A and C of (m, splus.dim) trace and (m, sminus.dim)
+        transversal coefficient rows at edge parameters: two (3, m,
+        len(ts)) arrays, derivative order first."""
         ts = np.asarray(ts, dtype=float)
-        nt = len(ts)
-        nj = len(js)
-        if kind == "trace":
-            A = self.splus.eval_columns(js, ts, 3)  # (nj, nt, 4)
-            bt = self.gluing.eval_beta(ts, 2)
-            C = np.empty((nj, nt, 3))
-            C[:, :, 0] = bt[:, 0] * A[:, :, 1]
-            C[:, :, 1] = bt[:, 1] * A[:, :, 1] + bt[:, 0] * A[:, :, 2]
-            C[:, :, 2] = (
-                bt[:, 2] * A[:, :, 1]
-                + 2.0 * bt[:, 1] * A[:, :, 2]
-                + bt[:, 0] * A[:, :, 3]
-            )
-            Arow = A[:, :, :3]
-        elif kind == "transversal":
-            W = self.sminus.eval_columns(js, ts, 2)  # (nj, nt, 3)
-            at = self.gluing.eval_alpha(ts, 2)
-            C = np.empty((nj, nt, 3))
-            C[:, :, 0] = at[:, 0] * W[:, :, 0]
-            C[:, :, 1] = at[:, 1] * W[:, :, 0] + at[:, 0] * W[:, :, 1]
-            C[:, :, 2] = (
-                at[:, 2] * W[:, :, 0]
-                + 2.0 * at[:, 1] * W[:, :, 1]
-                + at[:, 0] * W[:, :, 2]
-            )
-            Arow = np.zeros((nj, nt, 3))
-        else:
-            raise ParameterError(f"unknown edge function kind {kind!r}")
+        T = self.splus.eval_splines(trace, ts, 3)
+        W = self.sminus.eval_splines(transversal, ts, 2)
+        bt = self.gluing.eval_beta(ts, 2).T
+        at = self.gluing.eval_alpha(ts, 2).T
+        C = np.empty(W.shape)
+        C[0] = bt[0] * T[1] + at[0] * W[0]
+        C[1] = (bt[1] * T[1] + bt[0] * T[2]) + (at[1] * W[0] + at[0] * W[1])
+        C[2] = (bt[2] * T[1] + 2.0 * bt[1] * T[2] + bt[0] * T[3]) + (
+            at[2] * W[0] + 2.0 * at[1] * W[1] + at[0] * W[2]
+        )
         C *= self.scale
-
-        jets = np.empty((nj, len(B), nt, 6))
-        pairs = ((0, 0, 0), (1, 1, 0), (2, 0, 1), (3, 2, 0), (4, 1, 1), (5, 0, 2))
-        for slot, a, b in pairs:
-            jets[:, :, :, slot] = (
-                B[None, :, a, None] * Arow[:, None, :, b]
-                + D[None, :, a, None] * C[:, None, :, b]
-            )
-        return jets
-
-    def jet_batch(self, kind, js, u_pts, v_pts):
-        """Jets of many edge functions in patch coordinates: (nj, nu, nv, 6)."""
-        u_pts = np.asarray(u_pts, dtype=float)
-        v_pts = np.asarray(v_pts, dtype=float)
-        if self.map.trans_axis == 0:
-            sig = 1.0 - u_pts if self.map.trans_flip else u_pts
-            ts = 1.0 - v_pts if self.map.t_flip else v_pts
-            jst = self.jet_st_batch(kind, js, sig, ts)
-        else:
-            sig = 1.0 - v_pts if self.map.trans_flip else v_pts
-            ts = 1.0 - u_pts if self.map.t_flip else u_pts
-            jst = self.jet_st_batch(kind, js, sig, ts).transpose(0, 2, 1, 3)
-        return self.map.jet_to_patch(jst)
-
-    def jet_grid(self, kind, j, u_pts, v_pts):
-        """Jets of a single edge function in patch coordinates."""
-        return self.jet_batch(kind, [j], u_pts, v_pts)[0]
+        return T[:3], C
 
     def element_boxes(self, kind):
         """Inclusive patch element boxes (eu0, eu1, ev0, ev1) of every
@@ -233,22 +205,23 @@ class ComboEval:
 
 
 class PatchPrimitives:
-    """The patch-local functions every approx-C1 dof on one patch is made of.
+    """The patch-local functions every dof on one patch is made of.
 
     Column ``iu * N + iv`` is the tensor B-spline (iu, iv) of the N x N
     solution space; after those, each edge shape on the patch owns one
     column per trace coefficient and one per transversal coefficient.
     Evaluators (tensor, edge and nested combinations) flatten into sparse
-    rows over these columns, and any set of columns is evaluated with one
-    table contraction for the tensor columns and one
-    :meth:`EdgeShape.jet_batch` call per (shape, kind).
+    rows over these columns.  A C0 view uses the tensor columns alone.
+    Any rows of weights over the columns are evaluated by
+    :meth:`grid`, in separable form: a combination restricted to the
+    patch is one tensor spline plus, per edge shape, one
+    A(t) (b1 + b2)(sigma) + C(t) b2(sigma) (see :class:`EdgeShape`).
     """
 
-    def __init__(self, sol, splus, sminus):
+    def __init__(self, sol):
         self.sol = sol
         self.N = sol.dim
-        self._spaces = (("trace", splus), ("transversal", sminus))
-        self.groups = []  # (shape, kind, first column, column count)
+        self.shapes = []  # (shape, first column); trace columns, then transversal
         self._offsets = {}  # (id(shape), kind) -> first column
         self._boxes = [self._tensor_boxes()]
         self.n_cols = self.N * self.N
@@ -260,9 +233,9 @@ class PatchPrimitives:
         return np.column_stack([su, sv])
 
     def add_shape(self, shape):
-        for kind, space in self._spaces:
+        self.shapes.append((shape, self.n_cols))
+        for kind, space in (("trace", shape.splus), ("transversal", shape.sminus)):
             self._offsets[(id(shape), kind)] = self.n_cols
-            self.groups.append((shape, kind, self.n_cols, space.dim))
             self._boxes.append(shape.element_boxes(kind))
             self.n_cols += space.dim
 
@@ -294,30 +267,106 @@ class PatchPrimitives:
             vals += list(flat.values())
         return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(len(evaluators), self.n_cols))
 
-    def jets(self, cols, u_pts, v_pts):
-        """Parametric jets of the given columns on a tensor grid: (len(cols), nu, nv, 6)."""
-        cols = np.asarray(cols, dtype=int)
-        u_pts = np.asarray(u_pts, dtype=float)
-        v_pts = np.asarray(v_pts, dtype=float)
-        out = np.empty((len(cols), len(u_pts), len(v_pts), 6))
-        tensor = cols < self.N * self.N
-        if tensor.any():
-            iu, iv = np.divmod(cols[tensor], self.N)
-            U = self.sol.eval_columns(iu, u_pts, 2)[:, :, None, _SLOT_U]
-            V = self.sol.eval_columns(iv, v_pts, 2)[:, None, :, _SLOT_V]
-            out[tensor] = U * V
-        for shape, kind, first, count in self.groups:
-            sel = (cols >= first) & (cols < first + count)
-            if sel.any():
-                out[sel] = shape.jet_batch(kind, cols[sel] - first, u_pts, v_pts)
+    def selection(self, cols):
+        """Unit rows picking the given columns: (len(cols), n_cols)."""
+        out = np.zeros((len(cols), self.n_cols))
+        out[np.arange(len(cols)), cols] = 1.0
         return out
 
+    def grid(self, W, u_pts, v_pts):
+        """The combinations in the rows of an (m, n_cols) weight matrix,
+        dense or sparse, on a tensor grid (see :class:`GridJets`)."""
+        return GridJets(self, W, u_pts, v_pts)
+
     def expand(self, W, u_pts, v_pts):
-        """Jets of the combinations in the rows of a sparse (m, n_cols) weight
-        matrix on a tensor grid: (m, nu, nv, 6)."""
-        cols = np.unique(W.indices)
-        P = self.jets(cols, u_pts, v_pts)
-        return np.tensordot(W[:, cols].toarray(), P, axes=1)
+        """Parametric jets of the combinations in the rows of an (m, n_cols)
+        weight matrix on a tensor grid: (m, nu, nv, 6)."""
+        return self.grid(W, u_pts, v_pts).jets()
+
+
+def _run(idx):
+    """A slice for ascending consecutive indices, else the indices."""
+    if len(idx) and idx[-1] - idx[0] + 1 == len(idx):
+        return slice(idx[0], idx[-1] + 1)
+    return idx
+
+
+def _column_block(W, first, count):
+    """The rows of a dense weight array with weights in columns first ..
+    first+count-1, and those rows' weights there."""
+    block = W[:, first : first + count]
+    rows = _run(np.flatnonzero(block.any(axis=1)))
+    return rows, block[rows]
+
+
+class GridJets:
+    """Jets of patch combinations on a tensor grid, kept in separable form.
+
+    All univariate and coefficient work is done once here: the basis
+    tables of both axes with the tensor coefficients contracted along v,
+    and per edge shape its transversal carriers and the combined edge
+    factors A and C of every row (:meth:`EdgeShape.along`).  :meth:`jets`
+    multiplies them out on any band of u points.  Each row is computed
+    alone (matrix products run over rows as a batch), so a row's jets do
+    not depend on the other rows, and a unit row reproduces its primitive
+    exactly.
+    """
+
+    def __init__(self, prims, W, u_pts, v_pts):
+        u_pts = np.atleast_1d(np.asarray(u_pts, dtype=float))
+        v_pts = np.atleast_1d(np.asarray(v_pts, dtype=float))
+        W = W.toarray() if scipy.sparse.issparse(W) else np.asarray(W, dtype=float)
+        self.m, self.nu, self.nv = W.shape[0], len(u_pts), len(v_pts)
+        N = prims.N
+        self.tensor = None
+        rows, coeffs = _column_block(W, 0, N * N)
+        if len(coeffs):
+            U, V = (
+                np.ascontiguousarray(prims.sol.eval_columns(np.arange(N), pts, 2).transpose(2, 1, 0))
+                for pts in (u_pts, v_pts)
+            )  # (3, points, N)
+            # per row, its coefficient grid times the v tables: (rows, 3, N, nv)
+            self.tensor = rows, U, coeffs.reshape(-1, 1, N, N) @ V.swapaxes(1, 2)
+        self.edges = []
+        for shape, first in prims.shapes:
+            n_trace = shape.splus.dim
+            rows, block = _column_block(W, first, n_trace + shape.sminus.dim)
+            if not len(block):
+                continue
+            smap = shape.map
+            sig, ts = (u_pts, v_pts) if smap.trans_axis == 0 else (v_pts, u_pts)
+            B, D = shape.carriers(1.0 - sig if smap.trans_flip else sig)
+            if not (B.any() or D.any()):  # the grid lies beyond two elements off the side
+                continue
+            A, C = shape.along(block[:, :n_trace], block[:, n_trace:], 1.0 - ts if smap.t_flip else ts)
+            self.edges.append((rows, smap, B, D, A, C))
+
+    def jets(self, sel=slice(None)):
+        """Parametric jets (m, nu', nv, 6) on the u points ``sel`` (a slice)."""
+        nu = len(range(self.nu)[sel])
+        out = np.zeros((self.m, nu, self.nv, 6))
+        if self.tensor is not None:
+            rows, U, G = self.tensor
+            for slot, (a, b) in enumerate(JET_ORDERS):
+                out[rows, :, :, slot] = U[a, sel] @ G[:, b]
+        for rows, smap, B, D, A, C in self.edges:
+            if smap.trans_axis == 0:  # sigma runs along u
+                B, D = B[:, sel], D[:, sel]
+            else:
+                A, C = A[:, :, sel], C[:, :, sel]
+            near = np.flatnonzero(B.any(axis=0) | D.any(axis=0))  # b1, b2 vanish past two elements
+            if not len(near):
+                continue
+            B, D = B[:, near, None], D[:, near, None]
+            A, C = A[:, :, None], C[:, :, None]
+            near = _run(near)
+            both = not isinstance(rows, slice) and not isinstance(near, slice)
+            index = (rows[:, None], near) if both else (rows, near)
+            for (a, b), (dest, sign) in zip(JET_ORDERS, smap.jet_slots()):
+                # the destination slot as (rows, sigma, t)
+                target = out[..., dest] if smap.trans_axis == 0 else out[..., dest].swapaxes(1, 2)
+                target[index] += sign * (B[a] * A[b] + D[a] * C[b])
+        return out
 
 
 def interior_indices(sol):
@@ -371,7 +420,7 @@ class GlobalC1Space:
         ]
         self._shapes = {}
         self.primitives = [
-            PatchPrimitives(self.sol, self.splus, self.sminus) for _ in topology.patches
+            PatchPrimitives(self.sol) for _ in topology.patches
         ]
         self.labels = []
         self.supports = []
@@ -733,7 +782,11 @@ class ConstrainedC1Space:
             pos = [p for p, (kk, _c) in enumerate(vertex.incident) if kk == k][0]
             prims = self.space.primitives[k]
             W = prims.weights([supports[q][pos][1] for q in range(6)])
-            jets = np.take(prims.expand(W, us, vs), 0, axis=axis + 1)
+            # the kernel basis turns round-off in the samples into a change of
+            # basis, so they are summed from the primitives in column order
+            cols = np.unique(W.indices)
+            unit = prims.expand(prims.selection(cols), us, vs)
+            jets = np.take(np.tensordot(W[:, cols].toarray(), unit, axes=1), 0, axis=axis + 1)
             phys = physical_jet(jets, g["jac"], g["hess"])  # (6, m, 6)
             rows.append(phys[:, :, 0].T)
             if tag == "gn":
@@ -779,6 +832,13 @@ class ConstrainedC1Space:
         primitives and lists the other dofs per element row.
         """
         return self._tables[patch_index]
+
+    def patch_combinations(self, patch_index, stack):
+        """The primitives of one patch and every row of an (m, n_total)
+        coefficient stack restricted to the patch, as (m, n_cols) weights
+        over them, one sparse product per row."""
+        ext = self._tables[patch_index][1]
+        return ext.prims, np.array([ext.matrix.T @ row for row in stack])
 
     def free_labels(self):
         return [lab for lab, _ in self.dofs[: self.n_free]]

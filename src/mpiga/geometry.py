@@ -24,7 +24,7 @@ coefficients couple identically across the interface.
 import numpy as np
 
 from .bspline import JET_ORDERS, SplineSpace, TensorSplineSpace
-from .errors import ConformityError, GeometryError, NonManifoldError
+from .errors import ConformityError, GeometryError, NonManifoldError, ParameterError
 
 #: side -> (transversal axis: 0 for u / 1 for v, transversal flipped?)
 _SIDE_TRANS = {1: (1, False), 2: (0, True), 3: (1, True), 4: (0, False)}
@@ -68,24 +68,15 @@ class SideMap:
         eb = n - 1 - e_t if self.t_flip else e_t
         return (ea, eb) if self.trans_axis == 0 else (eb, ea)
 
-    def jet_to_patch(self, jet):
-        """Reorder/sign a (..., 6) jet from (sigma, t) to (u, v) derivatives."""
+    def jet_slots(self):
+        """Per (sigma, t) jet slot, in :data:`~mpiga.bspline.JET_ORDERS`
+        order, the (u, v) slot it becomes and its sign."""
         gs = -1.0 if self.trans_flip else 1.0
         gt = -1.0 if self.t_flip else 1.0
-        out = np.empty_like(jet)
-        out[..., 0] = jet[..., 0]
-        if self.trans_axis == 0:
-            out[..., 1] = gs * jet[..., 1]
-            out[..., 2] = gt * jet[..., 2]
-            out[..., 3] = jet[..., 3]
-            out[..., 4] = gs * gt * jet[..., 4]
-            out[..., 5] = jet[..., 5]
-        else:
-            out[..., 1] = gt * jet[..., 2]
-            out[..., 2] = gs * jet[..., 1]
-            out[..., 3] = jet[..., 5]
-            out[..., 4] = gs * gt * jet[..., 4]
-            out[..., 5] = jet[..., 3]
+        out = []
+        for a, b in JET_ORDERS:  # a derivatives across the side, b along it
+            uv = (a, b) if self.trans_axis == 0 else (b, a)
+            out.append((JET_ORDERS.index(uv), gs ** a * gt ** b))
         return out
 
 
@@ -238,6 +229,35 @@ class Topology:
 
     def is_boundary_edge(self, patch, side):
         return (patch, side) in self._boundary_set
+
+    def interface_pair(self, iface_index):
+        """The two patches of one interface as a topology of their own.
+
+        Patch k of the interface becomes patch 0 and patch l becomes 1;
+        the interface record, boundary sides and vertices are carried over
+        from this topology, without detecting them again.  Raises
+        :class:`ParameterError` when the two patches share more than this
+        one interface.
+        """
+        itf = self.interfaces[iface_index]
+        renumber = {itf.k: 0, itf.l: 1}
+        if sum(1 for o in self.interfaces if {o.k, o.l} == {itf.k, itf.l}) != 1:
+            raise ParameterError("interface patch pair does not reduce to a single interface")
+        sides = [(k, s) for k in (0, 1) for s in (1, 2, 3, 4)]
+        shared = {(0, itf.side_k), (1, itf.side_l)}
+        vertices = []
+        for vertex in self.vertices:
+            members = [(renumber[k], c) for k, c in vertex.incident if k in renumber]
+            if members:  # two patches leave every vertex on the boundary
+                kind = "corner" if len(members) == 1 else "boundary"
+                vertices.append(VertexRecord(kind, sorted(members), vertex.position))
+        return Topology(
+            [self.patches[itf.k], self.patches[itf.l]],
+            [InterfaceRecord(0, itf.side_k, 1, itf.side_l, itf.reverse)],
+            [ks for ks in sides if ks not in shared],
+            vertices,
+            self.tol,
+        )
 
     def conformity_gap(self, samples=200):
         """Largest pointwise geometry mismatch across all interfaces."""

@@ -1,3 +1,17 @@
+import os
+
+# One BLAS/OpenMP thread, as in the benchmark: golden files and round-off
+# margins depend on summation order.  The pools read these when numpy
+# loads, so they are set before any import that loads it.
+for _var in (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+):
+    os.environ.setdefault(_var, "1")
+
 import sys
 from pathlib import Path
 

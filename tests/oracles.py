@@ -9,7 +9,10 @@ and the per-element and per-span loops at the end are the straightforward
 forms of the library's batched kernels: one point pair, one element or
 edge span and one tensor jet slot at a time.  Approx-C1 dofs are
 evaluated from their ``supports``, piece by piece through nested
-combinations, never through the library's extraction.
+combinations, never through the library's extraction.  Edge functions
+are written out one at a time from their basis functions and gluing
+data, and rows of weights over a patch's primitives are summed column
+by column, never through the library's separable evaluator.
 """
 
 import numpy as np
@@ -210,6 +213,96 @@ def per_point_jet_grid(patch, us, vs):
     return point, jac, hess
 
 
+def edge_jet_to_patch(side_map, jet):
+    """Reorder and sign (..., 6) jets from (sigma, t) to (u, v) derivatives."""
+    gs = -1.0 if side_map.trans_flip else 1.0
+    gt = -1.0 if side_map.t_flip else 1.0
+    out = np.empty_like(jet)
+    out[..., 0] = jet[..., 0]
+    out[..., 4] = gs * gt * jet[..., 4]
+    if side_map.trans_axis == 0:
+        out[..., 1], out[..., 2] = gs * jet[..., 1], gt * jet[..., 2]
+        out[..., 3], out[..., 5] = jet[..., 3], jet[..., 5]
+    else:
+        out[..., 1], out[..., 2] = gt * jet[..., 2], gs * jet[..., 1]
+        out[..., 3], out[..., 5] = jet[..., 5], jet[..., 3]
+    return out
+
+
+def edge_function_jets(shape, kind, j, u_pts, v_pts):
+    """Parametric jets (nu, nv, 6) of the single edge function ``j`` of one
+    kind of an edge shape, written out from its basis functions and gluing
+    data: T_j (b1 + b2) + beta T_j' (h/p) b2 for a trace function and
+    alpha W_j (h/p) b2 for a transversal one."""
+    u_pts = np.asarray(u_pts, dtype=float)
+    v_pts = np.asarray(v_pts, dtype=float)
+    smap = shape.map
+    sig, ts = (u_pts, v_pts) if smap.trans_axis == 0 else (v_pts, u_pts)
+    sig = 1.0 - sig if smap.trans_flip else sig
+    ts = 1.0 - ts if smap.t_flip else ts
+    b1, b2 = shape.sol.eval_columns([0, 1], sig, 2)
+    nt = len(ts)
+    if kind == "trace":
+        A = shape.splus.eval_columns([j], ts, 3)[0]  # (nt, 4)
+        g = shape.gluing.eval_beta(ts, 2)
+        C = np.stack(
+            [
+                g[:, 0] * A[:, 1],
+                g[:, 1] * A[:, 1] + g[:, 0] * A[:, 2],
+                g[:, 2] * A[:, 1] + 2.0 * g[:, 1] * A[:, 2] + g[:, 0] * A[:, 3],
+            ],
+            axis=1,
+        )
+        Arow = A[:, :3]
+    else:
+        Wj = shape.sminus.eval_columns([j], ts, 2)[0]  # (nt, 3)
+        g = shape.gluing.eval_alpha(ts, 2)
+        C = np.stack(
+            [
+                g[:, 0] * Wj[:, 0],
+                g[:, 1] * Wj[:, 0] + g[:, 0] * Wj[:, 1],
+                g[:, 2] * Wj[:, 0] + 2.0 * g[:, 1] * Wj[:, 1] + g[:, 0] * Wj[:, 2],
+            ],
+            axis=1,
+        )
+        Arow = np.zeros((nt, 3))
+    C = C * shape.scale
+    st = np.empty((len(sig), nt, 6))
+    for slot, a, b in ((0, 0, 0), (1, 1, 0), (2, 0, 1), (3, 2, 0), (4, 1, 1), (5, 0, 2)):
+        st[:, :, slot] = np.outer(b1[:, a] + b2[:, a], Arow[:, b]) + np.outer(b2[:, a], C[:, b])
+    uv = edge_jet_to_patch(smap, st)
+    return uv if smap.trans_axis == 0 else uv.transpose(1, 0, 2)
+
+
+def primitive_jets(prims, cols, u_pts, v_pts):
+    """Parametric jets (len(cols), nu, nv, 6) of patch primitive columns,
+    one column at a time."""
+    u_pts = np.atleast_1d(np.asarray(u_pts, dtype=float))
+    v_pts = np.atleast_1d(np.asarray(v_pts, dtype=float))
+    out = np.empty((len(cols), len(u_pts), len(v_pts), 6))
+    starts = [first for _, first in prims.shapes] + [prims.n_cols]
+    for i, col in enumerate(cols):
+        if col < prims.N * prims.N:
+            iu, iv = divmod(int(col), prims.N)
+            out[i] = piece_jets(TensorEval(prims.sol, iu, iv), u_pts, v_pts)
+            continue
+        s = np.searchsorted(starts, col, side="right") - 1
+        shape, first = prims.shapes[s]
+        j = col - first
+        kind = "trace" if j < shape.splus.dim else "transversal"
+        if kind == "transversal":
+            j -= shape.splus.dim
+        out[i] = edge_function_jets(shape, kind, j, u_pts, v_pts)
+    return out
+
+
+def expand_reference(prims, W, u_pts, v_pts):
+    """Jets (m, nu, nv, 6) of the combinations in the rows of a dense
+    (m, n_cols) weight array: the weighted sum of every column's jets."""
+    cols = np.flatnonzero(np.any(W != 0.0, axis=0))
+    return np.tensordot(W[:, cols], primitive_jets(prims, cols, u_pts, v_pts), axes=1)
+
+
 def piece_jets(ev, u_pts, v_pts, memo=None):
     """Parametric jets (nu, nv, 6) of one support piece of a dof on a tensor
     grid, summed piece by piece through nested combinations down to single
@@ -223,7 +316,7 @@ def piece_jets(ev, u_pts, v_pts, memo=None):
     if memo is not None and id(ev) in memo:
         return memo[id(ev)]
     if isinstance(ev, EdgeEval):
-        jets = ev.shape.jet_grid(ev.kind, ev.j, u_pts, v_pts)
+        jets = edge_function_jets(ev.shape, ev.kind, ev.j, u_pts, v_pts)
     else:
         U = ev.sol.eval_columns([ev.iu], u_pts, 2)[0]
         V = ev.sol.eval_columns([ev.iv], v_pts, 2)[0]

@@ -376,6 +376,20 @@ def test_stability_constant_matches_dense_pencil(fixture, n, rtol):
     assert abs(c - lam) <= rtol * lam
 
 
+def test_stability_constant_rejects_pair_with_two_interfaces():
+    topo = scaled_squares()
+    itf = topo.interfaces[0]
+    twice = Topology(
+        topo.patches,
+        [itf, InterfaceRecord(itf.k, 1, itf.l, 1, False)],
+        [],
+        [],
+        topo.tol,
+    )
+    with pytest.raises(ParameterError):
+        estimate_stability_constant(twice, 0, 3, 2, 4)
+
+
 def test_stability_constant_scaling():
     c1 = estimate_stability_constant(scaled_squares(1.0), 0, 3, 2, 4)
     c2 = estimate_stability_constant(scaled_squares(2.0), 0, 3, 2, 4)
@@ -451,8 +465,8 @@ def test_stacked_error_norms_match_single_calls(topo6, kind):
             got = [rep.l2, rep.h1, rep.h2] + rep.jumps
             want = [ref.l2, ref.h1, ref.h2] + ref.jumps
             assert len(got) == len(want) == 3 + len(topo6.interfaces)
-            for a, b in zip(got, want):
-                assert abs(a - b) <= 1e-14 * abs(b)
+            # a function's norms do not depend on the stack it is in
+            assert got == want
     with pytest.raises(ParameterError):
         error_norms(view, stack[0, :-1])
     with pytest.raises(ParameterError):

@@ -1,6 +1,7 @@
-"""Batched geometry jets, element-row volume kernels and whole-line edge
-rows against the per-point, per-element and per-span reference loops in
-``oracles``, which evaluate approx-C1 dofs piece by piece."""
+"""Batched geometry jets, element-row volume kernels, whole-line edge rows
+and the separable evaluator of patch combinations against the per-point,
+per-element, per-span and per-column reference loops in ``oracles``,
+which evaluate approx-C1 dofs piece by piece."""
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from mpiga.assembly import (
     manufactured_laplacian,
     manufactured_rhs,
 )
+from mpiga.bspline import gauss_legendre
 from mpiga.c1space import build_c1_space, homogeneous_subspace
 from mpiga.fixtures import BUILTIN_NAMES, builtin_geometry
 from mpiga.geometry import Patch, SideMap
@@ -21,9 +23,11 @@ from mpiga.geometry import Patch, SideMap
 from oracles import (
     _Reference,
     boundary_load_reference,
+    expand_reference,
     interface_rows_reference,
     per_element_reference,
     per_point_jet_grid,
+    primitive_jets,
 )
 
 RTOL = 1e-12
@@ -158,3 +162,44 @@ def test_jet_grid_unsorted_repeated_points_multi_element():
     for got, ref in zip(patch.jet_grid(us, vs), per_point_jet_grid(patch, us, vs)):
         assert got.shape == ref.shape
         assert rel_gap(got, ref) <= RTOL
+
+
+def evaluation_grids(n, p=P):
+    """An element-row grid, an edge line across each parameter direction
+    and a single corner point, as (u points, v points)."""
+    nodes, _ = gauss_legendre(p + 2)
+    line = ((np.arange(n)[:, None] + nodes) / n).ravel()
+    return [
+        ((1 + nodes) / n, line),
+        (np.array([0.0]), line[::-1].copy()),
+        (line, np.array([1.0])),
+        (np.array([1.0]), np.array([0.0])),
+    ]
+
+
+EVAL_CASES = [
+    (name, kind, n)
+    for name in ("square-6-bilinear", "square-2-bicubic")
+    for kind in ("c1-gn", "c1-gl", "c0")
+    for n in (4, 8)
+]
+
+
+@pytest.mark.parametrize("name,kind,n", EVAL_CASES, ids=[f"{a}-{b}-n{c}" for a, b, c in EVAL_CASES])
+def test_grid_jets_match_per_column_expand(name, kind, n):
+    """Random dense weight rows on every patch, against the sum of every
+    column's jets; unit rows reproduce the columns' jets bit for bit."""
+    view = make_view(name, kind, n)
+    rng = np.random.default_rng(11)
+    for prims in [view.primitives] if kind == "c0" else view.space.primitives:
+        W = rng.standard_normal((3, prims.n_cols))
+        for u, v in evaluation_grids(n):
+            want = expand_reference(prims, W, u, v)
+            grid = prims.grid(W, u, v)
+            assert rel_gap(grid.jets(), want) <= RTOL
+            band = slice(len(u) // 3, len(u) // 3 + 5)
+            assert rel_gap(grid.jets(band), want[:, band]) <= RTOL
+        cols = np.sort(rng.choice(prims.n_cols, size=min(40, prims.n_cols), replace=False))
+        u, v = evaluation_grids(n)[0]
+        unit = prims.expand(prims.selection(cols), u, v)
+        assert np.array_equal(unit, primitive_jets(prims, cols, u, v))

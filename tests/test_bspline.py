@@ -145,6 +145,14 @@ def test_l2_project_reproduces_member():
     assert np.abs(vals - ref).max() <= 1e-12
 
 
+def test_l2_project_columns_match_single_projections():
+    sp = SplineSpace(3, 2, 5)
+    both = l2_project(sp, lambda x: np.column_stack([np.sin(3 * x), np.exp(x)]))
+    assert both.shape == (sp.dim, 2)
+    assert np.array_equal(both[:, 0], l2_project(sp, lambda x: np.sin(3 * x)))
+    assert np.array_equal(both[:, 1], l2_project(sp, np.exp))
+
+
 def test_l2_project_constant():
     sp = SplineSpace(4, 3, 6)
     proj = l2_project(sp, lambda x: np.ones_like(x))
