@@ -517,10 +517,11 @@ def assemble_approx_c1(view, f, g2=None, bc_tags=None, g0=None, g1=None, quad_sc
 class NitscheForm:
     """The eta-independent part of the symmetric interior penalty form.
 
-    Assembles, over the C0 space view, the volume stiffness and load with
-    the boundary moment term, and per interface the dof ids, the symmetric
-    consistency block ({Lap u}, [dn v]) + ({Lap v}, [dn u]) and the penalty
-    block ([dn u], [dn v]) of every edge span, with the jump orientation of
+    Assembles, over the C0 space view, the volume stiffness plus the
+    symmetric consistency blocks ({Lap u}, [dn v]) + ({Lap v}, [dn u]) of
+    every interface edge span into one matrix, compacted once, and the load
+    with the boundary moment term.  Per interface it keeps the dof ids and
+    the penalty blocks ([dn u], [dn v]), with the jump orientation of
     :meth:`_Assembler.interface_edge_rows`.  :meth:`system` adds the
     weighted penalty for one choice of the stability weights.
     """
@@ -528,39 +529,39 @@ class NitscheForm:
     def __init__(self, view, f, g2=None, bc_tags=None, quad_scale=1):
         asm = _Assembler(view, quad_scale)
         self.view = view
-        self.volume, self.load = asm.volume_system(f)
+        self.base, self.load = asm.volume_system(f)
         if bc_tags:
             asm.boundary_moment_load(self.load, g2, bc_tags)
-        self.interfaces = []  # (ids, consistency + its transpose, penalty) per interface
+        self.penalties = []  # (ids, penalty blocks) per interface
         for idx in range(len(view.topology.interfaces)):
             ids, jump, avg, w = asm.interface_edge_rows(idx)
             jw = jump * w[:, None, :]
             consistency = jw @ avg.swapaxes(1, 2)
             # integrating Lap^2 u * v by parts patch-wise leaves
             # +{Lap u}[dn v] with this jump orientation
-            self.interfaces.append(
-                (ids, consistency + consistency.swapaxes(1, 2), jw @ jump.swapaxes(1, 2))
-            )
+            self.base.add_blocks(ids, consistency + consistency.swapaxes(1, 2))
+            self.penalties.append((ids, jw @ jump.swapaxes(1, 2)))
+        self.base.tocsr()
 
     def system(self, eta):
         """The assembled system for the stability weights ``eta``.
 
         ``eta`` is a positive scalar applied to every interface or a
         mapping from interface index to the per-interface weight; the
-        penalty term scales it by 1/h of the current mesh.  The interface
-        blocks follow the volume triplets, so equal weights give a
-        bit-identical matrix.
+        penalty term scales it by 1/h of the current mesh.  Only the
+        weighted penalty blocks are merged into the compacted base, so
+        equal weights give a bit-identical matrix.
         """
         if eta is None:
             raise ParameterError("Nitsche assembly requires a stability parameter eta")
         if np.isscalar(eta):
-            eta = {i: float(eta) for i in range(len(self.interfaces))}
+            eta = {i: float(eta) for i in range(len(self.penalties))}
         if any(val <= 0.0 for val in eta.values()):
             raise ParameterError("stability parameters must be positive")
         h = self.view.sol.h
-        K = self.volume.copy()
-        for idx, (ids, sym, penalty) in enumerate(self.interfaces):
-            K.add_blocks(ids, sym + eta[idx] / h * penalty)
+        K = self.base.copy()
+        for idx, (ids, penalty) in enumerate(self.penalties):
+            K.add_blocks(ids, eta[idx] / h * penalty)
         return AssembledSystem(self.view, K, self.load, "nitsche", eta=eta)
 
 

@@ -12,10 +12,14 @@ from .errors import IndefiniteSystemError, NumericalError, ParameterError
 
 
 class SparseSymMatrix:
-    """Triplet-accumulated symmetric sparse matrix, compacted to CSR on demand.
+    """Symmetric sparse matrix accumulated from stacks of dense element blocks.
 
-    Assembly routines add full symmetric element blocks, so both triangles
-    receive bit-identical contributions.
+    Each :meth:`add_blocks` call sums its stack's duplicates at once and
+    keeps one triplet per distinct coupled (row, col) pair; :meth:`tocsr`
+    merges those triplets into a compacted CSR base and frees them, and
+    later blocks accumulate on top of that base.  Assembly routines add
+    full symmetric element blocks, so both triangles receive bit-identical
+    contributions.
     """
 
     def __init__(self, dim):
@@ -23,51 +27,76 @@ class SparseSymMatrix:
         self._rows = []
         self._cols = []
         self._vals = []
-        self._csr = None
+        self._csr = None  # compacted base; never modified in place
+        # triplet ids in scipy's index type for this size, so compaction converts none
+        self._index = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
 
     def add_blocks(self, ids, blocks):
         """Accumulate a stack of dense square blocks (nb, nd, nd) at the ids
-        (nb, nd); entries whose row or column id is -1 are dropped."""
-        rows = np.broadcast_to(ids[:, :, None], blocks.shape)
-        cols = np.broadcast_to(ids[:, None, :], blocks.shape)
-        keep = (rows >= 0) & (cols >= 0)
-        self._rows.append(rows[keep])
-        self._cols.append(cols[keep])
-        self._vals.append(blocks[keep])
-        self._csr = None
+        (nb, nd); entries whose row or column id is -1 are dropped.
+
+        The stack is summed in stack order into one triplet per pair of
+        ids that some block couples, kept even where the sum is 0.0, so
+        the sparsity pattern is that of the blocks.
+        """
+        uniq, local = np.unique(ids, return_inverse=True)
+        uniq, local = uniq.astype(self._index), local.reshape(ids.shape)
+        m = len(uniq)
+        keys = (local[:, :, None] * m + local[:, None, :]).ravel()  # local (row, col) pairs
+        sums = np.bincount(keys, weights=blocks.ravel(), minlength=m * m)
+        coupled = np.zeros((m, m), dtype=bool)
+        coupled.ravel()[keys] = True
+        if m and uniq[0] < 0:  # the padding id sorts first
+            coupled[0] = coupled[:, 0] = False
+        pairs = np.flatnonzero(coupled)
+        rows, cols = np.divmod(pairs, m)
+        self._rows.append(uniq[rows])
+        self._cols.append(uniq[cols])
+        self._vals.append(sums[pairs])
+
+    @property
+    def pending(self):
+        """Number of triplets not yet merged into the compacted base."""
+        return sum(len(v) for v in self._vals)
 
     def copy(self):
-        """A matrix holding the same triplets, open to further blocks.
+        """A matrix with the same entries, open to further blocks.
 
-        Triplet arrays are never modified in place, so the copy shares them.
+        The compacted base and the triplet arrays are never modified in
+        place, so the copy shares them.
         """
         out = SparseSymMatrix(self.dim)
         out._rows, out._cols, out._vals = list(self._rows), list(self._cols), list(self._vals)
+        out._csr = self._csr
         return out
 
     @classmethod
     def from_sparse(cls, A):
-        """Wrap an existing scipy sparse matrix (kept as triplets)."""
-        coo = scipy.sparse.coo_matrix(A)
-        out = cls(coo.shape[0])
-        out._rows.append(coo.row)
-        out._cols.append(coo.col)
-        out._vals.append(coo.data)
+        """Wrap an existing scipy sparse matrix as the compacted base."""
+        out = cls(A.shape[0])
+        out._csr = scipy.sparse.csr_matrix(A)
         return out
 
     def tocsr(self):
-        if self._csr is None:
-            if self._rows:
-                rows = np.concatenate([np.atleast_1d(x) for x in self._rows])
-                cols = np.concatenate([np.atleast_1d(x) for x in self._cols])
-                vals = np.concatenate([np.atleast_1d(x) for x in self._vals])
-            else:
-                rows = cols = vals = np.zeros(0)
-            self._csr = scipy.sparse.csr_matrix(
-                (vals, (rows, cols)), shape=(self.dim, self.dim)
+        """The compacted CSR matrix; pending triplets are merged into it and freed."""
+        if self._vals or self._csr is None:
+            parts = self._rows, self._cols, self._vals
+            if self._csr is not None:  # the base joins the merge as triplets
+                base, self._csr = self._csr, None
+                rows = np.repeat(np.arange(self.dim, dtype=self._index), np.diff(base.indptr))
+                for part, head in zip(parts, (rows, base.indices, base.data)):
+                    part.insert(0, head)
+            for part, dtype in zip(parts, (self._index, self._index, float)):
+                # merged one list at a time, so at most one array is held twice
+                part[:] = [np.concatenate(part or [np.zeros(0, dtype)])]
+            csr = scipy.sparse.csr_matrix(
+                (self._vals[0], (self._rows[0], self._cols[0])), shape=(self.dim, self.dim)
             )
-            if not np.all(np.isfinite(self._csr.data)):
+            if not np.all(np.isfinite(csr.data)):
                 raise ParameterError("non-finite entries in assembled matrix")
+            self._csr = csr
+            for part in parts:
+                part.clear()
         return self._csr
 
     def todense(self):

@@ -4,6 +4,7 @@ import scipy.linalg
 
 from mpiga.assembly import (
     C0Space,
+    NitscheForm,
     _Assembler,
     assemble_approx_c1,
     assemble_nitsche,
@@ -21,6 +22,7 @@ from mpiga.c1space import build_c1_space, homogeneous_subspace
 from mpiga.errors import GeometryError, IndefiniteSystemError, ParameterError
 from mpiga.fixtures import builtin_geometry
 from mpiga.geometry import InterfaceRecord, Patch, Topology, detect_topology, pullback
+from mpiga.linalg import SparseSymMatrix
 
 from oracles import closed_form_physical_jet, fd_bilaplacian
 
@@ -297,6 +299,84 @@ def test_nitsche_indefinite_at_tiny_eta():
                               eta=1e-3 * 0.25 * c)
     w = np.linalg.eigvalsh(system.matrix.todense())
     assert w[0] < 0.0
+
+
+def _volume_stacks(asm):
+    """The (ids, Laplacian Gram blocks) stacks of the volume stiffness, row by row."""
+    for k in range(len(asm.topology.patches)):
+        for ids, jets, pull, w, _point in asm.element_rows(k):
+            lap = np.einsum("eaqs,eqs->eaq", jets, pull[..., 3, :] + pull[..., 5, :])
+            lap = lap * np.sqrt(w)[:, None, :]
+            yield ids, lap @ lap.swapaxes(1, 2)
+
+
+def _interface_stacks(asm):
+    """Per interface, the ids and the consistency and penalty blocks of its spans."""
+    for idx in range(len(asm.topology.interfaces)):
+        ids, jump, avg, w = asm.interface_edge_rows(idx)
+        jw = jump * w[:, None, :]
+        consistency = jw @ avg.swapaxes(1, 2)
+        yield ids, consistency + consistency.swapaxes(1, 2), jw @ jump.swapaxes(1, 2)
+
+
+def _dense_add(K, ids, blocks):
+    for row, block in zip(ids, blocks):
+        keep = row >= 0
+        np.add.at(K, np.ix_(row[keep], row[keep]), block[np.ix_(keep, keep)])
+
+
+def test_nitsche_system_shares_pattern_across_eta(topo2c):
+    view = C0Space(topo2c, 3, 2, 4, gl_tags(topo2c))
+    form = NitscheForm(view, manufactured_rhs, g2=manufactured_laplacian, bc_tags=gl_tags(topo2c))
+    asm = _Assembler(view)
+    V = np.zeros((view.n_total, view.n_total))
+    S, P = np.zeros_like(V), np.zeros_like(V)
+    for ids, blocks in _volume_stacks(asm):
+        _dense_add(V, ids, blocks)
+    for ids, sym, penalty in _interface_stacks(asm):
+        _dense_add(S, ids, sym)
+        _dense_add(P, ids, penalty)
+    h = view.sol.h
+    matrices = []
+    for eta in (3.0, 250.0):
+        K = form.system(eta).matrix.tocsr()
+        ref = V + S + eta / h * P
+        assert np.abs(K.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
+        matrices.append(K)
+    assert np.array_equal(matrices[0].indices, matrices[1].indices)
+    assert np.array_equal(matrices[0].indptr, matrices[1].indptr)
+
+
+def _coupled_pairs(ids):
+    keys = [np.add.outer(row[row >= 0] * (ids.max() + 1), row[row >= 0]).ravel() for row in ids]
+    return len(np.unique(np.concatenate(keys)))
+
+
+def test_assembly_stores_one_triplet_per_coupled_pair(topo6):
+    # the memory of an assembled matrix before compaction is one triplet
+    # per distinct coupled pair of each block stack, and none after it
+    views = [
+        C0Space(topo6, 3, 2, 4, gn_tags(topo6)),
+        homogeneous_subspace(build_c1_space(topo6, 3, 2, 4), gn_tags(topo6)),
+    ]
+    for view in views:
+        asm = _Assembler(view)
+        stacks = list(_volume_stacks(asm))
+        if isinstance(view, C0Space):
+            stacks += [(ids, sym) for ids, sym, _ in _interface_stacks(asm)]
+        for ids, blocks in stacks:
+            M = SparseSymMatrix(view.n_total)
+            M.add_blocks(ids, blocks)
+            assert M.pending == _coupled_pairs(ids)
+            M.tocsr()
+            assert M.pending == 0
+    form = NitscheForm(views[0], manufactured_rhs, bc_tags=gn_tags(topo6))
+    assert form.base.pending == 0
+    system = form.system(10.0)
+    assert system.matrix.pending == sum(_coupled_pairs(ids) for ids, _ in form.penalties)
+    system.matrix.tocsr()
+    assert system.matrix.pending == 0 and form.base.pending == 0
+    assert assemble_approx_c1(views[1], manufactured_rhs).matrix.pending == 0
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])

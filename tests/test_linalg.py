@@ -77,6 +77,65 @@ def test_sparse_sym_matrix_blocks():
     assert M.symmetry_gap() == 0.0
 
 
+def _dense_reference(dim, stacks):
+    """Dense sum of block stacks by np.add.at, and the pattern of coupled pairs."""
+    ref = np.zeros((dim, dim))
+    pattern = np.zeros((dim, dim), dtype=bool)
+    for ids, blocks in stacks:
+        for row, block in zip(ids, blocks):
+            keep = row >= 0
+            at = np.ix_(row[keep], row[keep])
+            np.add.at(ref, at, block[np.ix_(keep, keep)])
+            pattern[at] = True
+    return ref, pattern
+
+
+def _random_stack(rng, dim, nb, nd):
+    ids = rng.integers(-1, dim, size=(nb, nd))  # repeats within and across blocks, -1 padding
+    blocks = rng.standard_normal((nb, nd, nd))
+    return ids, blocks + blocks.swapaxes(1, 2)
+
+
+def _assert_matches(M, stacks):
+    ref, pattern = _dense_reference(M.dim, stacks)
+    K = M.tocsr()
+    assert M.pending == 0
+    got = np.zeros_like(pattern)
+    got[np.repeat(np.arange(M.dim), np.diff(K.indptr)), K.indices] = True
+    assert np.array_equal(got, pattern) and K.nnz == np.count_nonzero(pattern)
+    assert np.abs(K.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_sparse_sym_matrix_matches_dense_reference():
+    rng = np.random.default_rng(7)
+    dim = 12
+    # the pair (10, 11) and both diagonal entries are coupled but sum to exactly 0.0
+    cancel = np.array([[10, 11], [11, 10], [-1, 10]]), np.array(
+        [[[0.0, 1.5], [1.5, 0.0]], [[0.0, -1.5], [-1.5, 0.0]], [[4.0, 2.0], [2.0, 0.0]]]
+    )
+    padding = np.full((2, 2), -1), np.ones((2, 2, 2))
+    stacks = [_random_stack(rng, 10, 6, 4), cancel, padding, _random_stack(rng, 10, 3, 5)]
+    M = SparseSymMatrix(dim)
+    for ids, blocks in stacks:
+        M.add_blocks(ids, blocks)
+    # one pending triplet per distinct coupled pair of each stack
+    assert M.pending == sum(np.count_nonzero(_dense_reference(dim, [s])[1]) for s in stacks)
+    _assert_matches(M, stacks)
+    assert M.tocsr()[10, 11] == 0.0 and M.tocsr()[11, 11] == 0.0
+
+    # blocks added after compaction accumulate on the compacted base, and a
+    # copy taken then keeps its entries while the original grows
+    frozen = M.copy()
+    before = M.todense()
+    more = _random_stack(rng, dim, 4, 3)
+    M.add_blocks(*more)
+    _assert_matches(M, stacks + [more])
+    assert np.array_equal(frozen.todense(), before)
+    other = _random_stack(rng, dim, 2, 6)
+    frozen.add_blocks(*other)
+    _assert_matches(frozen, stacks + [other])
+
+
 def test_gram_pencil_max_diagonal():
     R = np.diag([np.sqrt(2.0), np.sqrt(8.0)])
     B = scipy.sparse.diags([1.0, 2.0]).tocsr()
