@@ -21,7 +21,7 @@ from .bspline import _SLOT_U, _SLOT_V, gauss_legendre
 from .c1space import ConstrainedC1Space, PatchPrimitives
 from .errors import ParameterError
 from .geometry import EdgeFrame, SideMap, interface_frames, physical_jet, pullback
-from .linalg import SparseSymMatrix, gram_pencil_max, solve_spd
+from .linalg import SparseSymMatrix, gram_pencil_max, solve_spd, sum_blocks
 
 __all__ = [
     "AssembledSystem",
@@ -95,24 +95,6 @@ def _at_points(fn, point):
 # C0 multi-patch space for the Nitsche discretization
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        while p != self.parent[p]:
-            self.parent[p] = self.parent[self.parent[p]]
-            p = self.parent[p]
-        self.parent[x] = p
-        return p
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 class C0Space:
     """C0-coupled multi-patch tensor spline space with optional boundary conditions.
 
@@ -130,42 +112,42 @@ class C0Space:
         self.sol = SplineSpace(p, r, n)
         N = self.sol.dim
 
-        def side_line(side, layer):
-            """Tensor indices of the coefficient line at depth ``layer`` from a side."""
-            lines = SideMap(side).elements_to_patch(layer, np.arange(N), N)
-            return list(zip(*(a.tolist() for a in np.broadcast_arrays(*lines))))
+        # (patch, i, j) coefficients as flat indices k N^2 + i N + j
+        index = np.arange(len(topology.patches) * N * N).reshape(-1, N, N)
 
-        uf = _UnionFind()
+        def side_line(k, side, layer):
+            """Flat indices of the coefficient line at depth ``layer`` from a side."""
+            return index[k][SideMap(side).elements_to_patch(layer, np.arange(N), N)]
+
+        # interface coefficients identified pairwise; each class is named by
+        # its smallest index, which is also where it first appears
+        ends = [[np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]]
         for itf in topology.interfaces:
-            line_k = side_line(itf.side_k, 0)
-            line_l = side_line(itf.side_l, 0)
-            if itf.reverse:
-                line_l = line_l[::-1]
-            for a, b in zip(line_k, line_l):
-                uf.union((itf.k,) + a, (itf.l,) + b)
+            line_l = side_line(itf.l, itf.side_l, 0)
+            ends[0].append(side_line(itf.k, itf.side_k, 0))
+            ends[1].append(line_l[::-1] if itf.reverse else line_l)
+        a, b = map(np.concatenate, ends)
+        # smallest-label propagation: every label stays a member of its
+        # class and only decreases, so the fixed point is the class minimum
+        root = index.ravel()
+        while True:
+            low = root.copy()
+            np.minimum.at(low, a, root[b])
+            np.minimum.at(low, b, root[a])
+            low = low[low]
+            if np.array_equal(low, root):
+                break
+            root = low
 
-        eliminated = set()
+        eliminated = np.zeros(index.size, dtype=bool)
         if bc_tags is not None:
             for (k, side), tag in bc_tags.items():
-                layers = (0, 1) if tag == "gn" else (0,)
-                for layer in layers:
-                    for ij in side_line(side, layer):
-                        eliminated.add(uf.find((k,) + ij))
-
-        ids = {}
-        self.patch_fids = []
-        for k in range(len(topology.patches)):
-            grid = -np.ones((N, N), dtype=int)
-            for i in range(N):
-                for j in range(N):
-                    root = uf.find((k, i, j))
-                    if root in eliminated:
-                        continue
-                    if root not in ids:
-                        ids[root] = len(ids)
-                    grid[i, j] = ids[root]
-            self.patch_fids.append(grid)
-        self.n_free = len(ids)
+                for layer in (0, 1) if tag == "gn" else (0,):
+                    eliminated[root[side_line(k, side, layer)]] = True
+        kept = (root == index.ravel()) & ~eliminated  # class representatives, in order
+        ids = np.where(eliminated[root], -1, (np.cumsum(kept) - 1)[root])
+        self.patch_fids = list(ids.reshape(index.shape))
+        self.n_free = int(kept.sum())
         self.n_total = self.n_free
         self.primitives = PatchPrimitives(self.sol)
 
@@ -197,72 +179,95 @@ class _Assembler:
         self.edge_nq = quad_scale * (2 * p + 1)
         self.enodes, self.eweights = gauss_legendre(self.edge_nq)
 
-    def cells(self, patch_index, eu, ev, u, v):
-        """Dof ids and parametric jets on some cells of one patch.
+    def cells(self, patch_index, eu, ev, u, v, op):
+        """Dof ids and operator values on some cells of one patch.
 
         Cell c is the element (eu[c], ev[c]) with a tensor grid of points
         inside it.  ``u`` and ``v`` are the grid's points and their
         :meth:`~mpiga.bspline.SplineSpace.eval_many` tables (two
-        derivatives) along each axis: one axis has points (nc, m) and
-        tables (nc, m, 3, p+1) per cell, the other (m,) and (m, 3, p+1)
-        shared by every cell.  Returns dof ids (nc, nd) padded with -1
-        and jets (nc, nd, mu * mv, 6), points u-major: the (p+1)^2 tensor
-        window (u-major) first, then the extracted dofs of the extraction
-        rows the cells fall in.  Jets of padded ids are meaningless.
+        derivatives) along each axis: one axis has points (nc, mq) and
+        tables (nc, mq, 3, p+1) per cell, the other (mq,) and (mq, 3, p+1)
+        shared by every cell.  ``op`` (nc, Q, m, 6) holds, at each of the
+        Q = mu * mv points (u-major), m rows that act on a parametric
+        2-jet (value, du, dv, duu, duv, dvv), for example rows of the
+        :func:`~mpiga.geometry.pullback` map times a weight.  Returns dof
+        ids (nc, nd) padded with -1 and values (nc, nd, m, Q), every row
+        applied to every dof's jet: the (p+1)^2 tensor window (u-major)
+        first, then the extracted dofs of the extraction rows the cells
+        fall in.  Values of padded ids are meaningless.
+
+        No dof jet is formed: the rows are multiplied into the per-cell
+        axis table first, and the shared axis table contracts the jet
+        slots in one matrix product per shared point.  Extracted dofs
+        apply the rows to their primitives' jets before the extraction
+        blocks combine them.
         """
         nc, p1, step = len(eu), self.sol.p + 1, self.sol.p - self.sol.r
         (u_pts, u_tab), (v_pts, v_tab) = u, v
         tensor_fids, ext = self.view.element_table(patch_index)
         wu, wv = ((e * step)[:, None] + np.arange(p1) for e in (eu, ev))
         ids = tensor_fids[wu[:, :, None], wv[:, None, :]].reshape(nc, p1 * p1)
-        jets = np.einsum("...qsi,...rsj->...ijqrs", u_tab[..., _SLOT_U, :], v_tab[..., _SLOT_V, :])
-        jets = jets.reshape(nc, p1 * p1, -1, 6)
+        mu, mv, m = u_tab.shape[-3], v_tab.shape[-3], op.shape[2]
+        grid_op = op.reshape(nc, mu, mv, m, 6)
+        if u_tab.ndim == 3:  # u shared: (qu, slot, cell, qv, row, iv) -> (cell, iu, iv, row, qu, qv)
+            shared, per_cell = u_tab[:, _SLOT_U], v_tab[:, :, _SLOT_V]
+            grid_op, order = grid_op.transpose(1, 4, 0, 2, 3), (2, 1, 5, 4, 0, 3)
+        else:  # v shared: (qv, slot, cell, qu, row, iu) -> (cell, iu, iv, row, qu, qv)
+            shared, per_cell = v_tab[:, _SLOT_V], u_tab[:, :, _SLOT_U]
+            grid_op, order = grid_op.transpose(2, 4, 0, 1, 3), (2, 5, 1, 4, 3, 0)
+        factor = grid_op[..., None] * per_cell.transpose(2, 0, 1, 3)[:, :, :, None, :]
+        vals = shared.swapaxes(1, 2) @ factor.reshape(factor.shape[:2] + (-1,))
+        vals = vals.reshape(factor.shape[:1] + (p1,) + factor.shape[2:]).transpose(order)
+        vals = vals.reshape(nc, p1 * p1, m, mu * mv)
         if ext is None:
-            return ids, jets
+            return ids, vals
         slot = ext.cells[eu, ev]
         hit = np.flatnonzero(slot >= 0)
         if not len(hit):
-            return ids, jets
+            return ids, vals
         rows = np.unique(eu[hit])
         # every edge primitive of these rows, once on the points of the hit
-        # cells: (columns and a zero column for padding, hit cell, mu, mv, 6)
+        # cells, as operator values: (columns and a zero column for padding,
+        # hit cell, m, Q)
         cols = np.unique(np.concatenate([ext.rows[r].cols for r in rows]))
         unit = ext.prims.selection(cols)
         if u_pts.ndim == 1:
             prim = ext.prims.expand(unit, u_pts, v_pts[hit].ravel())
-            prim = prim.reshape(len(cols), len(u_pts), len(hit), -1, 6).swapaxes(1, 2)
+            prim = prim.reshape(len(cols), mu, len(hit), mv, 6).transpose(2, 1, 3, 0, 4)
         else:
             prim = ext.prims.expand(unit, u_pts[hit].ravel(), v_pts)
-            prim = prim.reshape(len(cols), len(hit), -1, len(v_pts), 6)
+            prim = prim.reshape(len(cols), len(hit), mu, mv, 6).transpose(1, 2, 3, 0, 4)
+        # per hit cell and point, (column, slot) @ (slot, row)
+        prim = prim.reshape(len(hit), mu * mv, len(cols), 6) @ op[hit].swapaxes(2, 3)
+        prim = prim.transpose(2, 0, 3, 1)
         prim = np.concatenate([prim, np.zeros_like(prim[:1])])
         width = max(ext.rows[r].fids.shape[1] for r in rows)
         ext_ids = -np.ones((nc, width), dtype=int)
-        ext_jets = np.zeros((nc, width) + jets.shape[2:])
+        ext_vals = np.zeros((nc, width, m, mu * mv))
         for r in rows:
             row = ext.rows[r]
             at = np.flatnonzero(eu[hit] == r)
             cell, nd, na = slot[hit[at]], row.fids.shape[1], len(at)
             # per cell, its tensor window and its edge primitives
             col = np.append(np.searchsorted(cols, row.cols), len(cols))[row.pos[cell]]
-            edge = prim[col, at[:, None]].reshape(na, col.shape[1], -1, 6)
-            local = np.concatenate([jets[hit[at]], edge], axis=1)
+            local = np.concatenate([vals[hit[at]], prim[col, at[:, None]]], axis=1)
             ext_ids[hit[at], :nd] = row.fids[cell]
-            dof_jets = row.blocks[cell] @ local.reshape(na, local.shape[1], -1)
-            ext_jets[hit[at], :nd] = dof_jets.reshape(na, nd, *jets.shape[2:])
-        return np.concatenate([ids, ext_ids], axis=1), np.concatenate([jets, ext_jets], axis=1)
+            dof_vals = row.blocks[cell] @ local.reshape(na, local.shape[1], -1)
+            ext_vals[hit[at], :nd] = dof_vals.reshape(na, nd, m, -1)
+        return np.concatenate([ids, ext_ids], axis=1), np.concatenate([vals, ext_vals], axis=1)
 
     # -- volume form ----------------------------------------------------
 
-    def element_rows(self, patch_index):
-        """Volume quadrature data of one patch, one element row at a time.
+    def element_rows(self, patch_index, operator):
+        """Operator values of the dofs of one patch, one element row at a time.
 
-        For the row of elements (eu, 0..n-1) yields ``(ids, jets, pull, w,
-        point)``: dof ids (n, nd) padded with -1, parametric jets (n, nd,
-        Q, 6), the per-point :func:`~mpiga.geometry.pullback` maps (n, Q,
-        6, 6) to physical jets, quadrature weights times det J (n, Q) and
-        quadrature points (n, Q, 2), with the Q = nq^2 points of an
-        element ordered u-major.  Jets of padded ids are meaningless and
-        must be masked out.
+        For the row of elements (eu, 0..n-1), ``operator(pull, w, point)``
+        receives the per-point :func:`~mpiga.geometry.pullback` maps (n,
+        Q, 6, 6) to physical jets, the quadrature weights times det J (n,
+        Q) and the quadrature points (n, Q, 2), with the Q = nq^2 points
+        of an element ordered u-major, and returns operator rows (n, Q, m,
+        6).  Yields the dof ids (n, nd) and values (n, nd, m, Q) of
+        :meth:`cells` for them.
         """
         n, nq = self.n, self.nq
         Q = nq * nq
@@ -274,30 +279,42 @@ class _Assembler:
         wq = np.outer(self.weights, self.weights).ravel() * self.sol.h ** 2
         for eu in range(n):
             row = per_cell[0][eu], per_cell[1][eu]
-            ids, jets = self.cells(patch_index, np.full(n, eu), ev, row, per_cell)
             # geometry on the row's nq x (n nq) grid, regrouped per element
             point, jac, hess = (
                 a.reshape(nq, n, nq, *a.shape[2:]).swapaxes(0, 1).reshape(n, Q, *a.shape[2:])
                 for a in patch.jet_grid(row[0], pts)
             )
             det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-            yield ids, jets, pullback(jac, hess), wq * det, point
+            op = operator(pullback(jac, hess), wq * det, point)
+            yield self.cells(patch_index, np.full(n, eu), ev, row, per_cell, op)
 
     def volume_system(self, f=None):
-        """Stiffness (Delta, Delta) and load (f, psi) over all dofs."""
+        """Stiffness (Delta, Delta) and load (f, psi) over all dofs.
+
+        The element rows act with two operator rows per point: sqrt(w)
+        times the Laplacian rows of the pullback for the stiffness, and w f
+        on the value slot for the load (values are the same in parametric
+        and physical jets).
+        """
         view = self.view
+
+        def operator(pull, w, point):
+            lap = (pull[..., 3, :] + pull[..., 5, :]) * np.sqrt(w)[..., None]
+            if f is None:
+                return lap[:, :, None]
+            load = np.zeros_like(lap)
+            load[..., 0] = w * _at_points(f, point)
+            return np.stack([lap, load], axis=2)
+
         K = SparseSymMatrix(view.n_total)
         F = np.zeros(view.n_total)
         for k in range(len(self.topology.patches)):
-            for ids, jets, pull, w, point in self.element_rows(k):
-                lap_row = pull[..., 3, :] + pull[..., 5, :]
-                lap = np.einsum("eaqs,eqs->eaq", jets, lap_row) * np.sqrt(w)[:, None, :]
+            for ids, vals in self.element_rows(k, operator):
+                lap = vals[:, :, 0]
                 K.add_blocks(ids, lap @ lap.swapaxes(1, 2))
                 if f is not None:
-                    fx = _at_points(f, point)
                     keep = ids >= 0
-                    # values are the same in parametric and physical jets
-                    np.add.at(F, ids[keep], np.einsum("eaq,eq->ea", jets[..., 0], w * fx)[keep])
+                    np.add.at(F, ids[keep], vals[:, :, 1].sum(axis=-1)[keep])
         return K, F
 
     # -- edge lines ----------------------------------------------------------
@@ -323,11 +340,10 @@ class _Assembler:
             _, tab = self.sol.eval_many(pts, 2)
             grid.append((pts, tab) if len(pts) == 1 else (pts.reshape(n, nq), tab.reshape(n, nq, 3, -1)))
         eu, ev = np.broadcast_arrays(*side_map.elements_to_patch(0, np.arange(n), n))
-        ids, jets = self.cells(patch_index, eu, ev, *grid)
         geom = frame.geom(ts)
-        jac = geom["jac"].reshape(n, 1, nq, 2, 2)
-        hess = geom["hess"].reshape(n, 1, nq, 2, 2, 2)
-        return ids, physical_jet(jets, jac, hess), geom
+        pull = pullback(geom["jac"].reshape(n, nq, 2, 2), geom["hess"].reshape(n, nq, 2, 2, 2))
+        ids, phys = self.cells(patch_index, eu, ev, *grid, pull)
+        return ids, phys.swapaxes(2, 3), geom
 
     def boundary_moment_load(self, F, g2, bc_tags):
         """Add (g2, dn psi) over 'gl' boundary edges to the load vector."""
@@ -484,8 +500,7 @@ def broken_gram(view, quad_scale=1):
     asm = _Assembler(view, quad_scale)
     G = SparseSymMatrix(view.n_total)
     for k in range(len(asm.topology.patches)):
-        for ids, jets, pull, w, _point in asm.element_rows(k):
-            phys = (pull[:, None] @ jets[..., None])[..., 0] * np.sqrt(w)[:, None, :, None]
+        for ids, phys in asm.element_rows(k, lambda pull, w, _: pull * np.sqrt(w)[..., None, None]):
             phys = phys.reshape(ids.shape + (-1,))
             G.add_blocks(ids, phys @ phys.swapaxes(1, 2))
     return G
@@ -520,9 +535,10 @@ class NitscheForm:
     Assembles, over the C0 space view, the volume stiffness plus the
     symmetric consistency blocks ({Lap u}, [dn v]) + ({Lap v}, [dn u]) of
     every interface edge span into one matrix, compacted once, and the load
-    with the boundary moment term.  Per interface it keeps the dof ids and
-    the penalty blocks ([dn u], [dn v]), with the jump orientation of
-    :meth:`_Assembler.interface_edge_rows`.  :meth:`system` adds the
+    with the boundary moment term.  Per interface it keeps the dof ids, the
+    penalty blocks ([dn u], [dn v]), with the jump orientation of
+    :meth:`_Assembler.interface_edge_rows`, and the positions of their
+    coupled pairs in the compacted matrix.  :meth:`system` adds the
     weighted penalty for one choice of the stability weights.
     """
 
@@ -532,7 +548,7 @@ class NitscheForm:
         self.base, self.load = asm.volume_system(f)
         if bc_tags:
             asm.boundary_moment_load(self.load, g2, bc_tags)
-        self.penalties = []  # (ids, penalty blocks) per interface
+        penalties = []
         for idx in range(len(view.topology.interfaces)):
             ids, jump, avg, w = asm.interface_edge_rows(idx)
             jw = jump * w[:, None, :]
@@ -540,17 +556,25 @@ class NitscheForm:
             # integrating Lap^2 u * v by parts patch-wise leaves
             # +{Lap u}[dn v] with this jump orientation
             self.base.add_blocks(ids, consistency + consistency.swapaxes(1, 2))
-            self.penalties.append((ids, jw @ jump.swapaxes(1, 2)))
+            penalties.append((ids, jw @ jump.swapaxes(1, 2)))
         self.base.tocsr()
+        # the consistency blocks couple the same pairs, so every penalty
+        # pair has a place in the compacted base
+        self.penalties = [
+            (ids, blocks, self.base.positions(*sum_blocks(ids, blocks)[:2])) for ids, blocks in penalties
+        ]
 
     def system(self, eta):
         """The assembled system for the stability weights ``eta``.
 
         ``eta`` is a positive scalar applied to every interface or a
         mapping from interface index to the per-interface weight; the
-        penalty term scales it by 1/h of the current mesh.  Only the
-        weighted penalty blocks are merged into the compacted base, so
-        equal weights give a bit-identical matrix.
+        penalty term scales it by 1/h of the current mesh.  The weighted
+        blocks are summed per pair as :meth:`SparseSymMatrix.add_blocks`
+        sums them and added into a copy of the compacted base's values at
+        positions found once, so no triplets are merged, every weight
+        shares the base's pattern and equal weights give a bit-identical
+        matrix.
         """
         if eta is None:
             raise ParameterError("Nitsche assembly requires a stability parameter eta")
@@ -559,10 +583,10 @@ class NitscheForm:
         if any(val <= 0.0 for val in eta.values()):
             raise ParameterError("stability parameters must be positive")
         h = self.view.sol.h
-        K = self.base.copy()
-        for idx, (ids, penalty) in enumerate(self.penalties):
-            K.add_blocks(ids, eta[idx] / h * penalty)
-        return AssembledSystem(self.view, K, self.load, "nitsche", eta=eta)
+        data = self.base.tocsr().data.copy()
+        for idx, (ids, penalty, pos) in enumerate(self.penalties):
+            data[pos] += sum_blocks(ids, eta[idx] / h * penalty)[2]
+        return AssembledSystem(self.view, self.base.with_data(data), self.load, "nitsche", eta=eta)
 
 
 def assemble_nitsche(view, f, g2=None, bc_tags=None, eta=None, g0=None, g1=None, quad_scale=1):

@@ -11,6 +11,24 @@ import scipy.sparse.linalg
 from .errors import IndefiniteSystemError, NumericalError, ParameterError
 
 
+def sum_blocks(ids, blocks):
+    """A stack of dense square blocks (nb, nd, nd) at the ids (nb, nd) as
+    one (row, col, sum) triplet per pair of ids that some block couples,
+    row-major; sums run in stack order and entries at id -1 are dropped."""
+    uniq, local = np.unique(ids, return_inverse=True)
+    local = local.reshape(ids.shape)
+    m = len(uniq)
+    keys = (local[:, :, None] * m + local[:, None, :]).ravel()  # local (row, col) pairs
+    sums = np.bincount(keys, weights=blocks.ravel(), minlength=m * m)
+    coupled = np.zeros((m, m), dtype=bool)
+    coupled.ravel()[keys] = True
+    if m and uniq[0] < 0:  # the padding id sorts first
+        coupled[0] = coupled[:, 0] = False
+    pairs = np.flatnonzero(coupled)
+    rows, cols = np.divmod(pairs, m)
+    return uniq[rows], uniq[cols], sums[pairs]
+
+
 class SparseSymMatrix:
     """Symmetric sparse matrix accumulated from stacks of dense element blocks.
 
@@ -36,23 +54,39 @@ class SparseSymMatrix:
         (nb, nd); entries whose row or column id is -1 are dropped.
 
         The stack is summed in stack order into one triplet per pair of
-        ids that some block couples, kept even where the sum is 0.0, so
-        the sparsity pattern is that of the blocks.
+        ids that some block couples (:func:`sum_blocks`), kept even where
+        the sum is 0.0, so the sparsity pattern is that of the blocks.
         """
-        uniq, local = np.unique(ids, return_inverse=True)
-        uniq, local = uniq.astype(self._index), local.reshape(ids.shape)
-        m = len(uniq)
-        keys = (local[:, :, None] * m + local[:, None, :]).ravel()  # local (row, col) pairs
-        sums = np.bincount(keys, weights=blocks.ravel(), minlength=m * m)
-        coupled = np.zeros((m, m), dtype=bool)
-        coupled.ravel()[keys] = True
-        if m and uniq[0] < 0:  # the padding id sorts first
-            coupled[0] = coupled[:, 0] = False
-        pairs = np.flatnonzero(coupled)
-        rows, cols = np.divmod(pairs, m)
-        self._rows.append(uniq[rows])
-        self._cols.append(uniq[cols])
-        self._vals.append(sums[pairs])
+        rows, cols, vals = sum_blocks(ids, blocks)
+        self._rows.append(rows.astype(self._index))
+        self._cols.append(cols.astype(self._index))
+        self._vals.append(vals)
+
+    def positions(self, rows, cols):
+        """Positions of the entries (rows, cols) in the data of the compacted
+        base, each of which must be in the base's pattern (for example a
+        pair that blocks added before :meth:`tocsr` coupled).  With
+        :meth:`with_data` this adds values there without merging triplets.
+        """
+        csr = self.tocsr()
+        # canonical CSR: (row, col) keys ascend through the data
+        keys = np.repeat(np.arange(self.dim, dtype=np.int64), np.diff(csr.indptr)) * self.dim
+        keys += csr.indices
+        return np.searchsorted(keys, np.asarray(rows, dtype=np.int64) * self.dim + cols)
+
+    def with_data(self, data):
+        """A matrix on the compacted base's pattern, explicit zeros
+        included, with the values ``data``.
+
+        The pattern is copied, so the new matrix holds no array of this
+        one: shared arrays, built amid assembly temporaries, would stay
+        alive through the new matrix's solve and raise its resident peak.
+        """
+        if not np.all(np.isfinite(data)):
+            raise ParameterError("non-finite entries in assembled matrix")
+        csr = self.tocsr()
+        pattern = csr.indices.copy(), csr.indptr.copy()
+        return SparseSymMatrix.from_sparse(scipy.sparse.csr_matrix((data, *pattern), shape=csr.shape))
 
     @property
     def pending(self):

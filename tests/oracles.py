@@ -500,3 +500,60 @@ def per_element_reference(view, f, coeffs, exact_jets, quad_scale=1):
         (np.sqrt(a[0]), np.sqrt(a[0] + a[1]), np.sqrt(a.sum()), jumps) for a in acc
     ]
     return K, F, G, norms
+
+
+class _UnionFind:
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, x):
+        p = self.parent.setdefault(x, x)
+        while p != self.parent[p]:
+            self.parent[p] = self.parent[self.parent[p]]
+            p = self.parent[p]
+        self.parent[x] = p
+        return p
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
+
+
+def c0_numbering_reference(topology, N, bc_tags=None):
+    """Per patch, the (N, N) dof ids of the C0 space, -1 where eliminated,
+    numbered one coefficient at a time through a union-find: interface
+    coefficients are joined pairwise, every class is named by its smallest
+    (patch, i, j), and ids follow the first appearance of a kept class."""
+
+    def side_line(side, layer):
+        lines = SideMap(side).elements_to_patch(layer, np.arange(N), N)
+        return list(zip(*(a.tolist() for a in np.broadcast_arrays(*lines))))
+
+    uf = _UnionFind()
+    for itf in topology.interfaces:
+        line_k = side_line(itf.side_k, 0)
+        line_l = side_line(itf.side_l, 0)
+        if itf.reverse:
+            line_l = line_l[::-1]
+        for a, b in zip(line_k, line_l):
+            uf.union((itf.k,) + a, (itf.l,) + b)
+    eliminated = set()
+    for (k, side), tag in (bc_tags or {}).items():
+        for layer in (0, 1) if tag == "gn" else (0,):
+            for ij in side_line(side, layer):
+                eliminated.add(uf.find((k,) + ij))
+    ids = {}
+    patch_fids = []
+    for k in range(len(topology.patches)):
+        grid = -np.ones((N, N), dtype=int)
+        for i in range(N):
+            for j in range(N):
+                root = uf.find((k, i, j))
+                if root in eliminated:
+                    continue
+                if root not in ids:
+                    ids[root] = len(ids)
+                grid[i, j] = ids[root]
+        patch_fids.append(grid)
+    return patch_fids

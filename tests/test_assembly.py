@@ -20,11 +20,11 @@ from mpiga.assembly import (
 from mpiga.bspline import SplineSpace, TensorSplineSpace
 from mpiga.c1space import build_c1_space, homogeneous_subspace
 from mpiga.errors import GeometryError, IndefiniteSystemError, ParameterError
-from mpiga.fixtures import builtin_geometry
+from mpiga.fixtures import BUILTIN_NAMES, builtin_geometry
 from mpiga.geometry import InterfaceRecord, Patch, Topology, detect_topology, pullback
 from mpiga.linalg import SparseSymMatrix
 
-from oracles import closed_form_physical_jet, fd_bilaplacian
+from oracles import c0_numbering_reference, closed_form_physical_jet, fd_bilaplacian
 
 
 def scaled_squares(s=1.0):
@@ -301,12 +301,34 @@ def test_nitsche_indefinite_at_tiny_eta():
     assert w[0] < 0.0
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_c0_numbering_matches_union_find(name):
+    # the sparse-graph numbering against the coefficient-by-coefficient
+    # union-find: the dof order sets the fill of the sparse factorization
+    topo = builtin_geometry(name)
+    edges = sorted(topo.boundary_edges)
+    tag_sets = [None, {}, gl_tags(topo), gn_tags(topo)]
+    tag_sets.append({e: ("gl", "gn")[i % 2] for i, e in enumerate(edges)})
+    for p, r in ((2, 1), (3, 2), (4, 3), (3, 0)):
+        for tags in tag_sets:
+            space = C0Space(topo, p, r, 4, tags)
+            ref = c0_numbering_reference(topo, space.sol.dim, tags)
+            assert len(space.patch_fids) == len(ref)
+            for got, want in zip(space.patch_fids, ref):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert space.n_free == space.n_total == 1 + max(g.max() for g in ref)
+
+
+def _laplacian_row(pull, w, _point):
+    """sqrt(w) times the physical Laplacian row of the pullback, one row per point."""
+    return ((pull[..., 3, :] + pull[..., 5, :]) * np.sqrt(w)[..., None])[:, :, None]
+
+
 def _volume_stacks(asm):
     """The (ids, Laplacian Gram blocks) stacks of the volume stiffness, row by row."""
     for k in range(len(asm.topology.patches)):
-        for ids, jets, pull, w, _point in asm.element_rows(k):
-            lap = np.einsum("eaqs,eqs->eaq", jets, pull[..., 3, :] + pull[..., 5, :])
-            lap = lap * np.sqrt(w)[:, None, :]
+        for ids, vals in asm.element_rows(k, _laplacian_row):
+            lap = vals[:, :, 0]
             yield ids, lap @ lap.swapaxes(1, 2)
 
 
@@ -347,6 +369,24 @@ def test_nitsche_system_shares_pattern_across_eta(topo2c):
     assert np.array_equal(matrices[0].indptr, matrices[1].indptr)
 
 
+def test_nitsche_system_matches_triplet_merge(topo6):
+    # system(eta) adds the weighted penalty at positions found once; merging
+    # the weighted blocks as triplets into the base gives the same matrix
+    view = C0Space(topo6, 4, 3, 4, gn_tags(topo6))
+    form = NitscheForm(view, manufactured_rhs, bc_tags=gn_tags(topo6))
+    stacks = list(_interface_stacks(_Assembler(view)))
+    h = view.sol.h
+    for eta in (7.0, {i: 10.0 ** i for i in range(len(stacks))}):
+        weights = eta if isinstance(eta, dict) else dict.fromkeys(range(len(stacks)), eta)
+        merged = form.base.copy()
+        for idx, (ids, _sym, penalty) in enumerate(stacks):
+            merged.add_blocks(ids, weights[idx] / h * penalty)
+        want, got = merged.tocsr(), form.system(eta).matrix.tocsr()
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.abs(got.data - want.data).max() <= 1e-15 * np.abs(want.data).max()
+
+
 def _coupled_pairs(ids):
     keys = [np.add.outer(row[row >= 0] * (ids.max() + 1), row[row >= 0]).ravel() for row in ids]
     return len(np.unique(np.concatenate(keys)))
@@ -372,9 +412,10 @@ def test_assembly_stores_one_triplet_per_coupled_pair(topo6):
             assert M.pending == 0
     form = NitscheForm(views[0], manufactured_rhs, bc_tags=gn_tags(topo6))
     assert form.base.pending == 0
+    # the penalty keeps one entry per coupled pair, at its place in the base
+    penalty_pairs = sum(_coupled_pairs(ids) for ids, _, _ in _interface_stacks(_Assembler(views[0])))
+    assert sum(len(pos) for _, _, pos in form.penalties) == penalty_pairs
     system = form.system(10.0)
-    assert system.matrix.pending == sum(_coupled_pairs(ids) for ids, _ in form.penalties)
-    system.matrix.tocsr()
     assert system.matrix.pending == 0 and form.base.pending == 0
     assert assemble_approx_c1(views[1], manufactured_rhs).matrix.pending == 0
 

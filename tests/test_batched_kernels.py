@@ -39,37 +39,41 @@ def rel_gap(a, b):
     return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
 
 
-def make_view(name, kind, n=N):
+def make_view(name, kind, n=N, p=P):
     topo = builtin_geometry(name)
     tags = {e: kind.split("-")[-1] for e in topo.boundary_edges}
     if kind == "c0":
-        return C0Space(topo, P, P - 1, n)
+        return C0Space(topo, p, p - 1, n)
     if kind.startswith("c0-"):
-        return C0Space(topo, P, P - 1, n, tags)
-    return homogeneous_subspace(build_c1_space(topo, P, P - 1, n), tags)
+        return C0Space(topo, p, p - 1, n, tags)
+    return homogeneous_subspace(build_c1_space(topo, p, p - 1, n), tags)
 
 
-CASES = [(name, kind, 1, N) for name in BUILTIN_NAMES for kind in ("c0", "c0-gn", "c1-gn", "c1-gl")]
-CASES += [("square-2-bicubic", "c0-gl", 2, N), ("square-2-bicubic", "c1-gn", 2, N)]
+CASES = [(name, kind, 1, N, P) for name in BUILTIN_NAMES for kind in ("c0", "c0-gn", "c1-gn", "c1-gl")]
+CASES += [("square-2-bicubic", "c0-gl", 2, N, P), ("square-2-bicubic", "c1-gn", 2, N, P)]
 # the boundary moment load of a C0 'gl' view at the volume rule's own
 # quadrature, on a curved interface and on a reversed one ((2, side 3) and
 # (5, side 3) of square-6-bilinear)
-CASES += [("square-2-bicubic", "c0-gl", 1, N), ("square-6-bilinear", "c0-gl", 1, N)]
+CASES += [("square-2-bicubic", "c0-gl", 1, N, P), ("square-6-bilinear", "c0-gl", 1, N, P)]
 # at n=4 the three-element vertex supports cover almost every element; at
 # n=8 the restriction of dofs to elements and the combinations at inner
 # vertices (valence 3 and 4) are exercised, and edge lines hold 8 spans
-CASES += [("square-6-bilinear", "c1-gn", 1, 8), ("square-6-bilinear", "c1-gl", 1, 8)]
-CASES += [("square-6-bilinear", "c0-gl", 1, 8)]
+CASES += [("square-6-bilinear", "c1-gn", 1, 8, P), ("square-6-bilinear", "c1-gl", 1, 8, P)]
+CASES += [("square-6-bilinear", "c0-gl", 1, 8, P)]
+# p=4, the degree of the Nitsche benchmark: a (p+1)^2 = 25 tensor window,
+# 6 or 12 points per axis, and approx-C1 extraction rows at n=8
+CASES += [("square-6-bilinear", "c0-gn", q, N, 4) for q in (1, 2)]
+CASES += [("square-6-bilinear", "c1-gn", 1, 8, 4)]
 
 
 def case_id(case):
-    name, kind, quad_scale, n = case
-    return f"{name}-{kind}-{quad_scale}" + ("" if n == N else f"-n{n}")
+    name, kind, quad_scale, n, p = case
+    return f"{name}-{kind}-{quad_scale}" + ("" if n == N else f"-n{n}") + ("" if p == P else f"-p{p}")
 
 
-@pytest.mark.parametrize("name,kind,quad_scale,n", CASES, ids=[case_id(c) for c in CASES])
-def test_volume_kernels_match_per_element_loops(name, kind, quad_scale, n):
-    view = make_view(name, kind, n)
+@pytest.mark.parametrize("name,kind,quad_scale,n,p", CASES, ids=[case_id(c) for c in CASES])
+def test_volume_kernels_match_per_element_loops(name, kind, quad_scale, n, p):
+    view = make_view(name, kind, n, p)
     coeffs = np.random.default_rng(7).standard_normal(view.n_total)
     exact_jets = (None, manufactured_jet)
     K_ref, F_ref, G_ref, norms_ref = per_element_reference(
@@ -85,9 +89,9 @@ def test_volume_kernels_match_per_element_loops(name, kind, quad_scale, n):
         assert rel_gap(got, [l2, h1, h2] + jumps) <= RTOL
 
 
-@pytest.mark.parametrize("name,kind,quad_scale,n", CASES, ids=[case_id(c) for c in CASES])
-def test_edge_span_rows_match_per_span_loops(name, kind, quad_scale, n):
-    view = make_view(name, kind, n)
+@pytest.mark.parametrize("name,kind,quad_scale,n,p", CASES, ids=[case_id(c) for c in CASES])
+def test_edge_span_rows_match_per_span_loops(name, kind, quad_scale, n, p):
+    view = make_view(name, kind, n, p)
     asm = _Assembler(view, quad_scale)
     refs = interface_rows_reference(view, quad_scale)
     for idx, (jump_ref, avg_ref, w_ref, side_max) in enumerate(refs):
