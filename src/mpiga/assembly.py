@@ -179,17 +179,29 @@ class _Assembler:
         self.edge_nq = quad_scale * (2 * p + 1)
         self.enodes, self.eweights = gauss_legendre(self.edge_nq)
 
-    def cells(self, patch_index, eu, ev, u, v, op):
+    def edge_table(self, patch_index, u_pts, v_pts):
+        """The extracted edge primitives of one patch on a tensor grid of
+        points: a :class:`~mpiga.c1space.GridJets` with one unit row per
+        column of the extraction's ``cols``, or None for a view without
+        extraction."""
+        _, ext = self.view.element_table(patch_index)
+        if ext is None:
+            return None
+        return ext.prims.grid(ext.prims.selection(ext.cols), u_pts, v_pts)
+
+    def cells(self, patch_index, eu, ev, u, v, op, edges):
         """Dof ids and operator values on some cells of one patch.
 
         Cell c is the element (eu[c], ev[c]) with a tensor grid of points
-        inside it.  ``u`` and ``v`` are the grid's points and their
+        inside it.  ``u`` and ``v`` are the grid's point indices and their
         :meth:`~mpiga.bspline.SplineSpace.eval_many` tables (two
-        derivatives) along each axis: one axis has points (nc, mq) and
+        derivatives) along each axis: one axis has indices (nc, mq) and
         tables (nc, mq, 3, p+1) per cell, the other (mq,) and (mq, 3, p+1)
-        shared by every cell.  ``op`` (nc, Q, m, 6) holds, at each of the
-        Q = mu * mv points (u-major), m rows that act on a parametric
-        2-jet (value, du, dv, duu, duv, dvv), for example rows of the
+        shared by every cell.  The indices number the points of ``edges``,
+        the patch's :meth:`edge_table` (None for views without
+        extraction).  ``op`` (nc, Q, m, 6) holds, at each of the Q = mu *
+        mv points (u-major), m rows that act on a parametric 2-jet
+        (value, du, dv, duu, duv, dvv), for example rows of the
         :func:`~mpiga.geometry.pullback` map times a weight.  Returns dof
         ids (nc, nd) padded with -1 and values (nc, nd, m, Q), every row
         applied to every dof's jet: the (p+1)^2 tensor window (u-major)
@@ -199,11 +211,13 @@ class _Assembler:
         No dof jet is formed: the rows are multiplied into the per-cell
         axis table first, and the shared axis table contracts the jet
         slots in one matrix product per shared point.  Extracted dofs
-        apply the rows to their primitives' jets before the extraction
-        blocks combine them.
+        gather, per cell, the jets of only the edge primitives the
+        extraction row lists for it (:meth:`~mpiga.c1space.GridJets.pairs`),
+        apply the rows to them, and combine them with the tensor window
+        through the extraction blocks.
         """
         nc, p1, step = len(eu), self.sol.p + 1, self.sol.p - self.sol.r
-        (u_pts, u_tab), (v_pts, v_tab) = u, v
+        (u_idx, u_tab), (v_idx, v_tab) = u, v
         tensor_fids, ext = self.view.element_table(patch_index)
         wu, wv = ((e * step)[:, None] + np.arange(p1) for e in (eu, ev))
         ids = tensor_fids[wu[:, :, None], wv[:, None, :]].reshape(nc, p1 * p1)
@@ -225,34 +239,31 @@ class _Assembler:
         hit = np.flatnonzero(slot >= 0)
         if not len(hit):
             return ids, vals
-        rows = np.unique(eu[hit])
-        # every edge primitive of these rows, once on the points of the hit
-        # cells, as operator values: (columns and a zero column for padding,
-        # hit cell, m, Q)
-        cols = np.unique(np.concatenate([ext.rows[r].cols for r in rows]))
-        unit = ext.prims.selection(cols)
-        if u_pts.ndim == 1:
-            prim = ext.prims.expand(unit, u_pts, v_pts[hit].ravel())
-            prim = prim.reshape(len(cols), mu, len(hit), mv, 6).transpose(2, 1, 3, 0, 4)
-        else:
-            prim = ext.prims.expand(unit, u_pts[hit].ravel(), v_pts)
-            prim = prim.reshape(len(cols), len(hit), mu, mv, 6).transpose(1, 2, 3, 0, 4)
-        # per hit cell and point, (column, slot) @ (slot, row)
-        prim = prim.reshape(len(hit), mu * mv, len(cols), 6) @ op[hit].swapaxes(2, 3)
-        prim = prim.transpose(2, 0, 3, 1)
-        prim = np.concatenate([prim, np.zeros_like(prim[:1])])
-        width = max(ext.rows[r].fids.shape[1] for r in rows)
+        rows = [(ext.rows[r], np.flatnonzero(eu[hit] == r)) for r in np.unique(eu[hit])]
+        pad, ne = len(ext.cols), max(row.pos.shape[1] for row, _ in rows)
+        pos = np.full((len(hit), ne), pad)  # per hit cell, its edge primitives in ext.cols
+        for row, at in rows:
+            pos[at, : row.pos.shape[1]] = row.pos[slot[hit[at]]]
+        cell, e = np.nonzero(pos < pad)
+        u_win, v_win = (
+            idx[hit[cell]] if idx.ndim == 2 else np.broadcast_to(idx, (len(cell), len(idx)))
+            for idx in (u_idx, v_idx)
+        )
+        prim = np.zeros((len(hit), mu * mv, ne, 6))
+        prim[cell, :, e] = edges.pairs(pos[cell, e], u_win, v_win).reshape(len(cell), mu * mv, 6)
+        # per hit cell and point, (primitive, slot) @ (slot, row), then
+        # (hit cell, primitive, m, Q) with zeros at padding
+        prim = (prim @ op[hit].swapaxes(2, 3)).transpose(0, 2, 3, 1)
+        prim[pos == pad] = 0.0
+        width = max(row.fids.shape[1] for row, _ in rows)
         ext_ids = -np.ones((nc, width), dtype=int)
         ext_vals = np.zeros((nc, width, m, mu * mv))
-        for r in rows:
-            row = ext.rows[r]
-            at = np.flatnonzero(eu[hit] == r)
-            cell, nd, na = slot[hit[at]], row.fids.shape[1], len(at)
+        for row, at in rows:
+            cells, nd, na = slot[hit[at]], row.fids.shape[1], len(at)
             # per cell, its tensor window and its edge primitives
-            col = np.append(np.searchsorted(cols, row.cols), len(cols))[row.pos[cell]]
-            local = np.concatenate([vals[hit[at]], prim[col, at[:, None]]], axis=1)
-            ext_ids[hit[at], :nd] = row.fids[cell]
-            dof_vals = row.blocks[cell] @ local.reshape(na, local.shape[1], -1)
+            local = np.concatenate([vals[hit[at]], prim[at, : row.pos.shape[1]]], axis=1)
+            ext_ids[hit[at], :nd] = row.fids[cells]
+            dof_vals = row.blocks[cells] @ local.reshape(na, local.shape[1], -1)
             ext_vals[hit[at], :nd] = dof_vals.reshape(na, nd, m, -1)
         return np.concatenate([ids, ext_ids], axis=1), np.concatenate([vals, ext_vals], axis=1)
 
@@ -274,7 +285,8 @@ class _Assembler:
         patch = self.topology.patches[patch_index]
         pts = (np.arange(n)[:, None] + self.nodes).ravel() * self.sol.h
         _, tables = self.sol.eval_many(pts, 2)
-        per_cell = pts.reshape(n, nq), tables.reshape(n, nq, 3, -1)
+        per_cell = np.arange(n * nq).reshape(n, nq), tables.reshape(n, nq, 3, -1)
+        edges = self.edge_table(patch_index, pts, pts)
         ev = np.arange(n)
         wq = np.outer(self.weights, self.weights).ravel() * self.sol.h ** 2
         for eu in range(n):
@@ -282,11 +294,11 @@ class _Assembler:
             # geometry on the row's nq x (n nq) grid, regrouped per element
             point, jac, hess = (
                 a.reshape(nq, n, nq, *a.shape[2:]).swapaxes(0, 1).reshape(n, Q, *a.shape[2:])
-                for a in patch.jet_grid(row[0], pts)
+                for a in patch.jet_grid(pts[row[0]], pts)
             )
             det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
             op = operator(pullback(jac, hess), wq * det, point)
-            yield self.cells(patch_index, np.full(n, eu), ev, row, per_cell, op)
+            yield self.cells(patch_index, np.full(n, eu), ev, row, per_cell, op, edges)
 
     def volume_system(self, f=None):
         """Stiffness (Delta, Delta) and load (f, psi) over all dofs.
@@ -338,11 +350,12 @@ class _Assembler:
         grid = []
         for pts in (us, vs):
             _, tab = self.sol.eval_many(pts, 2)
-            grid.append((pts, tab) if len(pts) == 1 else (pts.reshape(n, nq), tab.reshape(n, nq, 3, -1)))
+            idx = np.arange(len(pts))
+            grid.append((idx, tab) if len(pts) == 1 else (idx.reshape(n, nq), tab.reshape(n, nq, 3, -1)))
         eu, ev = np.broadcast_arrays(*side_map.elements_to_patch(0, np.arange(n), n))
         geom = frame.geom(ts)
         pull = pullback(geom["jac"].reshape(n, nq, 2, 2), geom["hess"].reshape(n, nq, 2, 2, 2))
-        ids, phys = self.cells(patch_index, eu, ev, *grid, pull)
+        ids, phys = self.cells(patch_index, eu, ev, *grid, pull, self.edge_table(patch_index, us, vs))
         return ids, phys.swapaxes(2, 3), geom
 
     def boundary_moment_load(self, F, g2, bc_tags):

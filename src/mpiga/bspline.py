@@ -242,11 +242,6 @@ class SplineSpace:
         e1 = min(self.n - 1, i // step)
         return e0, e1
 
-    def greville(self):
-        """Greville abscissae (knot averages)."""
-        k = self.kv.knots
-        return np.array([k[i + 1 : i + self.p + 1].mean() for i in range(self.dim)])
-
 
 def l2_project(space, f, quad_pts=None):
     """L2-orthogonal projection of scalar functions onto a spline space.
@@ -309,24 +304,3 @@ class TensorSplineSpace:
 
     def shape(self):
         return self.space_u.dim, self.space_v.dim
-
-    def eval_jet(self, coeffs, u, v, max_deriv=2):
-        """Jet of the spline sum_ij c_ij b_i(u) b_j(v) at scalar (u, v).
-
-        Returns the 6-slot jet (value, du, dv, duu, duv, dvv); entries of
-        total order above ``max_deriv`` are zero.
-        """
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != self.shape():
-            raise ParameterError(
-                f"coefficient shape {coeffs.shape} does not match {self.shape()}"
-            )
-        du = min(max_deriv, 2)
-        fu, tu = self.space_u.eval_basis(u, du)
-        fv, tv = self.space_v.eval_basis(v, du)
-        block = coeffs[fu : fu + self.space_u.p + 1, fv : fv + self.space_v.p + 1]
-        jet = np.zeros(6)
-        for slot, (a, b) in enumerate(JET_ORDERS):
-            if a + b <= max_deriv:
-                jet[slot] = tu[a] @ block @ tv[b]
-        return jet

@@ -41,15 +41,20 @@ patch-local primitives: tensor B-splines and single edge functions
 (:class:`PatchPrimitives`).  A constrained space multiplies the nested
 vertex and boundary-kernel combinations out once into one sparse
 extraction matrix per patch, with a dense coefficient block per element
-(:class:`PatchExtraction`), so assembly evaluates each primitive once
-per element row or edge span and forms dof jets by block products.
+over the element's tensor window and the edge primitives it lists
+(:class:`PatchExtraction`), so assembly forms dof values by block
+products.
 
 Any rows of weights over the primitives -- unit rows for assembly,
 vertex families and kernel samples, the boundary lift, or a whole
 discrete function for the error norms -- are evaluated by one separable
 evaluator (:class:`GridJets`): a tensor spline from basis-table products
 plus, per edge shape, A(t) (b1 + b2)(sigma) + C(t) b2(sigma), so a
-function costs O(points) rather than O(dofs x points).
+function costs O(points) rather than O(dofs x points).  Assembly builds
+one such table of the extracted edge primitives per patch (or per edge
+line): the univariate factors are evaluated once there, and each cell
+gathers the jets of only the primitives its extraction block lists
+(:meth:`GridJets.pairs`).
 """
 
 from typing import NamedTuple
@@ -57,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse
 
-from .bspline import JET_ORDERS, SplineSpace, l2_project
+from .bspline import _SLOT_U, _SLOT_V, JET_ORDERS, SplineSpace, l2_project
 from .errors import (
     DegenerateVertexError,
     IllConditionedInterfaceError,
@@ -243,6 +248,12 @@ class PatchPrimitives:
         """Inclusive element boxes (eu0, eu1, ev0, ev1) of all columns."""
         return np.concatenate(self._boxes)
 
+    def column(self, ev):
+        """The column of a tensor or edge evaluator."""
+        if isinstance(ev, TensorEval):
+            return ev.iu * self.N + ev.iv
+        return self._offsets[(id(ev.shape), ev.kind)] + ev.j
+
     def flatten(self, ev, weight=1.0, out=None):
         """Column weights of an evaluator, combinations multiplied through."""
         out = {} if out is None else out
@@ -250,10 +261,7 @@ class PatchPrimitives:
             for w, piece in ev.pieces:
                 self.flatten(piece, weight * w, out)
             return out
-        if isinstance(ev, TensorEval):
-            col = ev.iu * self.N + ev.iv
-        else:
-            col = self._offsets[(id(ev.shape), ev.kind)] + ev.j
+        col = self.column(ev)
         out[col] = out.get(col, 0.0) + weight
         return out
 
@@ -306,10 +314,10 @@ class GridJets:
     tables of both axes with the tensor coefficients contracted along v,
     and per edge shape its transversal carriers and the combined edge
     factors A and C of every row (:meth:`EdgeShape.along`).  :meth:`jets`
-    multiplies them out on any band of u points.  Each row is computed
-    alone (matrix products run over rows as a batch), so a row's jets do
-    not depend on the other rows, and a unit row reproduces its primitive
-    exactly.
+    multiplies them out on any band of u points, and :meth:`pairs` on a
+    window of grid points per row.  Each row is computed alone (matrix
+    products run over rows as a batch), so a row's jets do not depend on
+    the other rows, and a unit row reproduces its primitive exactly.
     """
 
     def __init__(self, prims, W, u_pts, v_pts):
@@ -366,6 +374,34 @@ class GridJets:
                 # the destination slot as (rows, sigma, t)
                 target = out[..., dest] if smap.trans_axis == 0 else out[..., dest].swapaxes(1, 2)
                 target[index] += sign * (B[a] * A[b] + D[a] * C[b])
+        return out
+
+    def pairs(self, rows, iu, iv):
+        """Parametric jets (P, mu, mv, 6) of row ``rows[i]`` on the grid
+        points ``iu[i]`` x ``iv[i]``, for (P,) rows without tensor weights
+        and (P, mu) u and (P, mv) v point indices.
+
+        Each pair gathers its window from the univariate tables and
+        multiplies it out as :meth:`jets` does, so a pair equals the
+        matching entries of :meth:`jets` bit for bit.
+        """
+        if self.tensor is not None:
+            raise ParameterError("window pairs take rows over edge primitives only")
+        out = np.zeros((len(rows), iu.shape[1], iv.shape[1], 6))
+        for erows, smap, B, D, A, C in self.edges:
+            local = np.full(self.m, -1)
+            local[erows] = np.arange(A.shape[1])
+            mine = np.flatnonzero(local[rows] >= 0)
+            if not len(mine):
+                continue
+            r = local[rows[mine]][:, None]
+            sig, t = (iu[mine], iv[mine]) if smap.trans_axis == 0 else (iv[mine], iu[mine])
+            dest, sign = np.array(smap.jet_slots()).T
+            # per (sigma, t) slot: (slot, pair, sigma point, t point)
+            Bs, Ds = (X[:, sig][_SLOT_U, :, :, None] for X in (B, D))
+            As, Cs = (X[:, r, t][_SLOT_V, :, None] for X in (A, C))
+            val = (sign[:, None, None, None] * (Bs * As + Ds * Cs))[np.argsort(dest)]
+            out[mine] += val.transpose(1, 2, 3, 0) if smap.trans_axis == 0 else val.transpose(1, 3, 2, 0)
         return out
 
 
@@ -535,14 +571,13 @@ class GlobalC1Space:
             patch = self.topology.patches[k]
             _, jac, hess = patch.jet_at(u0, v0)
             prims = self.primitives[k]
-
-            def jet_matrix(family):
-                par = prims.expand(prims.weights(family), [u0], [v0])[:, 0, 0]
-                return physical_jet(par, jac, hess).T
+            # the 18 family primitives at the corner, in one grid
+            families = (fam_edge0, fam_edge1, fam_corner)
+            unit = prims.selection([prims.column(ev) for fam in families for ev in fam])
+            phys = physical_jet(prims.expand(unit, [u0], [v0])[:, 0, 0], jac, hess)
 
             coeffs = []
-            for fam in (fam_edge0, fam_edge1, fam_corner):
-                M = jet_matrix(fam)
+            for M in phys.reshape(3, 6, 6).swapaxes(1, 2):
                 try:
                     coeffs.append(np.linalg.solve(M, np.eye(6)))
                 except np.linalg.LinAlgError as exc:
@@ -573,9 +608,6 @@ class GlobalC1Space:
     @property
     def n_dofs(self):
         return len(self.labels)
-
-    def block_ids(self, kind):
-        return [i for i, lab in enumerate(self.labels) if lab[0] == kind]
 
     def dof_counts(self):
         counts = {}
@@ -609,14 +641,13 @@ class ExtractionRow(NamedTuple):
     The row's cells that hold such dofs are numbered by
     :attr:`PatchExtraction.cells`.  Per cell, ``fids`` (nc, nd) holds the
     dof ids padded with -1, ``pos`` (nc, ne) indexes the cell's edge
-    primitives in ``cols`` (the edge primitive columns of the whole row),
-    padded with ``len(cols)``, and ``blocks`` (nc, nd, (p+1)^2 + ne) the
-    coefficients of each dof over the cell's tensor window (u-major)
-    followed by its edge primitives.
+    primitives in :attr:`PatchExtraction.cols`, padded with its length,
+    and ``blocks`` (nc, nd, (p+1)^2 + ne) the coefficients of each dof
+    over the cell's tensor window (u-major) followed by its edge
+    primitives.
     """
 
     fids: np.ndarray
-    cols: np.ndarray
     pos: np.ndarray
     blocks: np.ndarray
 
@@ -629,7 +660,8 @@ class PatchExtraction:
     B-spline (the interior block) are read through the tensor window of
     an element; all others are listed per element row in ``rows``, and
     ``cells`` (n, n) gives the position of element (eu, ev) in
-    ``rows[eu]``, -1 where the element holds none of them.
+    ``rows[eu]``, -1 where the element holds none of them.  ``cols`` holds
+    the edge primitive columns those dofs use, ascending.
     """
 
     def __init__(self, prims, matrix, direct, n):
@@ -641,6 +673,7 @@ class PatchExtraction:
         coo = matrix[other].tocoo()
         self.rows = {}
         self.cells = -np.ones((n, n), dtype=int)
+        self.cols = np.unique(coo.col[coo.col >= N * N])
         if not coo.nnz:
             return
         # a dof is listed on every element of its support box (the union
@@ -675,15 +708,14 @@ class PatchExtraction:
     def _padded(self, row):
         nd = max(len(f) for f, _, _ in row)
         ne = max(len(e) for _, e, _ in row)
-        cols = np.unique(np.concatenate([e for _, e, _ in row]))
         fids = -np.ones((len(row), nd), dtype=int)
-        pos = np.full((len(row), ne), len(cols))
+        pos = np.full((len(row), ne), len(self.cols))
         blocks = np.zeros((len(row), nd, self._p1 ** 2 + ne))
         for i, (f, e, b) in enumerate(row):
             fids[i, : len(f)] = f
-            pos[i, : len(e)] = np.searchsorted(cols, e)
+            pos[i, : len(e)] = np.searchsorted(self.cols, e)
             blocks[i, : len(f), : b.shape[1]] = b
-        return ExtractionRow(fids, cols, pos, blocks)
+        return ExtractionRow(fids, pos, blocks)
 
 
 class ConstrainedC1Space:
@@ -839,9 +871,6 @@ class ConstrainedC1Space:
         over them, one sparse product per row."""
         ext = self._tables[patch_index][1]
         return ext.prims, np.array([ext.matrix.T @ row for row in stack])
-
-    def free_labels(self):
-        return [lab for lab, _ in self.dofs[: self.n_free]]
 
 
 def homogeneous_subspace(space, bc_tags):

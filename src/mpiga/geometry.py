@@ -259,17 +259,6 @@ class Topology:
             self.tol,
         )
 
-    def conformity_gap(self, samples=200):
-        """Largest pointwise geometry mismatch across all interfaces."""
-        ts = np.linspace(0.0, 1.0, samples)
-        worst = 0.0
-        for itf in self.interfaces:
-            fk = EdgeFrame(self.patches[itf.k], itf.side_k, False)
-            fl = EdgeFrame(self.patches[itf.l], itf.side_l, itf.reverse)
-            gap = np.linalg.norm(fk.points_physical(ts) - fl.points_physical(ts), axis=1)
-            worst = max(worst, gap.max())
-        return worst
-
 
 def _domain_tolerance(patches, tol):
     lo = np.min([p.bbox()[0] for p in patches], axis=0)

@@ -1,12 +1,63 @@
-"""Shared evaluation helpers for dof-level checks."""
+"""Shared evaluation helpers for dof-level checks, and queries that only
+tests make of splines, topologies and spaces."""
 
 import numpy as np
 
+from mpiga.bspline import JET_ORDERS
+from mpiga.errors import ParameterError
 from mpiga.geometry import EdgeFrame, SideMap, physical_jet
 
 from oracles import piece_jets
 
 CORNER_UV = {1: (0.0, 0.0), 2: (1.0, 0.0), 3: (1.0, 1.0), 4: (0.0, 1.0)}
+
+
+def greville(space):
+    """Greville abscissae (knot averages) of a univariate spline space."""
+    k = space.kv.knots
+    return np.array([k[i + 1 : i + space.p + 1].mean() for i in range(space.dim)])
+
+
+def eval_jet(tspace, coeffs, u, v, max_deriv=2):
+    """Jet of the tensor spline sum_ij c_ij b_i(u) b_j(v) at scalar (u, v).
+
+    Returns the 6-slot jet (value, du, dv, duu, duv, dvv); entries of
+    total order above ``max_deriv`` are zero.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape != tspace.shape():
+        raise ParameterError(f"coefficient shape {coeffs.shape} does not match {tspace.shape()}")
+    du = min(max_deriv, 2)
+    fu, tu = tspace.space_u.eval_basis(u, du)
+    fv, tv = tspace.space_v.eval_basis(v, du)
+    block = coeffs[fu : fu + tspace.space_u.p + 1, fv : fv + tspace.space_v.p + 1]
+    jet = np.zeros(6)
+    for slot, (a, b) in enumerate(JET_ORDERS):
+        if a + b <= max_deriv:
+            jet[slot] = tu[a] @ block @ tv[b]
+    return jet
+
+
+def conformity_gap(topology, samples=200):
+    """Largest pointwise geometry mismatch across all interfaces."""
+    ts = np.linspace(0.0, 1.0, samples)
+    worst = 0.0
+    for itf in topology.interfaces:
+        fk = EdgeFrame(topology.patches[itf.k], itf.side_k, False)
+        fl = EdgeFrame(topology.patches[itf.l], itf.side_l, itf.reverse)
+        gap = np.linalg.norm(fk.points_physical(ts) - fl.points_physical(ts), axis=1)
+        worst = max(worst, gap.max())
+    return worst
+
+
+def block_ids(space, kind):
+    """Global dof ids of one block kind of a :class:`GlobalC1Space`."""
+    return [i for i, lab in enumerate(space.labels) if lab[0] == kind]
+
+
+def free_labels(view):
+    """Labels of the free dofs of a :class:`ConstrainedC1Space`."""
+    return [lab for lab, _ in view.dofs[: view.n_free]]
 
 
 def dof_jet_on_patch(space, gid, k, us, vs):

@@ -123,14 +123,6 @@ def sampled_nullspace(columns_fn, n_cols, samples, rel_tol=1e-8):
     return vt[rank:].T
 
 
-def tensor_eval(tspace, coeffs, u, v, max_deriv=2):
-    """Partial derivatives of a tensor spline at one point."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim == 1:
-        coeffs = coeffs.reshape(tspace.shape())
-    return tspace.eval_jet(coeffs, u, v, max_deriv)
-
-
 def eval_geometry(patch, u, v):
     """Point, Jacobian and component Hessians of the geometry map at (u, v)."""
     point, jac, hess = patch.jet_at(u, v)

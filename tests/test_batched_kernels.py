@@ -6,9 +6,11 @@ which evaluate approx-C1 dofs piece by piece."""
 import numpy as np
 import pytest
 
+from mpiga import c1space
 from mpiga.assembly import (
     C0Space,
     _Assembler,
+    assemble_approx_c1,
     broken_gram,
     error_norms,
     manufactured_jet,
@@ -59,6 +61,8 @@ CASES += [("square-2-bicubic", "c0-gl", 1, N, P), ("square-6-bilinear", "c0-gl",
 # n=8 the restriction of dofs to elements and the combinations at inner
 # vertices (valence 3 and 4) are exercised, and edge lines hold 8 spans
 CASES += [("square-6-bilinear", "c1-gn", 1, 8, P), ("square-6-bilinear", "c1-gl", 1, 8, P)]
+# curved interfaces: gluing data that is not linear along the edges
+CASES += [("square-6-bicubic", "c1-gl", 1, 8, P)]
 CASES += [("square-6-bilinear", "c0-gl", 1, 8, P)]
 # p=4, the degree of the Nitsche benchmark: a (p+1)^2 = 25 tensor window,
 # 6 or 12 points per axis, and approx-C1 extraction rows at n=8
@@ -207,3 +211,55 @@ def test_grid_jets_match_per_column_expand(name, kind, n):
         u, v = evaluation_grids(n)[0]
         unit = prims.expand(prims.selection(cols), u, v)
         assert np.array_equal(unit, primitive_jets(prims, cols, u, v))
+
+
+PAIR_CASES = [(name, n) for name in BUILTIN_NAMES for n in (4, 8)]
+
+
+@pytest.mark.parametrize("name,n", PAIR_CASES, ids=[f"{a}-n{b}" for a, b in PAIR_CASES])
+def test_window_pairs_match_per_column_primitives(name, n):
+    """Every edge column of every patch, gathered as per-pair windows from
+    one table, equals its per-column jets bit for bit: on every cell of the
+    volume grid (element rows), and on every span of a side line along
+    each parameter direction."""
+    nodes, _ = gauss_legendre(P + 2)
+    vol = ((np.arange(n)[:, None] + nodes) / n).ravel()
+    cells = np.arange(len(vol)).reshape(n, -1)
+    nodes, _ = gauss_legendre(2 * P + 1)
+    line = ((np.arange(n)[:, None] + nodes) / n).ravel()
+    spans, across = np.arange(len(line)).reshape(n, -1), np.zeros((n, 1), dtype=int)
+    eu, ev = np.divmod(np.arange(n * n), n)
+    grids = [  # (u points, v points, u windows, v windows)
+        (vol, vol, cells[eu], cells[ev]),
+        (np.array([0.0]), line[::-1].copy(), across, spans),
+        (line, np.array([1.0]), spans, across),
+    ]
+    for prims in build_c1_space(builtin_geometry(name), P, P - 1, n).primitives:
+        cols = np.arange(prims.N ** 2, prims.n_cols)
+        for u, v, u_win, v_win in grids:
+            want = primitive_jets(prims, cols, u, v)
+            rows = np.repeat(np.arange(len(cols)), len(u_win))
+            iu, iv = np.tile(u_win, (len(cols), 1)), np.tile(v_win, (len(cols), 1))
+            got = prims.grid(prims.selection(cols), u, v).pairs(rows, iu, iv)
+            assert np.array_equal(got, want[rows[:, None, None], iu[:, :, None], iv[:, None, :]])
+
+
+def test_grid_jets_built_once_per_patch_and_side_line(monkeypatch):
+    """Vertex families take one grid per (vertex, incident patch); the
+    approx-C1 volume form one table per patch, and each side line one."""
+    built = []
+    init = c1space.GridJets.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(c1space.GridJets, "__init__", counting_init)
+    topo = builtin_geometry("square-6-bilinear")
+    space = build_c1_space(topo, P, P - 1, 8)
+    assert len(built) == sum(len(vertex.incident) for vertex in topo.vertices)
+    for tag, g2, side_lines in (("gn", None, 0), ("gl", manufactured_laplacian, len(topo.boundary_edges))):
+        view = homogeneous_subspace(space, {e: tag for e in topo.boundary_edges})
+        built.clear()
+        assemble_approx_c1(view, manufactured_rhs, g2=g2)
+        assert 0 < len(built) <= len(topo.patches) + side_lines

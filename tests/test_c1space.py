@@ -18,7 +18,9 @@ from oracles import piece_jets, sampled_nullspace
 
 from helpers import (
     CORNER_UV,
+    block_ids,
     dof_jet_on_patch,
+    free_labels,
     normal_jump,
     physical_dof_jet,
     two_side_edge_data,
@@ -108,7 +110,7 @@ def test_interior_dofs_vanish_on_boundary(topo1):
     ts = np.linspace(0, 1, 25)
     edges = [(ts, np.zeros_like(ts)), (ts, np.ones_like(ts)),
              (np.zeros_like(ts), ts), (np.ones_like(ts), ts)]
-    for gid in space.block_ids("interior"):
+    for gid in block_ids(space, "interior"):
         for us, vs in edges:
             jets = dof_jet_on_patch(space, gid, 0, us, vs)
             assert np.abs(jets[:, :3]).max() <= 1e-13
@@ -125,7 +127,7 @@ def test_edge_dofs_vanish_at_endpoints(topo2c):
     space = build_c1_space(topo2c, 3, 2, 4)
     itf = topo2c.interfaces[0]
     frame = EdgeFrame(topo2c.patches[itf.k], itf.side_k, False)
-    for gid in space.block_ids("iface"):
+    for gid in block_ids(space, "iface"):
         for t_end in (0.0, 1.0):
             u, v = frame.points([t_end])
             jet = physical_dof_jet(space, topo2c, gid, itf.k, u, v)[0]
@@ -137,7 +139,7 @@ def test_edge_function_identities(topo2c):
     # derivative equals minus the transversal coefficient function
     space = build_c1_space(topo2c, 3, 2, 4)
     ts = np.linspace(0, 1, 50)
-    for gid in space.block_ids("iface"):
+    for gid in block_ids(space, "iface"):
         _, _, kind, j = space.labels[gid]
         (tr_k, nd_k), (tr_l, nd_l) = two_side_edge_data(space, topo2c, 0, gid, ts)
         if kind == "trace":
@@ -168,7 +170,7 @@ def test_edge_function_axis_aligned_closed_form():
     itf = topo.interfaces[0]
     sol = space.sol
     h = sol.h
-    gid = [g for g in space.block_ids("iface") if space.labels[g][2] == "transversal"][0]
+    gid = [g for g in block_ids(space, "iface") if space.labels[g][2] == "transversal"][0]
     j = space.labels[gid][3]
     # on the lower-indexed side (alpha = +1): f = w_j(t) (h/p) b2(sigma)
     sm = SideMap(itf.side_k, False)
@@ -246,7 +248,7 @@ def test_interface_block_counts_two_squares():
 
     topo = detect_topology([sq(0.0), sq(1.0)])
     space = build_c1_space(topo, 3, 2, 4)
-    iface_ids = space.block_ids("iface")
+    iface_ids = block_ids(space, "iface")
     assert len(iface_ids) == 3
     for gid in iface_ids:
         assert sorted({k for k, _ in space.supports[gid]}) == [0, 1]
@@ -293,7 +295,7 @@ def test_vertex_coupling_residual_decays(topo2c):
         space = build_c1_space(topo2c, 3, 2, n)
         ts = np.linspace(0, 1, 60)
         w = 0.0
-        for gid in space.block_ids("vertex"):
+        for gid in block_ids(space, "vertex"):
             kinds = {kk for kk, _ in space.supports[gid]}
             if not kinds.issuperset({0, 1}):
                 continue
@@ -325,7 +327,7 @@ def test_true_jump_decay_random_coefficients(topo2c):
 def test_inner_vertex_free(topo6):
     space = build_c1_space(topo6, 3, 2, 4)
     view = homogeneous_subspace(space, {e: "gn" for e in topo6.boundary_edges})
-    free_vertex = [lab for lab in view.free_labels() if lab[0] == "vertex"]
+    free_vertex = [lab for lab in free_labels(view) if lab[0] == "vertex"]
     inner = [i for i, v in enumerate(topo6.vertices) if v.kind == "inner"]
     for vidx in inner:
         assert sum(1 for lab in free_vertex if lab[1] == vidx) == 6
@@ -335,14 +337,14 @@ def test_clamped_square_reduces_to_interior(topo1):
     space = build_c1_space(topo1, 3, 2, 4)
     view = homogeneous_subspace(space, {e: "gn" for e in topo1.boundary_edges})
     assert view.n_free == 9
-    assert all(lab[0] == "interior" for lab in view.free_labels())
+    assert all(lab[0] == "interior" for lab in free_labels(view))
 
 
 def test_simply_supported_keeps_transversal_dofs(topo1):
     space = build_c1_space(topo1, 3, 2, 4)
     view = homogeneous_subspace(space, {e: "gl" for e in topo1.boundary_edges})
     kinds = {}
-    for lab in view.free_labels():
+    for lab in free_labels(view):
         kinds[lab[0]] = kinds.get(lab[0], 0) + 1
     assert kinds["interior"] == 9
     assert kinds["bedge"] == 8  # two transversal dofs per edge stay free
@@ -373,7 +375,7 @@ def test_corner_kernel_vs_sampling_oracle(topo1):
         return np.concatenate(vals)
 
     oracle = sampled_nullspace(column, 6, None)
-    kernel_dofs = [lab for lab in view.free_labels()
+    kernel_dofs = [lab for lab in free_labels(view)
                    if lab[0] == "vertex" and lab[1] == vidx]
     assert len(kernel_dofs) == oracle.shape[1] == 1
 

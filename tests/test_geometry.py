@@ -14,6 +14,7 @@ from mpiga.geometry import (
     physical_jet,
 )
 
+from helpers import conformity_gap
 from oracles import canonical_edge, eval_geometry, exact_normal_derivative, fd_gradient
 
 
@@ -113,7 +114,7 @@ def test_topology_determinism_under_permutation(topo6):
 
 def test_conformity_gap(topo6, topo6c):
     for topo in (topo6, topo6c):
-        assert topo.conformity_gap() <= 1e-10 * np.sqrt(2.0)
+        assert conformity_gap(topo) <= 1e-10 * np.sqrt(2.0)
 
 
 # -- geometry evaluation ----------------------------------------------------
