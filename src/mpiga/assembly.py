@@ -18,7 +18,7 @@ lower-indexed patch.
 import numpy as np
 
 from .bspline import _SLOT_U, _SLOT_V, gauss_legendre
-from .c1space import ConstrainedC1Space, PatchPrimitives
+from .c1space import ConstrainedC1Space, GridJets, PatchPrimitives
 from .errors import ParameterError
 from .geometry import EdgeFrame, SideMap, interface_frames, physical_jet, pullback
 from .linalg import SparseSymMatrix, gram_pencil_max, solve_spd, sum_blocks
@@ -83,7 +83,7 @@ def manufactured_rhs(x, y):
 
 
 def _at_points(fn, point):
-    """``fn(x, y)`` on the flattened points of an (..., 2) array, reshaped back."""
+    """``fn(x, y)`` on all points of an (..., 2) array at once, reshaped back."""
     x, y = point[..., 0].ravel(), point[..., 1].ravel()
     out = np.asarray(fn(x, y), dtype=float)
     if out.ndim == 0:
@@ -101,12 +101,15 @@ class C0Space:
     Coefficients along interfaces are identified one-to-one (reversed
     when the interface reverses orientation).  'gl' edges eliminate the
     trace layer, 'gn' edges eliminate the first two layers; ``bc_tags``
-    of None keeps every dof (used for the stability eigenproblem).
+    of None keeps every dof (used for the stability eigenproblem).  A tag
+    on an edge that is not a boundary edge raises :class:`ParameterError`.
     """
 
     def __init__(self, topology, p, r, n, bc_tags=None):
         from .bspline import SplineSpace  # local to avoid cluttering module top
 
+        if bc_tags is not None:
+            topology.check_bc_tags(bc_tags)
         self.topology = topology
         self.p, self.r, self.n = p, r, n
         self.sol = SplineSpace(p, r, n)
@@ -187,7 +190,7 @@ class _Assembler:
         _, ext = self.view.element_table(patch_index)
         if ext is None:
             return None
-        return ext.prims.grid(ext.prims.selection(ext.cols), u_pts, v_pts)
+        return GridJets(ext.prims, ext.prims.selection(ext.cols), u_pts, v_pts)
 
     def cells(self, patch_index, eu, ev, u, v, op, edges):
         """Dof ids and operator values on some cells of one patch.
@@ -688,7 +691,7 @@ def stacked_error_norms(view, stack, exact_jet=None, quad_scale=1):
     band = nq * max(1, _BAND_SIZE // (len(stack) * nq * len(pts)))  # u points per band
     acc = np.zeros((3, len(stack)))  # L2^2, H1-semi^2, H2-semi^2 per function
     for patch, (prims, rows) in zip(patches, combos):
-        grid = prims.grid(rows, pts, pts)
+        grid = GridJets(prims, rows, pts, pts)
         for start in range(0, len(pts), band):
             sel = slice(start, start + band)
             point, jac, hess = patch.jet_grid(pts[sel], pts)

@@ -38,11 +38,15 @@ Extraction
 ----------
 Every dof restricted to a patch is a fixed linear combination of
 patch-local primitives: tensor B-splines and single edge functions
-(:class:`PatchPrimitives`).  A constrained space multiplies the nested
-vertex and boundary-kernel combinations out once into one sparse
-extraction matrix per patch, with a dense coefficient block per element
-over the element's tensor window and the edge primitives it lists
-(:class:`PatchExtraction`), so assembly forms dof values by block
+(:class:`PatchPrimitives`).  The global space stores these combinations
+as one sparse matrix per patch, a row per global dof over the patch's
+primitive columns: interior and edge dofs are unit rows, and the six
+vertex rows of an incident patch hold the three family solutions summed
+column by column.  A constrained space applies one sparse transform
+(boundary partition and boundary-vertex kernels) to those rows, giving
+one extraction matrix per patch, with a dense coefficient block per
+element over the element's tensor window and the edge primitives it
+lists (:class:`PatchExtraction`), so assembly forms dof values by block
 products.
 
 Any rows of weights over the primitives -- unit rows for assembly,
@@ -184,50 +188,24 @@ class EdgeShape:
         return out
 
 
-class TensorEval:
-    """A single tensor-product B-spline of the solution space on one patch."""
-
-    def __init__(self, sol, iu, iv):
-        self.sol = sol
-        self.iu = iu
-        self.iv = iv
-
-
-class EdgeEval:
-    """One edge function (trace or transversal coefficient) on one patch."""
-
-    def __init__(self, shape, kind, j):
-        self.shape = shape
-        self.kind = kind
-        self.j = j
-
-
-class ComboEval:
-    """Weighted combination of evaluators (vertex functions, kernel combos)."""
-
-    def __init__(self, pieces):
-        self.pieces = [(float(w), ev) for w, ev in pieces if w != 0.0]
-
-
 class PatchPrimitives:
     """The patch-local functions every dof on one patch is made of.
 
     Column ``iu * N + iv`` is the tensor B-spline (iu, iv) of the N x N
     solution space; after those, each edge shape on the patch owns one
-    column per trace coefficient and one per transversal coefficient.
-    Evaluators (tensor, edge and nested combinations) flatten into sparse
-    rows over these columns.  A C0 view uses the tensor columns alone.
-    Any rows of weights over the columns are evaluated by
-    :meth:`grid`, in separable form: a combination restricted to the
-    patch is one tensor spline plus, per edge shape, one
-    A(t) (b1 + b2)(sigma) + C(t) b2(sigma) (see :class:`EdgeShape`).
+    column per trace coefficient and then one per transversal
+    coefficient.  A dof restricted to the patch is a sparse row of
+    weights over these columns; a C0 view uses the tensor columns alone.
+    Rows of weights are evaluated by :class:`GridJets`, in separable
+    form: a row restricted to the patch is one tensor spline plus, per
+    edge shape, one A(t) (b1 + b2)(sigma) + C(t) b2(sigma) (see
+    :class:`EdgeShape`).
     """
 
     def __init__(self, sol):
         self.sol = sol
         self.N = sol.dim
         self.shapes = []  # (shape, first column); trace columns, then transversal
-        self._offsets = {}  # (id(shape), kind) -> first column
         self._boxes = [self._tensor_boxes()]
         self.n_cols = self.N * self.N
 
@@ -238,42 +216,19 @@ class PatchPrimitives:
         return np.column_stack([su, sv])
 
     def add_shape(self, shape):
+        """Append the columns of an edge shape; returns the first column of
+        each kind, ``{"trace": c, "transversal": c'}``."""
+        first = {}
         self.shapes.append((shape, self.n_cols))
         for kind, space in (("trace", shape.splus), ("transversal", shape.sminus)):
-            self._offsets[(id(shape), kind)] = self.n_cols
+            first[kind] = self.n_cols
             self._boxes.append(shape.element_boxes(kind))
             self.n_cols += space.dim
+        return first
 
     def boxes(self):
         """Inclusive element boxes (eu0, eu1, ev0, ev1) of all columns."""
         return np.concatenate(self._boxes)
-
-    def column(self, ev):
-        """The column of a tensor or edge evaluator."""
-        if isinstance(ev, TensorEval):
-            return ev.iu * self.N + ev.iv
-        return self._offsets[(id(ev.shape), ev.kind)] + ev.j
-
-    def flatten(self, ev, weight=1.0, out=None):
-        """Column weights of an evaluator, combinations multiplied through."""
-        out = {} if out is None else out
-        if isinstance(ev, ComboEval):
-            for w, piece in ev.pieces:
-                self.flatten(piece, weight * w, out)
-            return out
-        col = self.column(ev)
-        out[col] = out.get(col, 0.0) + weight
-        return out
-
-    def weights(self, evaluators):
-        """Sparse (len(evaluators), n_cols) rows of flattened evaluators."""
-        rows, cols, vals = [], [], []
-        for r, ev in enumerate(evaluators):
-            flat = self.flatten(ev)
-            rows += [r] * len(flat)
-            cols += list(flat)
-            vals += list(flat.values())
-        return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(len(evaluators), self.n_cols))
 
     def selection(self, cols):
         """Unit rows picking the given columns: (len(cols), n_cols)."""
@@ -281,15 +236,10 @@ class PatchPrimitives:
         out[np.arange(len(cols)), cols] = 1.0
         return out
 
-    def grid(self, W, u_pts, v_pts):
-        """The combinations in the rows of an (m, n_cols) weight matrix,
-        dense or sparse, on a tensor grid (see :class:`GridJets`)."""
-        return GridJets(self, W, u_pts, v_pts)
-
     def expand(self, W, u_pts, v_pts):
         """Parametric jets of the combinations in the rows of an (m, n_cols)
         weight matrix on a tensor grid: (m, nu, nv, 6)."""
-        return self.grid(W, u_pts, v_pts).jets()
+        return GridJets(self, W, u_pts, v_pts).jets()
 
 
 def _run(idx):
@@ -323,7 +273,8 @@ class GridJets:
     def __init__(self, prims, W, u_pts, v_pts):
         u_pts = np.atleast_1d(np.asarray(u_pts, dtype=float))
         v_pts = np.atleast_1d(np.asarray(v_pts, dtype=float))
-        W = W.toarray() if scipy.sparse.issparse(W) else np.asarray(W, dtype=float)
+        # C order: BLAS sums the rows of a transposed stack in another order
+        W = W.toarray() if scipy.sparse.issparse(W) else np.ascontiguousarray(W, dtype=float)
         self.m, self.nu, self.nv = W.shape[0], len(u_pts), len(v_pts)
         N = prims.N
         self.tensor = None
@@ -430,9 +381,12 @@ def edge_dof_indices(splus, sminus):
 class GlobalC1Space:
     """Coupled global basis: interior, interface, boundary-edge, vertex blocks.
 
-    Each degree of freedom is a list of ``(patch index, evaluator)``
-    pairs; interface dofs span two patches, vertex dofs span all patches
-    incident to the vertex.
+    ``patch_rows[k]`` is a CSR matrix (n_dofs, primitives[k].n_cols): row
+    g writes global dof g restricted to patch k over the patch's
+    primitives, and is empty where the dof does not reach the patch.
+    Interior and edge dofs are unit rows; an interface dof has a row on
+    both of its patches, a vertex dof on every patch incident to the
+    vertex.
     """
 
     def __init__(self, topology, p, r, n):
@@ -454,28 +408,35 @@ class GlobalC1Space:
             approximate_gluing_data(topology, i, p, n)
             for i in range(len(topology.interfaces))
         ]
-        self._shapes = {}
+        self._first_cols = {}
         self.primitives = [
             PatchPrimitives(self.sol) for _ in topology.patches
         ]
         self.labels = []
-        self.supports = []
-        self._build()
+        self.patch_rows = []
+        for prims, triplets in zip(self.primitives, self._build()):
+            rows, cols, vals = (np.array(t) for t in triplets)
+            keep = vals != 0.0
+            # a tensor B-spline in an edge and in the corner family is one
+            # column: its two weights are summed here
+            self.patch_rows.append(scipy.sparse.csr_matrix(
+                (vals[keep], (rows[keep], cols[keep])), shape=(self.n_dofs, prims.n_cols)
+            ))
 
     # -- construction -------------------------------------------------
 
-    def _edge_shape(self, patch_index, side_map, gluing):
-        """The shape of a (patch, side, tangent orientation), made on first use.
+    def _edge_columns(self, patch_index, side_map, gluing):
+        """The first trace and transversal column of the edge shape of a
+        (patch, side, tangent orientation), made on first use.
 
         The gluing data of a side in a given orientation is unique, so edge
         and vertex functions of one orientation share the shape.
         """
         key = (patch_index, side_map.side, side_map.t_flip)
-        if key not in self._shapes:
+        if key not in self._first_cols:
             shape = EdgeShape(patch_index, side_map, gluing, self.sol, self.splus, self.sminus)
-            self._shapes[key] = shape
-            self.primitives[patch_index].add_shape(shape)
-        return self._shapes[key]
+            self._first_cols[key] = self.primitives[patch_index].add_shape(shape)
+        return self._first_cols[key]
 
     def _side_gluing(self, patch_index, side):
         """Stored gluing functions and tangent flip of a (patch, side) edge."""
@@ -489,92 +450,93 @@ class GlobalC1Space:
             return gk, False
         return gl, itf.reverse
 
-    def _add_dof(self, label, supports):
-        self.labels.append(label)
-        self.supports.append(supports)
-
     def _build(self):
+        """Number the global dofs (``labels``); returns per patch the
+        (dofs, columns, weights) triplet lists of their rows."""
         topo = self.topology
+        N = self.sol.dim
         trace_ids, trans_ids = edge_dof_indices(self.splus, self.sminus)
+        unit = [1.0]
+        triplets = [([], [], []) for _ in topo.patches]
+
+        def add(label, entries):  # entries: (patch, columns, weights)
+            for k, cols, weights in entries:
+                rows, all_cols, vals = triplets[k]
+                rows += [len(self.labels)] * len(cols)
+                all_cols += list(cols)
+                vals += list(weights)
+            self.labels.append(label)
 
         for k in range(len(topo.patches)):
             for (i, j) in interior_indices(self.sol):
-                self._add_dof(("interior", k, i, j), [(k, TensorEval(self.sol, i, j))])
+                add(("interior", k, i, j), [(k, [i * N + j], unit)])
 
         for idx, itf in enumerate(topo.interfaces):
             gk, gl = self.iface_gluing[idx]
-            shape_k = self._edge_shape(itf.k, SideMap(itf.side_k, False), gk)
-            shape_l = self._edge_shape(itf.l, SideMap(itf.side_l, itf.reverse), gl)
+            first_k = self._edge_columns(itf.k, SideMap(itf.side_k, False), gk)
+            first_l = self._edge_columns(itf.l, SideMap(itf.side_l, itf.reverse), gl)
             for kind, ids in (("trace", trace_ids), ("transversal", trans_ids)):
                 for j in ids:
-                    self._add_dof(
+                    add(
                         ("iface", idx, kind, j),
-                        [
-                            (itf.k, EdgeEval(shape_k, kind, j)),
-                            (itf.l, EdgeEval(shape_l, kind, j)),
-                        ],
+                        [(itf.k, [first_k[kind] + j], unit), (itf.l, [first_l[kind] + j], unit)],
                     )
 
         for bidx, (k, side) in enumerate(topo.boundary_edges):
-            shape = self._edge_shape(
+            first = self._edge_columns(
                 k, SideMap(side, False), GluingFunctions.artificial(self.sminus)
             )
             for kind, ids in (("trace", trace_ids), ("transversal", trans_ids)):
                 for j in ids:
-                    self._add_dof(("bedge", bidx, kind, j), [(k, EdgeEval(shape, kind, j))])
+                    add(("bedge", bidx, kind, j), [(k, [first[kind] + j], unit)])
 
         for vidx, vertex in enumerate(topo.vertices):
-            for q, supports in enumerate(self._vertex_dofs(vidx, vertex)):
-                self._add_dof(("vertex", vidx, q), supports)
+            per_patch = self._vertex_dofs(vidx, vertex)
+            for q in range(6):
+                add(("vertex", vidx, q), [(k, cols, w[:, q]) for k, cols, w in per_patch])
+        return triplets
 
     def _vertex_anchored_gluing(self, patch_index, side, va_flip):
         gf, stored_flip = self._side_gluing(patch_index, side)
         return gf if stored_flip == bool(va_flip) else gf.reversed()
 
     def _vertex_dofs(self, vidx, vertex):
-        """Six global vertex dofs, each a list of (patch, ComboEval)."""
-        per_patch = {}
+        """Per incident patch k of a vertex, ``(k, cols, weights)``: the 18
+        family columns (first edge, second edge, corner) and their (18, 6)
+        weights in the six vertex dofs, ``c0, c1, -c2`` stacked."""
+        out = []
+        N = self.sol.dim
         for (k, corner) in vertex.incident:
             fu, fv = _CORNER_FLIP[corner]
             bottom_side, left_side = _CORNER_SIDES[corner]
-            bmap = SideMap(bottom_side, t_flip=fu)
-            lmap = SideMap(left_side, t_flip=fv)
-            bshape = self._edge_shape(k, bmap, self._vertex_anchored_gluing(k, bottom_side, fu))
-            lshape = self._edge_shape(k, lmap, self._vertex_anchored_gluing(k, left_side, fv))
-
-            N = self.sol.dim
+            bottom = self._edge_columns(
+                k, SideMap(bottom_side, t_flip=fu), self._vertex_anchored_gluing(k, bottom_side, fu)
+            )
+            left = self._edge_columns(
+                k, SideMap(left_side, t_flip=fv), self._vertex_anchored_gluing(k, left_side, fv)
+            )
 
             def ten(a, b):
                 iu = N - 1 - a if fu else a
                 iv = N - 1 - b if fv else b
-                return TensorEval(self.sol, iu, iv)
+                return iu * N + iv
 
-            fam_edge0 = [
-                EdgeEval(bshape, "trace", 0),
-                EdgeEval(bshape, "trace", 1),
-                EdgeEval(bshape, "trace", 2),
-                EdgeEval(bshape, "transversal", 0),
-                EdgeEval(bshape, "transversal", 1),
-                ten(0, 2),
-            ]
-            fam_edge1 = [
-                EdgeEval(lshape, "trace", 0),
-                EdgeEval(lshape, "trace", 1),
-                EdgeEval(lshape, "trace", 2),
-                EdgeEval(lshape, "transversal", 0),
-                EdgeEval(lshape, "transversal", 1),
-                ten(2, 0),
-            ]
-            fam_corner = [ten(0, 0), ten(0, 1), ten(0, 2), ten(1, 0), ten(1, 1), ten(2, 0)]
+            def edge_family(first, tensor):
+                trace, trans = first["trace"], first["transversal"]
+                return [trace, trace + 1, trace + 2, trans, trans + 1, tensor]
+
+            cols = np.array(
+                edge_family(bottom, ten(0, 2))
+                + edge_family(left, ten(2, 0))
+                + [ten(0, 0), ten(0, 1), ten(0, 2), ten(1, 0), ten(1, 1), ten(2, 0)]
+            )
 
             u0, v0 = _CORNER_UV[corner]
             patch = self.topology.patches[k]
             _, jac, hess = patch.jet_at(u0, v0)
             prims = self.primitives[k]
             # the 18 family primitives at the corner, in one grid
-            families = (fam_edge0, fam_edge1, fam_corner)
-            unit = prims.selection([prims.column(ev) for fam in families for ev in fam])
-            phys = physical_jet(prims.expand(unit, [u0], [v0])[:, 0, 0], jac, hess)
+            phys = physical_jet(prims.expand(prims.selection(cols), [u0], [v0])[:, 0, 0], jac, hess)
 
             coeffs = []
             for M in phys.reshape(3, 6, 6).swapaxes(1, 2):
@@ -587,21 +549,8 @@ class GlobalC1Space:
                         vertex=vidx,
                     ) from exc
             c0, c1, c2 = coeffs
-
-            combos = []
-            for q in range(6):
-                pieces = (
-                    [(c0[a, q], fam_edge0[a]) for a in range(6)]
-                    + [(c1[a, q], fam_edge1[a]) for a in range(6)]
-                    + [(-c2[a, q], fam_corner[a]) for a in range(6)]
-                )
-                combos.append(ComboEval(pieces))
-            per_patch[k] = combos
-
-        return [
-            [(k, per_patch[k][q]) for (k, _corner) in vertex.incident]
-            for q in range(6)
-        ]
+            out.append((k, cols, np.concatenate([c0, c1, -c2])))
+        return out
 
     # -- queries -------------------------------------------------------
 
@@ -723,7 +672,8 @@ class ConstrainedC1Space:
 
     Final dofs are ordered free first, then boundary; boundary-vertex
     blocks are recombined into numerical-kernel (free) and complement
-    (boundary) combinations.
+    (boundary) combinations.  ``transform`` (n_total, space.n_dofs) writes
+    every final dof over the global dofs, and ``labels`` names them.
     """
 
     KERNEL_TOL = 1e-8
@@ -732,67 +682,52 @@ class ConstrainedC1Space:
     def __init__(self, space, bc_tags):
         self.space = space
         self.bc = dict(bc_tags)
+        space.topology.check_bc_tags(self.bc)
         missing = [e for e in space.topology.boundary_edges if e not in self.bc]
         if missing:
             raise ParameterError(f"boundary edges without condition tag: {missing}")
-        bad = {v for v in self.bc.values() if v not in ("gn", "gl")}
-        if bad:
-            raise ParameterError(f"unknown boundary tags {bad}; use 'gn' or 'gl'")
-        self.dofs = []  # (label, supports)
-        self.n_free = 0
         self._partition()
         self._tables = [self._extract(k) for k in range(len(space.topology.patches))]
 
     def _partition(self):
         space = self.space
         topo = space.topology
-        free, bound = [], []
+        free, bound = [], []  # (label, global dofs, weights)
         vertex_groups = {}
         for gid, lab in enumerate(space.labels):
             kind = lab[0]
             if kind == "vertex":
                 vertex_groups.setdefault(lab[1], []).append(gid)
-                continue
-            if kind in ("interior", "iface"):
-                free.append((lab, space.supports[gid]))
-            else:  # boundary edge blocks
-                _, bidx, fkind, _j = lab
-                tag = self.bc[topo.boundary_edges[bidx]]
-                if tag == "gn" or fkind == "trace":
-                    bound.append((lab, space.supports[gid]))
-                else:
-                    free.append((lab, space.supports[gid]))
+            elif kind == "bedge" and (self.bc[topo.boundary_edges[lab[1]]] == "gn" or lab[2] == "trace"):
+                bound.append((lab, [gid], [1.0]))
+            else:
+                free.append((lab, [gid], [1.0]))
 
         for vidx in sorted(vertex_groups):
             gids = sorted(vertex_groups[vidx])
             vertex = topo.vertices[vidx]
-            supports = [space.supports[g] for g in gids]
             if vertex.kind == "inner":
-                for q, g in enumerate(gids):
-                    free.append((space.labels[g], space.supports[g]))
+                free += [(space.labels[g], [g], [1.0]) for g in gids]
                 continue
-            kernel, compl = self._vertex_kernel(vertex, supports)
-            for col in range(kernel.shape[1]):
-                free.append(
-                    ((("vertex", vidx, "free", col)), self._combine(vertex, supports, kernel[:, col]))
-                )
-            for col in range(compl.shape[1]):
-                bound.append(
-                    ((("vertex", vidx, "bnd", col)), self._combine(vertex, supports, compl[:, col]))
-                )
+            kernel, compl = self._vertex_kernel(vertex, gids)
+            free += [(("vertex", vidx, "free", c), gids, kernel[:, c]) for c in range(kernel.shape[1])]
+            bound += [(("vertex", vidx, "bnd", c), gids, compl[:, c]) for c in range(compl.shape[1])]
 
         self.n_free = len(free)
-        self.dofs = free + bound
+        dofs = free + bound
+        self.labels = [lab for lab, _, _ in dofs]
+        rows = np.repeat(np.arange(len(dofs)), [len(g) for _, g, _ in dofs])
+        cols = np.concatenate([g for _, g, _ in dofs])
+        vals = np.concatenate([w for _, _, w in dofs])
+        keep = vals != 0.0
+        self.transform = scipy.sparse.csr_matrix(
+            (vals[keep], (rows[keep], cols[keep])), shape=(len(dofs), space.n_dofs)
+        )
 
-    @staticmethod
-    def _combine(vertex, supports, weights):
-        out = []
-        for pos, (k, _corner) in enumerate(vertex.incident):
-            pieces = [(weights[q], supports[q][pos][1]) for q in range(6)]
-            out.append((k, ComboEval(pieces)))
-        return out
-
-    def _vertex_kernel(self, vertex, supports):
+    def _vertex_kernel(self, vertex, gids):
+        """Kernel and complement bases (6, .) of the value (and, on 'gn'
+        edges, normal-derivative) constraints of the six vertex dofs
+        ``gids``, sampled on the vertex's boundary edges."""
         topo = self.space.topology
         edges = []
         for (k, corner) in vertex.incident:
@@ -811,9 +746,8 @@ class ConstrainedC1Space:
             frame = EdgeFrame(topo.patches[k], side, t_flip)
             us, vs, axis = frame.line(ts)
             g = frame.geom(ts)
-            pos = [p for p, (kk, _c) in enumerate(vertex.incident) if kk == k][0]
             prims = self.space.primitives[k]
-            W = prims.weights([supports[q][pos][1] for q in range(6)])
+            W = self.space.patch_rows[k][gids]
             # the kernel basis turns round-off in the samples into a change of
             # basis, so they are summed from the primitives in column order
             cols = np.unique(W.indices)
@@ -830,27 +764,18 @@ class ConstrainedC1Space:
 
     @property
     def n_total(self):
-        return len(self.dofs)
+        return len(self.labels)
 
     def _extract(self, k):
         """Tensor-dof map and extraction of patch k (see :meth:`element_table`)."""
         prims = self.space.primitives[k]
-        fids, evs = [], []
-        for fid, (_lab, supports) in enumerate(self.dofs):
-            for kk, ev in supports:
-                if kk == k:
-                    fids.append(fid)
-                    evs.append(ev)
-        fids = np.asarray(fids, dtype=int)
-        W = prims.weights(evs).tocoo()
-        matrix = scipy.sparse.csr_matrix(
-            (W.data, (fids[W.row], W.col)), shape=(self.n_total, prims.n_cols)
-        )
+        matrix = (self.transform @ self.space.patch_rows[k]).tocsr()
+        matrix.sort_indices()
         tensor_fids = -np.ones((prims.N, prims.N), dtype=int)
         direct = np.zeros(self.n_total, dtype=bool)
-        for fid, ev in zip(fids, evs):
-            if isinstance(ev, TensorEval):
-                tensor_fids[ev.iu, ev.iv] = fid
+        for fid, lab in enumerate(self.labels):
+            if lab[0] == "interior" and lab[1] == k:
+                tensor_fids[lab[2], lab[3]] = fid
                 direct[fid] = True
         return tensor_fids, PatchExtraction(prims, matrix, direct, self.space.n)
 
@@ -868,9 +793,9 @@ class ConstrainedC1Space:
     def patch_combinations(self, patch_index, stack):
         """The primitives of one patch and every row of an (m, n_total)
         coefficient stack restricted to the patch, as (m, n_cols) weights
-        over them, one sparse product per row."""
+        over them."""
         ext = self._tables[patch_index][1]
-        return ext.prims, np.array([ext.matrix.T @ row for row in stack])
+        return ext.prims, stack @ ext.matrix
 
 
 def homogeneous_subspace(space, bc_tags):

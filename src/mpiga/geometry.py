@@ -230,6 +230,17 @@ class Topology:
     def is_boundary_edge(self, patch, side):
         return (patch, side) in self._boundary_set
 
+    def check_bc_tags(self, bc_tags):
+        """Raise :class:`ParameterError` unless every key of a boundary
+        condition mapping is a boundary edge (patch, side) and every tag is
+        'gn' or 'gl'."""
+        stray = [e for e in bc_tags if e not in self._boundary_set]
+        if stray:
+            raise ParameterError(f"boundary condition tags on edges that are not boundary edges: {stray}")
+        bad = {v for v in bc_tags.values() if v not in ("gn", "gl")}
+        if bad:
+            raise ParameterError(f"unknown boundary tags {bad}; use 'gn' or 'gl'")
+
     def interface_pair(self, iface_index):
         """The two patches of one interface as a topology of their own.
 

@@ -7,7 +7,7 @@ from mpiga.bspline import JET_ORDERS
 from mpiga.errors import ParameterError
 from mpiga.geometry import EdgeFrame, SideMap, physical_jet
 
-from oracles import piece_jets
+from oracles import row_jets
 
 CORNER_UV = {1: (0.0, 0.0), 2: (1.0, 0.0), 3: (1.0, 1.0), 4: (0.0, 1.0)}
 
@@ -57,31 +57,31 @@ def block_ids(space, kind):
 
 def free_labels(view):
     """Labels of the free dofs of a :class:`ConstrainedC1Space`."""
-    return [lab for lab, _ in view.dofs[: view.n_free]]
+    return view.labels[: view.n_free]
+
+
+def dof_patches(space, gid):
+    """The patches on which global dof ``gid`` has a nonzero row."""
+    return {k for k, rows in enumerate(space.patch_rows) if rows.indptr[gid + 1] > rows.indptr[gid]}
+
+
+def row_jets_at(prims, row, us, vs):
+    """Parametric jets (m, 6) of a sparse row over a patch's primitives at
+    paired point lists ``us``, ``vs``; evaluation exploits a constant
+    coordinate (edge samples) when present."""
+    us = np.atleast_1d(np.asarray(us, dtype=float))
+    vs = np.atleast_1d(np.asarray(vs, dtype=float))
+    if np.ptp(us) == 0.0:
+        return row_jets(prims, row, us[:1], vs)[0]
+    if np.ptp(vs) == 0.0:
+        return row_jets(prims, row, us, vs[:1])[:, 0]
+    return np.array([row_jets(prims, row, [u], [v])[0, 0] for u, v in zip(us, vs)])
 
 
 def dof_jet_on_patch(space, gid, k, us, vs):
-    """Parametric jets of one global dof restricted to one patch.
-
-    ``us`` and ``vs`` are paired point lists; evaluation exploits a
-    constant coordinate (edge samples) when present.
-    """
-    us = np.atleast_1d(np.asarray(us, dtype=float))
-    vs = np.atleast_1d(np.asarray(vs, dtype=float))
-    out = np.zeros((len(us), 6))
-    const_u = np.ptp(us) == 0.0
-    const_v = np.ptp(vs) == 0.0
-    for (kk, ev) in space.supports[gid]:
-        if kk != k:
-            continue
-        if const_u:
-            out += piece_jets(ev, us[:1], vs)[0]
-        elif const_v:
-            out += piece_jets(ev, us, vs[:1])[:, 0]
-        else:
-            for m in range(len(us)):
-                out[m] += piece_jets(ev, us[m : m + 1], vs[m : m + 1])[0, 0]
-    return out
+    """Parametric jets of one global dof restricted to one patch, from its
+    sparse row, at paired point lists (see :func:`row_jets_at`)."""
+    return row_jets_at(space.primitives[k], space.patch_rows[k][gid], us, vs)
 
 
 def physical_dof_jet(space, topo, gid, k, us, vs):

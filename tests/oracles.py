@@ -7,18 +7,19 @@ eigenvalues from cyclic Jacobi rotations, and physical jets from the
 closed-form chain rule.  The per-point geometry jets
 and the per-element and per-span loops at the end are the straightforward
 forms of the library's batched kernels: one point pair, one element or
-edge span and one tensor jet slot at a time.  Approx-C1 dofs are
-evaluated from their ``supports``, piece by piece through nested
-combinations, never through the library's extraction.  Edge functions
-are written out one at a time from their basis functions and gluing
-data, and rows of weights over a patch's primitives are summed column
-by column, never through the library's separable evaluator.
+edge span and one tensor jet slot at a time.  An approx-C1 dof is
+evaluated from its sparse row over a patch's primitives: the row of the
+global dof (``GlobalC1Space.patch_rows``), weighted through the
+boundary-condition transform of a constrained view, summed one column at
+a time.  Each column -- a tensor B-spline or a single edge function -- is
+written out from its basis functions and gluing data, never through the
+library's separable evaluator or its element extraction.
 """
 
 import numpy as np
 
 from mpiga.bspline import JET_ORDERS, gauss_legendre
-from mpiga.c1space import ComboEval, ConstrainedC1Space, EdgeEval, TensorEval
+from mpiga.c1space import ConstrainedC1Space
 from mpiga.errors import GeometryError
 from mpiga.geometry import EdgeFrame, SideMap
 
@@ -276,7 +277,10 @@ def primitive_jets(prims, cols, u_pts, v_pts):
     for i, col in enumerate(cols):
         if col < prims.N * prims.N:
             iu, iv = divmod(int(col), prims.N)
-            out[i] = piece_jets(TensorEval(prims.sol, iu, iv), u_pts, v_pts)
+            U = prims.sol.eval_columns([iu], u_pts, 2)[0]
+            V = prims.sol.eval_columns([iv], v_pts, 2)[0]
+            for slot, (a, b) in enumerate(JET_ORDERS):
+                out[i, :, :, slot] = np.outer(U[:, a], V[:, b])
             continue
         s = np.searchsorted(starts, col, side="right") - 1
         shape, first = prims.shapes[s]
@@ -295,53 +299,55 @@ def expand_reference(prims, W, u_pts, v_pts):
     return np.tensordot(W[:, cols], primitive_jets(prims, cols, u_pts, v_pts), axes=1)
 
 
-def piece_jets(ev, u_pts, v_pts, memo=None):
-    """Parametric jets (nu, nv, 6) of one support piece of a dof on a tensor
-    grid, summed piece by piece through nested combinations down to single
-    edge functions and tensor B-splines.  ``memo`` caches the leaves of one
-    grid by identity."""
-    if isinstance(ev, ComboEval):
-        out = np.zeros((len(u_pts), len(v_pts), 6))
-        for w, piece in ev.pieces:
-            out += w * piece_jets(piece, u_pts, v_pts, memo)
-        return out
-    if memo is not None and id(ev) in memo:
-        return memo[id(ev)]
-    if isinstance(ev, EdgeEval):
-        jets = edge_function_jets(ev.shape, ev.kind, ev.j, u_pts, v_pts)
-    else:
-        U = ev.sol.eval_columns([ev.iu], u_pts, 2)[0]
-        V = ev.sol.eval_columns([ev.iv], v_pts, 2)[0]
-        jets = np.empty((len(U), len(V), 6))
-        for slot, (a, b) in enumerate(JET_ORDERS):
-            jets[:, :, slot] = np.outer(U[:, a], V[:, b])
-    if memo is not None:
-        memo[id(ev)] = jets
-    return jets
+def row_jets(prims, row, u_pts, v_pts, memo=None):
+    """Parametric jets (nu, nv, 6) of a sparse (1, n_cols) row of weights
+    over a patch's primitives on a tensor grid, summed one column at a
+    time.  ``memo`` caches the column jets of one grid by column."""
+    memo = {} if memo is None else memo
+    new = [col for col in row.indices if col not in memo]
+    memo.update(zip(new, primitive_jets(prims, new, u_pts, v_pts)))
+    out = np.zeros((len(u_pts), len(v_pts), 6))
+    for col, w in zip(row.indices, row.data):
+        out += w * memo[col]
+    return out
 
 
-def piece_box(ev):
-    """Inclusive element box (eu0, eu1, ev0, ev1) holding a piece's support."""
-    if isinstance(ev, ComboEval):
-        boxes = np.array([piece_box(piece) for _, piece in ev.pieces])
-        return boxes[:, 0].min(), boxes[:, 1].max(), boxes[:, 2].min(), boxes[:, 3].max()
-    if isinstance(ev, TensorEval):
-        return ev.sol.basis_support(ev.iu) + ev.sol.basis_support(ev.iv)
-    shape = ev.shape
-    n = shape.sol.n
-    space = shape.splus if ev.kind == "trace" else shape.sminus
-    t0, t1 = space.basis_support(ev.j)
+def column_box(prims, col):
+    """Inclusive element box (eu0, eu1, ev0, ev1) holding a primitive's support."""
+    sol = prims.sol
+    if col < prims.N * prims.N:
+        iu, iv = divmod(int(col), prims.N)
+        return sol.basis_support(iu) + sol.basis_support(iv)
+    starts = [first for _, first in prims.shapes]
+    shape, first = prims.shapes[np.searchsorted(starts, col, side="right") - 1]
+    space, j = shape.splus, col - first
+    if j >= shape.splus.dim:
+        space, j = shape.sminus, j - shape.splus.dim
+    t0, t1 = space.basis_support(j)
     # b1 + b2 and b2 vanish beyond two elements off the edge
+    n = sol.n
     a = shape.map.elements_to_patch(0, t0, n)
     b = shape.map.elements_to_patch(min(1, n - 1), t1, n)
     return min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1])
+
+
+def row_box(prims, row):
+    """Inclusive element box holding the support of a sparse row."""
+    boxes = np.array([column_box(prims, col) for col in row.indices])
+    return boxes[:, 0].min(), boxes[:, 1].max(), boxes[:, 2].min(), boxes[:, 3].max()
+
+
+def view_rows(view, k):
+    """Sparse (n_total, n_cols) rows of every dof of a constrained view on
+    patch k: the boundary-condition transform applied to the global rows."""
+    return (view.transform @ view.space.patch_rows[k]).tocsr()
 
 
 class _Reference:
     """Dof jets of a space view one element (or edge span) at a time.
 
     C0 views evaluate the tensor window slot by slot; approx-C1 views
-    evaluate every dof from its ``supports``, piece by piece.
+    evaluate every dof from its sparse row, column by column.
     """
 
     def __init__(self, view, quad_scale):
@@ -352,21 +358,24 @@ class _Reference:
         self.n, self.h, p = self.sol.n, self.sol.h, self.sol.p
         self.nq = quad_scale * (p + 2)
         self.edge_nq = quad_scale * (2 * p + 1)
-        self.pieces = {}  # patch -> [(fid, piece, box)]
+        self.rows = {}  # patch -> [(fid, row, box)]
         if self.c1:
-            for fid, (_lab, supports) in enumerate(view.dofs):
-                for k, ev in supports:
-                    self.pieces.setdefault(k, []).append((fid, ev, piece_box(ev)))
+            for k, prims in enumerate(view.space.primitives):
+                rows = view_rows(view, k)
+                for fid in range(view.n_total):
+                    if rows.indptr[fid + 1] > rows.indptr[fid]:
+                        self.rows.setdefault(k, []).append((fid, rows[fid], row_box(prims, rows[fid])))
 
     def dof_jets(self, k, elem, u_pts, v_pts):
         """(ids, parametric jets (nd, nu, nv, 6)) of the dofs on one element."""
         if self.c1:
             memo = {}
+            prims = self.view.space.primitives[k]
             ids, jets = [], []
-            for fid, ev, (a0, a1, b0, b1) in self.pieces.get(k, ()):
+            for fid, row, (a0, a1, b0, b1) in self.rows.get(k, ()):
                 if a0 <= elem[0] <= a1 and b0 <= elem[1] <= b1:
                     ids.append(fid)
-                    jets.append(piece_jets(ev, u_pts, v_pts, memo))
+                    jets.append(row_jets(prims, row, u_pts, v_pts, memo))
             return np.asarray(ids, dtype=int), np.array(jets).reshape(-1, len(u_pts), len(v_pts), 6)
         first_u, U = self.sol.eval_many(u_pts, 2)
         first_v, V = self.sol.eval_many(v_pts, 2)

@@ -41,7 +41,7 @@ from mpiga.fixtures import builtin_geometry, default_bc
 from mpiga.geometry import EdgeFrame
 from mpiga.linalg import gram_pencil_max
 
-from helpers import eval_jet, normal_jump
+from helpers import dof_patches, eval_jet, normal_jump
 from oracles import (
     fd_bilaplacian,
     jacobi_generalized_max,
@@ -148,7 +148,7 @@ def test_criterion_3_exact_c1_case():
             frame = EdgeFrame(topo.patches[itf.k], itf.side_k, False)
             tau = frame.geom(ts)["tau"]
             for gid in range(space.n_dofs):
-                kinds = {kk for kk, _ in space.supports[gid]}
+                kinds = dof_patches(space, gid)
                 if itf.k not in kinds and itf.l not in kinds:
                     continue
                 jump = normal_jump(space, topo, idx, gid, ts)

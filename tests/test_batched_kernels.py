@@ -203,7 +203,7 @@ def test_grid_jets_match_per_column_expand(name, kind, n):
         W = rng.standard_normal((3, prims.n_cols))
         for u, v in evaluation_grids(n):
             want = expand_reference(prims, W, u, v)
-            grid = prims.grid(W, u, v)
+            grid = c1space.GridJets(prims, W, u, v)
             assert rel_gap(grid.jets(), want) <= RTOL
             band = slice(len(u) // 3, len(u) // 3 + 5)
             assert rel_gap(grid.jets(band), want[:, band]) <= RTOL
@@ -240,7 +240,7 @@ def test_window_pairs_match_per_column_primitives(name, n):
             want = primitive_jets(prims, cols, u, v)
             rows = np.repeat(np.arange(len(cols)), len(u_win))
             iu, iv = np.tile(u_win, (len(cols), 1)), np.tile(v_win, (len(cols), 1))
-            got = prims.grid(prims.selection(cols), u, v).pairs(rows, iu, iv)
+            got = c1space.GridJets(prims, prims.selection(cols), u, v).pairs(rows, iu, iv)
             assert np.array_equal(got, want[rows[:, None, None], iu[:, :, None], iv[:, None, :]])
 
 

@@ -12,17 +12,20 @@ from mpiga.c1space import (
     interior_indices,
 )
 from mpiga.errors import ParameterError
+from mpiga.fixtures import BUILTIN_NAMES, builtin_geometry
 from mpiga.geometry import _CORNER_SIDES, EdgeFrame, SideMap, gluing_data, physical_jet
 
-from oracles import piece_jets, sampled_nullspace
+from oracles import sampled_nullspace, view_rows
 
 from helpers import (
     CORNER_UV,
     block_ids,
     dof_jet_on_patch,
+    dof_patches,
     free_labels,
     normal_jump,
     physical_dof_jet,
+    row_jets_at,
     two_side_edge_data,
 )
 
@@ -198,18 +201,30 @@ def test_vertex_block_is_always_six(topo6, topo6c, topo2c):
         assert len(counts) == len(topo.vertices)
 
 
-def test_vertex_jet_reproduction(topo6c):
-    space = build_c1_space(topo6c, 3, 2, 4)
-    for vidx, vertex in enumerate(topo6c.vertices):
+# round-off bound of a reproduced vertex jet: its summed terms reach about
+# 1.2e5 at p=3 and 2.6e5 at p=4 (n=4), and the error stays near 2e-16 of them
+VERTEX_JET_TOL = {3: 1e-11, 4: 1e-10}
+
+
+@pytest.mark.parametrize("p", [3, 4])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_vertex_jet_reproduction(name, p):
+    # vertex dof q has the q-th physical unit jet at the vertex on every
+    # incident patch, summed from its sparse rows
+    topo = builtin_geometry(name)
+    space = build_c1_space(topo, p, p - 1, 4)
+    for vidx, vertex in enumerate(topo.vertices):
         gids = [g for g, lab in enumerate(space.labels)
                 if lab[0] == "vertex" and lab[1] == vidx]
+        assert len(gids) == 6
         for q, gid in enumerate(gids):
             target = np.zeros(6)
             target[q] = 1.0
+            assert dof_patches(space, gid) == {k for k, _ in vertex.incident}
             for (k, corner) in vertex.incident:
                 u0, v0 = CORNER_UV[corner]
-                jet = physical_dof_jet(space, topo6c, gid, k, [u0], [v0])[0]
-                assert np.abs(jet - target).max() <= 1e-11
+                jet = physical_dof_jet(space, topo, gid, k, [u0], [v0])[0]
+                assert np.abs(jet - target).max() <= VERTEX_JET_TOL[p]
 
 
 def test_identity_patch_vertex_value_dof(topo1):
@@ -231,7 +246,7 @@ def test_single_patch_block_structure(topo1):
     space = build_c1_space(topo1, 3, 2, 4)
     counts = space.dof_counts()
     assert counts == {"interior": 9, "bedge": 12, "vertex": 24}
-    assert all(len(sup) == 1 for sup in space.supports)
+    assert all(dof_patches(space, gid) == {0} for gid in range(space.n_dofs))
 
 
 def test_interface_block_counts_two_squares():
@@ -251,7 +266,40 @@ def test_interface_block_counts_two_squares():
     iface_ids = block_ids(space, "iface")
     assert len(iface_ids) == 3
     for gid in iface_ids:
-        assert sorted({k for k, _ in space.supports[gid]}) == [0, 1]
+        assert dof_patches(space, gid) == {0, 1}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_interior_and_edge_rows_are_unit_rows(name):
+    # interior and edge dofs are single primitives: one entry 1.0 per row,
+    # at the tensor column iu * N + iv for an interior dof
+    topo = builtin_geometry(name)
+    space = build_c1_space(topo, 3, 2, 4)
+    N = space.sol.dim
+    for k, rows in enumerate(space.patch_rows):
+        for gid, lab in enumerate(space.labels):
+            row = rows[gid]
+            if lab[0] == "vertex" or not row.nnz:
+                continue
+            assert row.nnz == 1 and row.data[0] == 1.0, (k, lab)
+            if lab[0] == "interior":
+                assert lab[1] == k and row.indices[0] == lab[2] * N + lab[3]
+            else:
+                assert row.indices[0] >= N * N, (k, lab)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_interface_dofs_live_on_their_two_patches(name):
+    topo = builtin_geometry(name)
+    space = build_c1_space(topo, 3, 2, 4)
+    for gid, lab in enumerate(space.labels):
+        if lab[0] == "iface":
+            itf = topo.interfaces[lab[1]]
+            assert dof_patches(space, gid) == {itf.k, itf.l}, lab
+        elif lab[0] == "interior":
+            assert dof_patches(space, gid) == {lab[1]}, lab
+        elif lab[0] == "bedge":
+            assert dof_patches(space, gid) == {topo.boundary_edges[lab[1]][0]}, lab
 
 
 @pytest.mark.parametrize("fixture", ["topo6", "topo2c", "topo6c"])
@@ -261,7 +309,7 @@ def test_coupling_conditions_all_interfaces(fixture, request):
     ts = np.linspace(0, 1, 100)
     for idx, itf in enumerate(topo.interfaces):
         for gid in range(space.n_dofs):
-            kinds = {kk for kk, _ in space.supports[gid]}
+            kinds = dof_patches(space, gid)
             if itf.k not in kinds and itf.l not in kinds:
                 continue
             (tr_k, nd_k), (tr_l, nd_l) = two_side_edge_data(space, topo, idx, gid, ts)
@@ -279,7 +327,7 @@ def test_exact_c1_on_bilinear_fixture(topo6):
         frame = EdgeFrame(topo6.patches[itf.k], itf.side_k, False)
         tau = frame.geom(ts)["tau"]
         for gid in range(space.n_dofs):
-            kinds = {kk for kk, _ in space.supports[gid]}
+            kinds = dof_patches(space, gid)
             if itf.k not in kinds and itf.l not in kinds:
                 continue
             jump = normal_jump(space, topo6, idx, gid, ts)
@@ -296,7 +344,7 @@ def test_vertex_coupling_residual_decays(topo2c):
         ts = np.linspace(0, 1, 60)
         w = 0.0
         for gid in block_ids(space, "vertex"):
-            kinds = {kk for kk, _ in space.supports[gid]}
+            kinds = dof_patches(space, gid)
             if not kinds.issuperset({0, 1}):
                 continue
             (_, nd_k), (_, nd_l) = two_side_edge_data(space, topo2c, 0, gid, ts)
@@ -385,16 +433,16 @@ def test_corner_kernel_vs_sampling_oracle(topo1):
 FREE_VERTEX_COMBOS = {"gn": {"corner": 0, "boundary": 1}, "gl": {"corner": 1, "boundary": 3}}
 
 
-def boundary_edge_jets(topo, k, ev, side, ts):
-    """Physical jets of one evaluator along a patch side, and the outward normal."""
+def boundary_edge_jets(topo, prims, k, row, side, ts):
+    """Physical jets of a sparse row over patch k's primitives along a
+    patch side, and the outward normal."""
     frame = EdgeFrame(topo.patches[k], side, False)
     u, v = frame.points(ts)
+    jets = row_jets_at(prims, row, u, v)
     if np.ptp(u) == 0.0:
-        jets = piece_jets(ev, u[:1], v)[0]
         _, jac, hess = topo.patches[k].jet_grid(u[:1], v)
         jac, hess = jac[0], hess[0]
     else:
-        jets = piece_jets(ev, u, v[:1])[:, 0]
         _, jac, hess = topo.patches[k].jet_grid(u, v[:1])
         jac, hess = jac[:, 0], hess[:, 0]
     return physical_jet(jets, jac, hess), frame.geom(ts)["n_out"]
@@ -412,22 +460,23 @@ def test_boundary_vertex_kernel_fine_mesh(fixture, p, bc, n, request):
     view = homogeneous_subspace(build_c1_space(topo, p, p - 1, n),
                                 {e: bc for e in topo.boundary_edges})
     free = {}
-    for lab, supports in view.dofs[: view.n_free]:
+    for fid, lab in enumerate(free_labels(view)):
         if lab[0] == "vertex" and topo.vertices[lab[1]].kind != "inner":
-            free.setdefault(lab[1], []).append(supports)
+            free.setdefault(lab[1], []).append(fid)
+    rows = [view_rows(view, k) for k in range(len(topo.patches))]
     ts = np.linspace(0.0, 1.0, 401)
     for vidx, vertex in enumerate(topo.vertices):
         if vertex.kind == "inner":
             continue
-        combos = free.get(vidx, [])
-        assert len(combos) == FREE_VERTEX_COMBOS[bc][vertex.kind], (vidx, vertex.kind)
-        corners = dict(vertex.incident)
-        for supports in combos:
-            for k, ev in supports:
-                for side in _CORNER_SIDES[corners[k]]:
+        fids = free.get(vidx, [])
+        assert len(fids) == FREE_VERTEX_COMBOS[bc][vertex.kind], (vidx, vertex.kind)
+        for fid in fids:
+            for k, corner in vertex.incident:
+                for side in _CORNER_SIDES[corner]:
                     if not topo.is_boundary_edge(k, side):
                         continue
-                    phys, normal = boundary_edge_jets(topo, k, ev, side, ts)
+                    prims = view.space.primitives[k]
+                    phys, normal = boundary_edge_jets(topo, prims, k, rows[k][fid], side, ts)
                     assert np.abs(phys[:, 0]).max() <= 1e-12
                     if bc == "gn":
                         dn = np.einsum("mc,mc->m", normal, phys[:, 1:3])
@@ -438,6 +487,37 @@ def test_missing_bc_tag_rejected(topo1):
     space = build_c1_space(topo1, 3, 2, 4)
     with pytest.raises(ParameterError):
         ConstrainedC1Space(space, {topo1.boundary_edges[0]: "gn"})
+
+
+@pytest.mark.parametrize("stray", ["interface", "no-such-side", "no-such-patch"])
+def test_bc_tag_off_the_boundary_rejected(stray):
+    # a tag on an interface side or on a side that does not exist is
+    # rejected by both space views, not ignored or half applied
+    from mpiga.assembly import C0Space
+
+    topo = builtin_geometry("square-2-bicubic")
+    itf = topo.interfaces[0]
+    edge = {"interface": (itf.k, itf.side_k), "no-such-side": (0, 7), "no-such-patch": (5, 1)}[stray]
+    tags = {e: "gl" for e in topo.boundary_edges}
+    tags[edge] = "gn"
+    space = build_c1_space(topo, 3, 2, 4)
+    with pytest.raises(ParameterError, match="not boundary edges"):
+        homogeneous_subspace(space, tags)
+    with pytest.raises(ParameterError, match="not boundary edges"):
+        C0Space(topo, 3, 2, 4, tags)
+    with pytest.raises(ParameterError, match="not boundary edges"):
+        C0Space(topo, 3, 2, 4, {edge: "gl"})
+
+
+def test_unknown_bc_tag_value_rejected(topo1):
+    from mpiga.assembly import C0Space
+
+    tags = {e: "gl" for e in topo1.boundary_edges}
+    tags[topo1.boundary_edges[0]] = "clamped"
+    with pytest.raises(ParameterError, match="unknown boundary tags"):
+        homogeneous_subspace(build_c1_space(topo1, 3, 2, 4), tags)
+    with pytest.raises(ParameterError, match="unknown boundary tags"):
+        C0Space(topo1, 3, 2, 4, tags)
 
 
 def test_mesh_too_coarse_rejected(topo1):
