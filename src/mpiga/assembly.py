@@ -486,25 +486,16 @@ def _lift_boundary_data(asm, g0, g1, bc_tags):
         return np.zeros(0)
     if g0 is None and g1 is None:
         return np.zeros(nb)
-    topo = asm.topology
     rows, targets = [], []
     ts = np.linspace(0.0, 1.0, 4 * (view.space.sol.dim + 2))
     for (k, side), tag in bc_tags.items():
-        frame = EdgeFrame(topo.patches[k], side, False)
-        us, vs, axis = frame.line(ts)
-        g = frame.geom(ts)
         _, ext = view.element_table(k)
-        jets = np.take(ext.prims.expand(ext.matrix[view.n_free :], us, vs), 0, axis=axis + 1)
-        phys = physical_jet(jets, g["jac"], g["hess"])  # (nb, m, 6)
-        rows.append(phys[:, :, 0].T)
-        targets.append(
-            np.zeros(len(ts)) if g0 is None else np.asarray(g0(g["point"][:, 0], g["point"][:, 1]))
-        )
-        if tag == "gn":
-            rows.append(np.einsum("mc,bmc->mb", g["n_out"], phys[:, :, 1:3]))
-            targets.append(
-                np.zeros(len(ts)) if g1 is None else np.asarray(g1(g["point"][:, 0], g["point"][:, 1]))
-            )
+        frame = EdgeFrame(asm.topology.patches[k], side)
+        A, g = ext.prims.constraint_rows(ext.matrix[view.n_free :], frame, ts, tag)
+        rows.append(A)
+        x, y = g["point"].T
+        for data in (g0, g1) if tag == "gn" else (g0,):
+            targets.append(np.zeros(len(ts)) if data is None else np.asarray(data(x, y)))
     A = np.vstack(rows)
     b = np.concatenate(targets)
     coeffs, *_ = np.linalg.lstsq(A, b, rcond=None)
@@ -709,11 +700,8 @@ def stacked_error_norms(view, stack, exact_jet=None, quad_scale=1):
     for itf in asm.topology.interfaces:
         dn = []  # normal derivative along the lower side's normal, per side
         for k, frame in zip((itf.k, itf.l), interface_frames(asm.topology, itf)):
-            geom = frame.geom(ts)
-            us, vs, axis = frame.line(ts)
             prims, rows = combos[k]
-            jets = np.take(prims.expand(rows, us, vs), 0, axis=axis + 1)
-            phys = physical_jet(jets, geom["jac"], geom["hess"])
+            phys, geom = prims.line_jets(rows, frame, ts)
             if k == itf.k:
                 normal, w = geom["n_out"], np.tile(asm.eweights, n) * h * geom["tau"]
             dn.append(normal[:, 0] * phys[..., 1] + normal[:, 1] * phys[..., 2])

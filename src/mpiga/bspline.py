@@ -243,12 +243,12 @@ class SplineSpace:
         return e0, e1
 
 
-def l2_project(space, f, quad_pts=None):
+def l2_project(space, f):
     """L2-orthogonal projection of scalar functions onto a spline space.
 
     The mass matrix is integrated with a per-element Gauss rule exact for
-    degree-2p polynomials (p+1 points unless overridden) and solved with a
-    banded Cholesky factorization.
+    degree-2p polynomials (p+1 points) and solved with a banded Cholesky
+    factorization.
 
     Parameters
     ----------
@@ -265,25 +265,21 @@ def l2_project(space, f, quad_pts=None):
         coefficients, one column per function.
     """
     p, n, h = space.p, space.n, space.h
-    npts = quad_pts if quad_pts is not None else p + 1
-    xg, wg = gauss_legendre(npts)
+    xg, wg = gauss_legendre(p + 1)
     xs = ((np.arange(n)[:, None] + xg) * h).ravel()
     fx = np.asarray(f(xs), dtype=float)
-    values = fx.reshape(n, npts, -1)
-
-    band = np.zeros((p + 1, space.dim))  # lower form for solveh_banded
-    rhs = np.zeros((space.dim, values.shape[-1]))
+    values = fx.reshape(n, p + 1, -1)
+    # every node lies inside its element: per element, its p+1 basis functions
+    vals = space.eval_many(xs, 0)[1][:, 0].reshape(n, p + 1, p + 1)
     w = wg * h
-    for e in range(n):
-        first, tables = space.eval_many(xs[e * npts : (e + 1) * npts], 0)
-        vals = tables[:, 0, :]  # (npts, p+1)
-        emass = np.einsum("q,qi,qj->ij", w, vals, vals)
-        i0 = space.element_first_basis(e)
-        for a in range(p + 1):
-            for col in range(rhs.shape[1]):
-                rhs[i0 + a, col] += np.dot(w * values[e, :, col], vals[:, a])
-            for b in range(a, p + 1):
-                band[b - a, i0 + a] += emass[a, b]
+    emass = np.einsum("q,eqi,eqj->eij", w, vals, vals)
+    eload = np.einsum("eqi,eqk->eik", vals, w[:, None] * values)
+    idx = space.element_first_basis(np.arange(n))[:, None] + np.arange(p + 1)
+    band = np.zeros((p + 1, space.dim))  # lower form for solveh_banded
+    for d in range(p + 1):  # band[d, i0 + a] holds the element entries (a, a + d)
+        np.add.at(band[d], idx[:, : p + 1 - d], np.diagonal(emass, d, axis1=1, axis2=2))
+    rhs = np.zeros((space.dim, values.shape[-1]))
+    np.add.at(rhs, idx, eload)
     try:
         coeffs = solveh_banded(band, rhs, lower=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by construction

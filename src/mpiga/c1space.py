@@ -241,6 +241,25 @@ class PatchPrimitives:
         weight matrix on a tensor grid: (m, nu, nv, 6)."""
         return GridJets(self, W, u_pts, v_pts).jets()
 
+    def line_jets(self, W, frame, ts):
+        """Physical jets (m, len(ts), 6) of the rows of an (m, n_cols) weight
+        matrix at the parameters ``ts`` of an :class:`EdgeFrame` of this
+        patch, and the frame's :meth:`~EdgeFrame.geom` there."""
+        us, vs, axis = frame.line(ts)
+        geom = frame.geom(ts)
+        jets = np.take(self.expand(W, us, vs), 0, axis=axis + 1)
+        return physical_jet(jets, geom["jac"], geom["hess"]), geom
+
+    def constraint_rows(self, W, frame, ts, tag):
+        """Boundary constraint samples of weight rows along an edge frame:
+        values (len(ts), m), then on a 'gn' edge outward normal
+        derivatives; and the frame's geometry."""
+        phys, geom = self.line_jets(W, frame, ts)
+        rows = [phys[:, :, 0].T]
+        if tag == "gn":
+            rows.append(np.einsum("mc,qmc->mq", geom["n_out"], phys[:, :, 1:3]))
+        return np.vstack(rows), geom
+
 
 def _run(idx):
     """A slice for ascending consecutive indices, else the indices."""
@@ -727,38 +746,26 @@ class ConstrainedC1Space:
     def _vertex_kernel(self, vertex, gids):
         """Kernel and complement bases (6, .) of the value (and, on 'gn'
         edges, normal-derivative) constraints of the six vertex dofs
-        ``gids``, sampled on the vertex's boundary edges."""
-        topo = self.space.topology
-        edges = []
-        for (k, corner) in vertex.incident:
-            for side, t_flip in zip(_CORNER_SIDES[corner], _CORNER_FLIP[corner]):
-                if topo.is_boundary_edge(k, side) and (k, side, t_flip) not in edges:
-                    edges.append((k, side, t_flip))
+        ``gids``, sampled on the vertex's boundary edges.  Only the kernel
+        is defined, so its bases depend on its projector alone
+        (:func:`kernel_split`) and round-off in the samples does not
+        rotate the free vertex dofs."""
+        space, topo = self.space, self.space.topology
         # vertex functions (trace 0..2, transversal 0..1, tensor indices up
         # to 2 from the corner) vanish beyond 3 elements from the vertex, so
         # the samples run from the vertex (t = 0) across those elements only:
         # spread over a whole edge, too few of them fall inside the support
         # on fine meshes and the constraint matrix loses rank
-        ts = np.linspace(0.0, min(1.0, 3 * self.space.h), self.EDGE_SAMPLES)
-        rows = []
-        for (k, side, t_flip) in edges:
-            tag = self.bc[(k, side)]
-            frame = EdgeFrame(topo.patches[k], side, t_flip)
-            us, vs, axis = frame.line(ts)
-            g = frame.geom(ts)
-            prims = self.space.primitives[k]
-            W = self.space.patch_rows[k][gids]
-            # the kernel basis turns round-off in the samples into a change of
-            # basis, so they are summed from the primitives in column order
-            cols = np.unique(W.indices)
-            unit = prims.expand(prims.selection(cols), us, vs)
-            jets = np.take(np.tensordot(W[:, cols].toarray(), unit, axes=1), 0, axis=axis + 1)
-            phys = physical_jet(jets, g["jac"], g["hess"])  # (6, m, 6)
-            rows.append(phys[:, :, 0].T)
-            if tag == "gn":
-                rows.append(np.einsum("mc,qmc->mq", g["n_out"], phys[:, :, 1:3]))
-        M = np.vstack(rows) if rows else np.zeros((1, 6))
-        return kernel_split(M, self.KERNEL_TOL)
+        ts = np.linspace(0.0, min(1.0, 3 * space.h), self.EDGE_SAMPLES)
+        edges, rows = [], []
+        for (k, corner) in vertex.incident:
+            for side, t_flip in zip(_CORNER_SIDES[corner], _CORNER_FLIP[corner]):
+                if topo.is_boundary_edge(k, side) and (k, side, t_flip) not in edges:
+                    edges.append((k, side, t_flip))
+                    frame = EdgeFrame(topo.patches[k], side, t_flip)
+                    W = space.patch_rows[k][gids]
+                    rows.append(space.primitives[k].constraint_rows(W, frame, ts, self.bc[(k, side)])[0])
+        return kernel_split(np.vstack(rows), self.KERNEL_TOL)
 
     # -- assembly support ----------------------------------------------
 

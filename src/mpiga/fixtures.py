@@ -198,7 +198,7 @@ def load_geometry(path):
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise GeometryError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(data, dict) or "patches" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("patches"), list):
         raise GeometryError(f"{path}: expected an object with a 'patches' array")
     patches = []
     for idx, rec in enumerate(data["patches"]):

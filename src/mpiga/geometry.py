@@ -561,8 +561,11 @@ def patch_to_dict(patch):
 
 
 def _space_from_knots(degree, knots):
-    knots = np.asarray(knots, dtype=float)
-    if knots[0] != 0.0 or knots[-1] != 1.0:
+    try:
+        knots = np.asarray(knots, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise GeometryError(f"knot vector is not a list of numbers: {exc}") from exc
+    if knots.ndim != 1 or len(knots) < 2 or knots[0] != 0.0 or knots[-1] != 1.0:
         raise GeometryError("knot vectors must span [0, 1]")
     interior = np.unique(knots[(knots > 0.0) & (knots < 1.0)])
     n = len(interior) + 1

@@ -227,24 +227,31 @@ def gram_pencil_max(R, B):
     return scipy.linalg.eigvalsh(0.5 * (S + S.T))[-1]
 
 
+def _projector_basis(P, k):
+    """An orthonormal basis (n, k) of the range of an orthogonal projector P
+    of rank k that depends on P alone: the k columns J that QR with column
+    pivoting picks, taken in ascending order, orthonormalized symmetrically
+    as P[:, J] P[J, J]^(-1/2) (Loewdin)."""
+    J = np.sort(scipy.linalg.qr(P, mode="r", pivoting=True)[1][:k])
+    w, U = np.linalg.eigh(P[np.ix_(J, J)])
+    return P[:, J] @ (U / np.sqrt(w)) @ U.T
+
+
 def kernel_split(M, rel_tol):
     """Orthonormal bases ``(kernel, complement)`` of the numerical kernel of a
     dense matrix and of its orthogonal complement.
 
-    Kernel columns v satisfy ||M v|| <= rel_tol * sigma_max * ||v||; both
-    bases come from one full singular value factorization.  Singular
-    vectors have arbitrary signs, so each column is signed to make its
-    largest-magnitude entry (the first of equal ones) positive.
+    Kernel columns v satisfy ||M v|| <= rel_tol * sigma_max * ||v||.  A
+    singular value factorization gives the rank and the kernel projector P,
+    and each basis is a function of its projector (P, or I - P) alone, so
+    round-off in M that rotates the singular vectors inside a repeated or
+    null singular value leaves both bases unchanged.
     """
     if not 0.0 < rel_tol < 1.0:
         raise ParameterError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     M = np.atleast_2d(np.asarray(M, dtype=float))
     _, s, vt = np.linalg.svd(M, full_matrices=True)
-    smax = s[0] if len(s) else 0.0
+    rank = int(np.sum(s > rel_tol * s.max(initial=0.0)))
     ncols = M.shape[1]
-    if smax == 0.0:
-        return np.eye(ncols), np.zeros((ncols, 0))
-    rank = int(np.sum(s > rel_tol * smax))
-    lead = vt[np.arange(ncols), np.argmax(np.abs(vt), axis=1)]
-    vt = vt * np.where(lead < 0.0, -1.0, 1.0)[:, None]
-    return vt[rank:].T, vt[:rank].T
+    P = vt[rank:].T @ vt[rank:]
+    return _projector_basis(P, ncols - rank), _projector_basis(np.eye(ncols) - P, rank)

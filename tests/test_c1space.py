@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mpiga import c1space
 from mpiga.bspline import SplineSpace, gauss_legendre
 from mpiga.c1space import (
     ConstrainedC1Space,
@@ -14,6 +15,7 @@ from mpiga.c1space import (
 from mpiga.errors import ParameterError
 from mpiga.fixtures import BUILTIN_NAMES, builtin_geometry
 from mpiga.geometry import _CORNER_SIDES, EdgeFrame, SideMap, gluing_data, physical_jet
+from mpiga.linalg import kernel_split
 
 from oracles import sampled_nullspace, view_rows
 
@@ -481,6 +483,54 @@ def test_boundary_vertex_kernel_fine_mesh(fixture, p, bc, n, request):
                     if bc == "gn":
                         dn = np.einsum("mc,mc->m", normal, phys[:, 1:3])
                         assert np.abs(dn).max() <= 1e-12
+
+
+@pytest.mark.parametrize("bc", ["gn", "gl"])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_vertex_kernel_bases_stable_under_sample_round_off(name, bc, monkeypatch):
+    # only the kernel of the sampled constraints is defined: round-off in
+    # the samples must not rotate the free vertex dofs
+    topo = builtin_geometry(name)
+    samples = []
+
+    def capture(M, rel_tol):
+        samples.append((M, rel_tol))
+        return kernel_split(M, rel_tol)
+
+    monkeypatch.setattr(c1space, "kernel_split", capture)
+    homogeneous_subspace(build_c1_space(topo, 3, 2, 8), {e: bc for e in topo.boundary_edges})
+    assert len(samples) == sum(vertex.kind != "inner" for vertex in topo.vertices)
+    rng = np.random.RandomState(3)
+    for M, rel_tol in samples:
+        kernel, compl = kernel_split(M, rel_tol)
+        k2, c2 = kernel_split(M * (1.0 + 1e-15 * rng.randn(*M.shape)), rel_tol)
+        assert np.abs(k2 - kernel).max(initial=0.0) <= 1e-12
+        assert np.abs(c2 - compl).max(initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("tag", ["gn", "gl"])
+def test_constraint_rows_match_column_sums(topo6c, tag):
+    # the one boundary sampler against rows summed column by column, for
+    # the six dofs of a vertex of the edge and two dofs of the edge itself
+    space = build_c1_space(topo6c, 3, 2, 8)
+    bidx = 0 if tag == "gn" else len(topo6c.boundary_edges) - 1
+    k, side = topo6c.boundary_edges[bidx]
+    vidx = next(
+        v for v, vertex in enumerate(topo6c.vertices)
+        if any(kk == k and side in _CORNER_SIDES[corner] for kk, corner in vertex.incident)
+    )
+    gids = [g for g, lab in enumerate(space.labels) if lab[0] == "vertex" and lab[1] == vidx]
+    trace, trans = edge_dof_indices(space.splus, space.sminus)
+    gids += [space.labels.index(("bedge", bidx, "trace", trace[0]))]
+    gids += [space.labels.index(("bedge", bidx, "transversal", trans[0]))]
+    prims, rows = space.primitives[k], space.patch_rows[k]
+    ts = np.linspace(0.0, 1.0, 41)
+    A, _ = prims.constraint_rows(rows[gids], EdgeFrame(topo6c.patches[k], side), ts, tag)
+    assert A.shape == ((2 if tag == "gn" else 1) * len(ts), len(gids))
+    for col, gid in enumerate(gids):
+        phys, normal = boundary_edge_jets(topo6c, prims, k, rows[gid], side, ts)
+        expected = [phys[:, 0]] + ([np.einsum("mc,mc->m", normal, phys[:, 1:3])] if tag == "gn" else [])
+        assert np.abs(A[:, col] - np.concatenate(expected)).max() <= 1e-12, space.labels[gid]
 
 
 def test_missing_bc_tag_rejected(topo1):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mpiga.cli import main
 from mpiga.errors import ConformityError, GeometryError, ParameterError
 from mpiga.fixtures import (
     BUILTIN_NAMES,
@@ -123,6 +124,31 @@ def test_load_rejects_schema_violations(tmp_path):
     path.write_text(json.dumps({"nope": []}))
     with pytest.raises(GeometryError):
         load_geometry(path)
+
+
+UNIT_PATCH = {
+    "degree_u": 1, "degree_v": 1,
+    "knots_u": [0, 0, 1, 1], "knots_v": [0, 0, 1, 1],
+    "control_points": [[0, 0], [0, 1], [1, 0], [1, 1]],
+}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"patches": 5},
+        {"patches": [dict(UNIT_PATCH, knots_u=[])]},
+        {"patches": [dict(UNIT_PATCH, knots_u=["a"])]},
+    ],
+    ids=["patches-not-a-list", "empty-knots", "non-numeric-knots"],
+)
+def test_malformed_geometry_is_a_configuration_error(tmp_path, data):
+    # README "Exit codes": a configuration error exits with 2, not a traceback
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(GeometryError):
+        load_geometry(path)
+    assert main(["solve", "--geometry", str(path), "--levels", "4"]) == 2
 
 
 def test_fixture_regularity(topo6c):

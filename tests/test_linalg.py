@@ -223,3 +223,22 @@ def test_kernel_split_signs_are_reproducible():
         assert np.abs(c2 - compl).max() <= 1e-12
     for Q in (kernel, compl):
         assert np.all(Q[np.argmax(np.abs(Q), axis=0), np.arange(Q.shape[1])] > 0.0)
+
+
+def test_kernel_split_bases_depend_on_the_kernel_only():
+    # three zero singular values: any rotation of the null singular vectors
+    # is an SVD, so the bases must come from the kernel, not from the SVD
+    rng = np.random.RandomState(7)
+    U, _ = np.linalg.qr(rng.randn(8, 8))
+    V, _ = np.linalg.qr(rng.randn(6, 6))
+    M = U[:, :6] @ np.diag([3.0, 2.0, 1.0, 0.0, 0.0, 0.0]) @ V.T
+    kernel, compl = kernel_split(M, 1e-10)
+    assert kernel.shape == (6, 3) and compl.shape == (6, 3)
+    assert np.abs(M @ kernel).max() <= 1e-12
+    Q = np.hstack([kernel, compl])
+    assert np.abs(Q.T @ Q - np.eye(6)).max() <= 1e-12
+    perturbed = M * (1.0 + 1e-15 * rng.randn(*M.shape))
+    for variant in (perturbed, M[rng.permutation(8)], -M):
+        k2, c2 = kernel_split(variant, 1e-10)
+        assert np.abs(k2 - kernel).max() <= 1e-12
+        assert np.abs(c2 - compl).max() <= 1e-12
