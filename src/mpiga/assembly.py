@@ -9,19 +9,23 @@ Two discrete forms are assembled over element-wise Gauss quadrature:
   the Laplacian average and a penalty (eta/h) jump-jump term per
   interface.
 
-The volume rule uses (p+2)^2 points per element and interfaces use
-2p+1 points per edge span; jumps are oriented as (higher side) minus
-(lower side) with the interface normal taken outward from the
-lower-indexed patch.
+Every form is assembled over the patch primitives of the space view
+(tensor B-splines and edge functions, numbered in one range across
+patches) and mapped to dofs once through the view's extraction matrices,
+as E M E^T and E F.  The volume rule uses (p+2)^2 points per element and
+interfaces use 2p+1 points per edge span; jumps are oriented as (higher
+side) minus (lower side) with the interface normal taken outward from
+the lower-indexed patch.
 """
 
 import numpy as np
+import scipy.sparse
 
 from .bspline import _SLOT_U, _SLOT_V, gauss_legendre
-from .c1space import ConstrainedC1Space, GridJets, PatchPrimitives
+from .c1space import ConstrainedC1Space, GridJets, PatchExtraction, PatchPrimitives
 from .errors import ParameterError
 from .geometry import EdgeFrame, SideMap, interface_frames, physical_jet, pullback
-from .linalg import SparseSymMatrix, gram_pencil_max, solve_spd, sum_blocks
+from .linalg import SparseSymMatrix, gram_pencil_max, solve_spd
 
 __all__ = [
     "AssembledSystem",
@@ -153,15 +157,18 @@ class C0Space:
         self.n_free = int(kept.sum())
         self.n_total = self.n_free
         self.primitives = PatchPrimitives(self.sol)
+        self._tables = []
+        for fids in self.patch_fids:
+            cols = np.flatnonzero(fids.ravel() >= 0)
+            unit = scipy.sparse.csr_matrix(
+                (np.ones(len(cols)), (fids.ravel()[cols], cols)), shape=(self.n_total, N * N)
+            )
+            self._tables.append(PatchExtraction(self.primitives, unit, n))
 
     def element_table(self, patch_index):
-        return self.patch_fids[patch_index], None
-
-    def patch_combinations(self, patch_index, stack):
-        """Tensor primitives and every row of an (m, n_total) coefficient
-        stack restricted to one patch, as (m, N * N) weights over them."""
-        fids = self.patch_fids[patch_index].ravel()
-        return self.primitives, np.where(fids >= 0, stack[:, fids], 0.0)
+        """The :class:`~mpiga.c1space.PatchExtraction` of one patch: unit
+        rows over its tensor B-splines."""
+        return self._tables[patch_index]
 
 
 # ---------------------------------------------------------------------------
@@ -169,31 +176,55 @@ class C0Space:
 
 
 class _Assembler:
-    """Shared element machinery over a space view (C1 or C0)."""
+    """Shared element machinery over a space view (C1 or C0).
+
+    Forms are assembled over the primitives of all patches in one range:
+    column c of patch k has id c plus the column count of the patches
+    before it.  ``E`` (n_total,
+    n_prims), the view's extraction matrices side by side, maps a
+    primitive matrix M to dofs as E M E^T (:meth:`to_dofs`) and a
+    primitive load F as E F.
+    """
 
     def __init__(self, view, quad_scale=1):
         self.view = view
-        self.sol = view.sol if hasattr(view, "sol") else view.space.sol
-        self.topology = view.topology if hasattr(view, "topology") else view.space.topology
+        self.sol, self.topology = view.sol, view.topology
         self.n = self.sol.n
         p = self.sol.p
         self.nq = quad_scale * (p + 2)
         self.nodes, self.weights = gauss_legendre(self.nq)
         self.edge_nq = quad_scale * (2 * p + 1)
         self.enodes, self.eweights = gauss_legendre(self.edge_nq)
+        self.tables = [view.element_table(k) for k in range(len(self.topology.patches))]
+        sizes = [ext.prims.n_cols for ext in self.tables]
+        self.n_prims = sum(sizes)
+        self.E = scipy.sparse.hstack([ext.matrix for ext in self.tables], format="csr")
+        self.ids = []  # per patch, the id of every column some dof uses, -1 elsewhere
+        for ext, offset in zip(self.tables, np.cumsum([0] + sizes[:-1])):
+            ids = -np.ones(ext.prims.n_cols, dtype=int)
+            used = np.unique(ext.matrix.indices)
+            ids[used] = offset + used
+            self.ids.append(ids)
+
+    def to_dofs(self, M):
+        """The dof matrix E M E^T of a primitive :class:`SparseSymMatrix`,
+        with sorted indices; entries that sum to exactly zero are not
+        stored."""
+        A = self.E @ M.tocsr() @ self.E.T.tocsr()
+        A.sort_indices()
+        return SparseSymMatrix.from_sparse(A)
 
     def edge_table(self, patch_index, u_pts, v_pts):
-        """The extracted edge primitives of one patch on a tensor grid of
-        points: a :class:`~mpiga.c1space.GridJets` with one unit row per
-        column of the extraction's ``cols``, or None for a view without
-        extraction."""
-        _, ext = self.view.element_table(patch_index)
-        if ext is None:
+        """The edge primitives some dof of one patch uses, on a tensor grid
+        of points: a :class:`~mpiga.c1space.GridJets` with one unit row per
+        column of the extraction's ``cols``, or None when there are none."""
+        ext = self.tables[patch_index]
+        if not len(ext.cols):
             return None
         return GridJets(ext.prims, ext.prims.selection(ext.cols), u_pts, v_pts)
 
     def cells(self, patch_index, eu, ev, u, v, op, edges):
-        """Dof ids and operator values on some cells of one patch.
+        """Primitive ids and operator values on some cells of one patch.
 
         Cell c is the element (eu[c], ev[c]) with a tensor grid of points
         inside it.  ``u`` and ``v`` are the grid's point indices and their
@@ -201,29 +232,28 @@ class _Assembler:
         derivatives) along each axis: one axis has indices (nc, mq) and
         tables (nc, mq, 3, p+1) per cell, the other (mq,) and (mq, 3, p+1)
         shared by every cell.  The indices number the points of ``edges``,
-        the patch's :meth:`edge_table` (None for views without
-        extraction).  ``op`` (nc, Q, m, 6) holds, at each of the Q = mu *
-        mv points (u-major), m rows that act on a parametric 2-jet
-        (value, du, dv, duu, duv, dvv), for example rows of the
-        :func:`~mpiga.geometry.pullback` map times a weight.  Returns dof
-        ids (nc, nd) padded with -1 and values (nc, nd, m, Q), every row
-        applied to every dof's jet: the (p+1)^2 tensor window (u-major)
-        first, then the extracted dofs of the extraction rows the cells
-        fall in.  Values of padded ids are meaningless.
+        the patch's :meth:`edge_table`.  ``op`` (nc, Q, m, 6) holds, at
+        each of the Q = mu * mv points (u-major), m rows that act on a
+        parametric 2-jet (value, du, dv, duu, duv, dvv), for example rows
+        of the :func:`~mpiga.geometry.pullback` map times a weight.
+        Returns primitive ids (nc, nd) and values (nc, nd, m, Q), every row
+        applied to every primitive's jet: the (p+1)^2 tensor window
+        (u-major) first, with id -1 where no dof uses the column, then the
+        edge primitives that reach the cell (``cells`` of the
+        extraction), padded with -1.  Values of ids -1 are meaningless.
 
-        No dof jet is formed: the rows are multiplied into the per-cell
-        axis table first, and the shared axis table contracts the jet
-        slots in one matrix product per shared point.  Extracted dofs
-        gather, per cell, the jets of only the edge primitives the
-        extraction row lists for it (:meth:`~mpiga.c1space.GridJets.pairs`),
-        apply the rows to them, and combine them with the tensor window
-        through the extraction blocks.
+        No jet is formed: the rows are multiplied into the per-cell axis
+        table first, and the shared axis table contracts the jet slots in
+        one matrix product per shared point.  Edge primitives gather their
+        jets on each cell they reach from the table
+        (:meth:`~mpiga.c1space.GridJets.pairs`) and the rows are applied
+        to them.
         """
-        nc, p1, step = len(eu), self.sol.p + 1, self.sol.p - self.sol.r
+        nc, N, p1, step = len(eu), self.sol.dim, self.sol.p + 1, self.sol.p - self.sol.r
         (u_idx, u_tab), (v_idx, v_tab) = u, v
-        tensor_fids, ext = self.view.element_table(patch_index)
+        ext, prim_ids = self.tables[patch_index], self.ids[patch_index]
         wu, wv = ((e * step)[:, None] + np.arange(p1) for e in (eu, ev))
-        ids = tensor_fids[wu[:, :, None], wv[:, None, :]].reshape(nc, p1 * p1)
+        ids = prim_ids[(wu * N)[:, :, None] + wv[:, None, :]].reshape(nc, p1 * p1)
         mu, mv, m = u_tab.shape[-3], v_tab.shape[-3], op.shape[2]
         grid_op = op.reshape(nc, mu, mv, m, 6)
         if u_tab.ndim == 3:  # u shared: (qu, slot, cell, qv, row, iv) -> (cell, iu, iv, row, qu, qv)
@@ -236,51 +266,38 @@ class _Assembler:
         vals = shared.swapaxes(1, 2) @ factor.reshape(factor.shape[:2] + (-1,))
         vals = vals.reshape(factor.shape[:1] + (p1,) + factor.shape[2:]).transpose(order)
         vals = vals.reshape(nc, p1 * p1, m, mu * mv)
-        if ext is None:
+        pad = len(ext.cols)
+        pos = ext.cells[eu, ev]
+        ne = int(np.count_nonzero(pos < pad, axis=1).max(initial=0))
+        if not ne:
             return ids, vals
-        slot = ext.cells[eu, ev]
-        hit = np.flatnonzero(slot >= 0)
-        if not len(hit):
-            return ids, vals
-        rows = [(ext.rows[r], np.flatnonzero(eu[hit] == r)) for r in np.unique(eu[hit])]
-        pad, ne = len(ext.cols), max(row.pos.shape[1] for row, _ in rows)
-        pos = np.full((len(hit), ne), pad)  # per hit cell, its edge primitives in ext.cols
-        for row, at in rows:
-            pos[at, : row.pos.shape[1]] = row.pos[slot[hit[at]]]
-        cell, e = np.nonzero(pos < pad)
+        pos = pos[:, :ne]
+        hit = np.flatnonzero(pos[:, 0] < pad)
+        cell, e = np.nonzero(pos[hit] < pad)
         u_win, v_win = (
             idx[hit[cell]] if idx.ndim == 2 else np.broadcast_to(idx, (len(cell), len(idx)))
             for idx in (u_idx, v_idx)
         )
-        prim = np.zeros((len(hit), mu * mv, ne, 6))
-        prim[cell, :, e] = edges.pairs(pos[cell, e], u_win, v_win).reshape(len(cell), mu * mv, 6)
+        jets = np.zeros((len(hit), mu * mv, ne, 6))
+        jets[cell, :, e] = edges.pairs(pos[hit[cell], e], u_win, v_win).reshape(len(cell), mu * mv, 6)
         # per hit cell and point, (primitive, slot) @ (slot, row), then
         # (hit cell, primitive, m, Q) with zeros at padding
-        prim = (prim @ op[hit].swapaxes(2, 3)).transpose(0, 2, 3, 1)
-        prim[pos == pad] = 0.0
-        width = max(row.fids.shape[1] for row, _ in rows)
-        ext_ids = -np.ones((nc, width), dtype=int)
-        ext_vals = np.zeros((nc, width, m, mu * mv))
-        for row, at in rows:
-            cells, nd, na = slot[hit[at]], row.fids.shape[1], len(at)
-            # per cell, its tensor window and its edge primitives
-            local = np.concatenate([vals[hit[at]], prim[at, : row.pos.shape[1]]], axis=1)
-            ext_ids[hit[at], :nd] = row.fids[cells]
-            dof_vals = row.blocks[cells] @ local.reshape(na, local.shape[1], -1)
-            ext_vals[hit[at], :nd] = dof_vals.reshape(na, nd, m, -1)
-        return np.concatenate([ids, ext_ids], axis=1), np.concatenate([vals, ext_vals], axis=1)
+        edge_vals = np.zeros((nc, ne, m, mu * mv))
+        edge_vals[hit] = (jets @ op[hit].swapaxes(2, 3)).transpose(0, 2, 3, 1)
+        edge_ids = np.append(prim_ids[ext.cols], -1)[pos]
+        return np.concatenate([ids, edge_ids], axis=1), np.concatenate([vals, edge_vals], axis=1)
 
     # -- volume form ----------------------------------------------------
 
     def element_rows(self, patch_index, operator):
-        """Operator values of the dofs of one patch, one element row at a time.
+        """Operator values of the primitives of one patch, one element row at a time.
 
         For the row of elements (eu, 0..n-1), ``operator(pull, w, point)``
         receives the per-point :func:`~mpiga.geometry.pullback` maps (n,
         Q, 6, 6) to physical jets, the quadrature weights times det J (n,
         Q) and the quadrature points (n, Q, 2), with the Q = nq^2 points
         of an element ordered u-major, and returns operator rows (n, Q, m,
-        6).  Yields the dof ids (n, nd) and values (n, nd, m, Q) of
+        6).  Yields the primitive ids (n, nd) and values (n, nd, m, Q) of
         :meth:`cells` for them.
         """
         n, nq = self.n, self.nq
@@ -304,15 +321,13 @@ class _Assembler:
             yield self.cells(patch_index, np.full(n, eu), ev, row, per_cell, op, edges)
 
     def volume_system(self, f=None):
-        """Stiffness (Delta, Delta) and load (f, psi) over all dofs.
+        """Stiffness (Delta, Delta) and load (f, psi) over all primitives.
 
         The element rows act with two operator rows per point: sqrt(w)
         times the Laplacian rows of the pullback for the stiffness, and w f
         on the value slot for the load (values are the same in parametric
         and physical jets).
         """
-        view = self.view
-
         def operator(pull, w, point):
             lap = (pull[..., 3, :] + pull[..., 5, :]) * np.sqrt(w)[..., None]
             if f is None:
@@ -321,8 +336,8 @@ class _Assembler:
             load[..., 0] = w * _at_points(f, point)
             return np.stack([lap, load], axis=2)
 
-        K = SparseSymMatrix(view.n_total)
-        F = np.zeros(view.n_total)
+        K = SparseSymMatrix(self.n_prims)
+        F = np.zeros(self.n_prims)
         for k in range(len(self.topology.patches)):
             for ids, vals in self.element_rows(k, operator):
                 lap = vals[:, :, 0]
@@ -335,11 +350,11 @@ class _Assembler:
     # -- edge lines ----------------------------------------------------------
 
     def side_line(self, patch_index, side_map):
-        """Dofs on a patch side and their physical jets along the whole side.
+        """Primitives on a patch side and their physical jets along the whole side.
 
         The edge_nq Gauss points of span s of the side map's edge
         parameter lie in one patch element.  Returns ``(ids, phys, geom)``:
-        dof ids (n, nd) padded with -1, physical jets (n, nd, edge_nq, 6)
+        primitive ids (n, nd) of :meth:`cells`, physical jets (n, nd, edge_nq, 6)
         at the points of each span in the order of the side map's
         parameter, and the :meth:`~mpiga.geometry.EdgeFrame.geom`
         quantities at all n * edge_nq points.  Jets of padded ids are
@@ -362,7 +377,7 @@ class _Assembler:
         return ids, phys.swapaxes(2, 3), geom
 
     def boundary_moment_load(self, F, g2, bc_tags):
-        """Add (g2, dn psi) over 'gl' boundary edges to the load vector."""
+        """Add (g2, dn psi) over 'gl' boundary edges to a primitive load vector."""
         if g2 is None:
             return
         n, nq = self.n, self.edge_nq
@@ -381,12 +396,13 @@ class _Assembler:
     def interface_edge_rows(self, iface_index):
         """Normal-derivative jump and Laplacian average rows of an interface.
 
-        Returns ``(ids, jump, avg, w)`` over the n edge spans: the dofs of
-        both sides per span (n, nd), each once and padded with -1, their
-        jump and average rows (n, nd, edge_nq), zero at padding, and the
-        weights (n, edge_nq) including the arc-length factor.  The jump is
-        (higher side) minus (lower side) of the normal derivative along
-        the interface normal and the average is the mean Laplacian.
+        Returns ``(ids, jump, avg, w)`` over the n edge spans: the
+        primitives of both sides per span (n, nd), disjoint between the
+        sides and padded with -1, their jump and average rows (n, nd,
+        edge_nq), zero at padding, and the weights (n, edge_nq) including
+        the arc-length factor.  The jump is (higher side) minus (lower
+        side) of the normal derivative along the interface normal and the
+        average is the mean Laplacian.
         """
         itf = self.topology.interfaces[iface_index]
         ids_k, phys_k, g = self.side_line(itf.k, SideMap(itf.side_k, False))
@@ -395,39 +411,11 @@ class _Assembler:
         ids = np.concatenate([ids_k, ids_l], axis=1)
         phys = np.concatenate([phys_k, phys_l], axis=1)
         sign = np.repeat([-1.0, 1.0], [ids_k.shape[1], ids_l.shape[1]])
-        dn = np.einsum("sqc,saqc->saq", g["n_out"].reshape(n, nq, 2), phys[..., 1:3])
-        ids, jump, avg = _merge_rows(ids, sign[:, None] * dn, 0.5 * (phys[..., 3] + phys[..., 5]))
+        jump = sign[:, None] * np.einsum("sqc,saqc->saq", g["n_out"].reshape(n, nq, 2), phys[..., 1:3])
+        avg = 0.5 * (phys[..., 3] + phys[..., 5])
+        jump[ids < 0] = avg[ids < 0] = 0.0
         w = self.eweights * self.sol.h * g["tau"].reshape(n, nq)
         return ids, jump, avg, w
-
-
-def _merge_rows(ids, *rows):
-    """Sum the rows of equal ids within each span.
-
-    ``ids`` (ns, m) are padded with -1 and each of ``rows`` is (ns, m,
-    ...).  Returns the distinct ids of each span in ascending order,
-    padded with -1, and per row array the sums over equal ids, zero at
-    padding.
-    """
-    order = np.argsort(ids, axis=1, kind="stable")
-    sid = np.take_along_axis(ids, order, axis=1)
-    valid = sid >= 0
-    new = valid.copy()
-    new[:, 1:] &= sid[:, 1:] != sid[:, :-1]
-    slot = np.cumsum(new, axis=1) - 1  # merged position of every entry
-    width = int(slot.max(initial=-1)) + 1
-    span, col = np.nonzero(valid)  # span-major, ascending ids within a span
-    starts = np.flatnonzero(new[span, col])
-    at = span[starts], slot[span[starts], col[starts]]
-    out_ids = -np.ones((ids.shape[0], width), dtype=int)
-    out_ids[at] = sid[span[starts], col[starts]]
-    out = [out_ids]
-    for r in rows:
-        merged = np.zeros((ids.shape[0], width) + r.shape[2:])
-        if len(starts):
-            merged[at] = np.add.reduceat(r[span, order[span, col]], starts, axis=0)
-        out.append(merged)
-    return out
 
 
 class ErrorReport:
@@ -487,9 +475,9 @@ def _lift_boundary_data(asm, g0, g1, bc_tags):
     if g0 is None and g1 is None:
         return np.zeros(nb)
     rows, targets = [], []
-    ts = np.linspace(0.0, 1.0, 4 * (view.space.sol.dim + 2))
+    ts = np.linspace(0.0, 1.0, 4 * (view.sol.dim + 2))
     for (k, side), tag in bc_tags.items():
-        _, ext = view.element_table(k)
+        ext = asm.tables[k]
         frame = EdgeFrame(asm.topology.patches[k], side)
         A, g = ext.prims.constraint_rows(ext.matrix[view.n_free :], frame, ts, tag)
         rows.append(A)
@@ -505,12 +493,12 @@ def _lift_boundary_data(asm, g0, g1, bc_tags):
 def broken_gram(view, quad_scale=1):
     """Gram matrix of all view dofs in the broken H2 inner product."""
     asm = _Assembler(view, quad_scale)
-    G = SparseSymMatrix(view.n_total)
+    G = SparseSymMatrix(asm.n_prims)
     for k in range(len(asm.topology.patches)):
         for ids, phys in asm.element_rows(k, lambda pull, w, _: pull * np.sqrt(w)[..., None, None]):
             phys = phys.reshape(ids.shape + (-1,))
             G.add_blocks(ids, phys @ phys.swapaxes(1, 2))
-    return G
+    return asm.to_dofs(G)
 
 
 def assemble_approx_c1(view, f, g2=None, bc_tags=None, g0=None, g1=None, quad_scale=1):
@@ -526,10 +514,10 @@ def assemble_approx_c1(view, f, g2=None, bc_tags=None, g0=None, g1=None, quad_sc
     asm = _Assembler(view, quad_scale)
     K, F = asm.volume_system(f)
     asm.boundary_moment_load(F, g2, bc_tags)
-    Kc = K.tocsr()
+    Kc = asm.to_dofs(K).tocsr()
     nf = view.n_free
     bvals = _lift_boundary_data(asm, g0, g1, bc_tags)
-    load = F[:nf]
+    load = (asm.E @ F)[:nf]
     if len(bvals):
         load = load - Kc[:nf, nf:] @ bvals
     red = SparseSymMatrix.from_sparse(Kc[:nf, :nf])
@@ -539,48 +527,43 @@ def assemble_approx_c1(view, f, g2=None, bc_tags=None, g0=None, g1=None, quad_sc
 class NitscheForm:
     """The eta-independent part of the symmetric interior penalty form.
 
-    Assembles, over the C0 space view, the volume stiffness plus the
-    symmetric consistency blocks ({Lap u}, [dn v]) + ({Lap v}, [dn u]) of
-    every interface edge span into one matrix, compacted once, and the load
-    with the boundary moment term.  Per interface it keeps the dof ids, the
-    penalty blocks ([dn u], [dn v]), with the jump orientation of
-    :meth:`_Assembler.interface_edge_rows`, and the positions of their
-    coupled pairs in the compacted matrix.  :meth:`system` adds the
-    weighted penalty for one choice of the stability weights.
+    Assembles, over the primitives of the C0 space view, the volume
+    stiffness plus the symmetric consistency blocks ({Lap u}, [dn v]) +
+    ({Lap v}, [dn u]) of every interface edge span and maps their sum to
+    dofs once as ``base``, and the load with the boundary moment term.
+    Per interface it keeps the penalty ([dn u], [dn v]), with the jump
+    orientation of :meth:`_Assembler.interface_edge_rows`, mapped to dofs
+    the same way.  :meth:`system` adds the weighted penalties for one
+    choice of the stability weights.
     """
 
     def __init__(self, view, f, g2=None, bc_tags=None, quad_scale=1):
         asm = _Assembler(view, quad_scale)
         self.view = view
-        self.base, self.load = asm.volume_system(f)
+        K, F = asm.volume_system(f)
         if bc_tags:
-            asm.boundary_moment_load(self.load, g2, bc_tags)
-        penalties = []
+            asm.boundary_moment_load(F, g2, bc_tags)
+        self.penalties = []
         for idx in range(len(view.topology.interfaces)):
             ids, jump, avg, w = asm.interface_edge_rows(idx)
             jw = jump * w[:, None, :]
             consistency = jw @ avg.swapaxes(1, 2)
             # integrating Lap^2 u * v by parts patch-wise leaves
             # +{Lap u}[dn v] with this jump orientation
-            self.base.add_blocks(ids, consistency + consistency.swapaxes(1, 2))
-            penalties.append((ids, jw @ jump.swapaxes(1, 2)))
-        self.base.tocsr()
-        # the consistency blocks couple the same pairs, so every penalty
-        # pair has a place in the compacted base
-        self.penalties = [
-            (ids, blocks, self.base.positions(*sum_blocks(ids, blocks)[:2])) for ids, blocks in penalties
-        ]
+            K.add_blocks(ids, consistency + consistency.swapaxes(1, 2))
+            penalty = SparseSymMatrix(asm.n_prims)
+            penalty.add_blocks(ids, jw @ jump.swapaxes(1, 2))
+            self.penalties.append(asm.to_dofs(penalty).tocsr())
+        self.base = asm.to_dofs(K).tocsr()
+        self.load = asm.E @ F
 
     def system(self, eta):
         """The assembled system for the stability weights ``eta``.
 
         ``eta`` is a positive scalar applied to every interface or a
         mapping from interface index to the per-interface weight; the
-        penalty term scales it by 1/h of the current mesh.  The weighted
-        blocks are summed per pair as :meth:`SparseSymMatrix.add_blocks`
-        sums them and added into a copy of the compacted base's values at
-        positions found once, so no triplets are merged, every weight
-        shares the base's pattern and equal weights give a bit-identical
+        penalty term scales it by 1/h of the current mesh.  The matrix is
+        base + sum_i (eta_i / h) P_i, so equal weights give a bit-identical
         matrix.
         """
         if eta is None:
@@ -590,10 +573,11 @@ class NitscheForm:
         if any(val <= 0.0 for val in eta.values()):
             raise ParameterError("stability parameters must be positive")
         h = self.view.sol.h
-        data = self.base.tocsr().data.copy()
-        for idx, (ids, penalty, pos) in enumerate(self.penalties):
-            data[pos] += sum_blocks(ids, eta[idx] / h * penalty)[2]
-        return AssembledSystem(self.view, self.base.with_data(data), self.load, "nitsche", eta=eta)
+        # the penalties couple interface dofs only: summed first, they meet
+        # the whole base in one addition
+        penalty = sum(eta[idx] / h * P for idx, P in enumerate(self.penalties))
+        K = self.base + penalty if self.penalties else self.base
+        return AssembledSystem(self.view, SparseSymMatrix.from_sparse(K), self.load, "nitsche", eta=eta)
 
 
 def assemble_nitsche(view, f, g2=None, bc_tags=None, eta=None, g0=None, g1=None, quad_scale=1):
@@ -622,11 +606,11 @@ def estimate_stability_constant(topology, iface_index, p, r, n):
     B, _ = asm.volume_system(None)
     ids, _jump, avg, w = asm.interface_edge_rows(0)
     span, pos = np.nonzero(ids >= 0)
-    R = np.zeros((asm.n * asm.edge_nq, space.n_total))
+    R = np.zeros((asm.n * asm.edge_nq, asm.n_prims))
     R[span[:, None] * asm.edge_nq + np.arange(asm.edge_nq), ids[span, pos][:, None]] = (
         avg * np.sqrt(w)[:, None, :]
     )[span, pos]
-    return gram_pencil_max(R, B)
+    return gram_pencil_max((asm.E @ R.T).T, asm.to_dofs(B))
 
 
 def error_norms(view, coeffs, exact_jet=None, quad_scale=1):
@@ -659,7 +643,7 @@ def stacked_error_norms(view, stack, exact_jet=None, quad_scale=1):
     """:func:`error_norms` of every row of an (m, dofs) coefficient stack.
 
     Each row is evaluated as one function per patch: its restriction to
-    the patch's primitives (:meth:`patch_combinations` of the view) is
+    the patch's primitives (the row times the patch's extraction) is
     multiplied out from univariate tables (:class:`~mpiga.c1space.GridJets`),
     so no dof is evaluated on its own.  The geometry of a band of element
     rows (points, w det J, the pullback) and the exact jet there are
@@ -676,7 +660,7 @@ def stacked_error_norms(view, stack, exact_jet=None, quad_scale=1):
         )
     n, nq, h = asm.n, asm.nq, asm.sol.h
     patches = asm.topology.patches
-    combos = [view.patch_combinations(k, stack) for k in range(len(patches))]
+    combos = [(ext.prims, stack @ ext.matrix) for ext in asm.tables]
     pts = ((np.arange(n)[:, None] + asm.nodes) * h).ravel()
     wq = np.outer(np.tile(asm.weights, n), np.tile(asm.weights, n)) * h ** 2
     band = nq * max(1, _BAND_SIZE // (len(stack) * nq * len(pts)))  # u points per band

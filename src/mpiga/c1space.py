@@ -44,10 +44,10 @@ primitive columns: interior and edge dofs are unit rows, and the six
 vertex rows of an incident patch hold the three family solutions summed
 column by column.  A constrained space applies one sparse transform
 (boundary partition and boundary-vertex kernels) to those rows, giving
-one extraction matrix per patch, with a dense coefficient block per
-element over the element's tensor window and the edge primitives it
-lists (:class:`PatchExtraction`), so assembly forms dof values by block
-products.
+one extraction matrix E_k per patch (:class:`PatchExtraction`, which also
+lists per element the edge primitives that reach it).  Assembly works on
+the primitives alone and maps every form to dofs once, as E M E^T and
+E F.
 
 Any rows of weights over the primitives -- unit rows for assembly,
 vertex families and kernel samples, the boundary lift, or a whole
@@ -55,13 +55,11 @@ discrete function for the error norms -- are evaluated by one separable
 evaluator (:class:`GridJets`): a tensor spline from basis-table products
 plus, per edge shape, A(t) (b1 + b2)(sigma) + C(t) b2(sigma), so a
 function costs O(points) rather than O(dofs x points).  Assembly builds
-one such table of the extracted edge primitives per patch (or per edge
+one such table of the used edge primitives per patch (or per edge
 line): the univariate factors are evaluated once there, and each cell
-gathers the jets of only the primitives its extraction block lists
+gathers the jets of only the primitives that reach it
 (:meth:`GridJets.pairs`).
 """
-
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -206,14 +204,8 @@ class PatchPrimitives:
         self.sol = sol
         self.N = sol.dim
         self.shapes = []  # (shape, first column); trace columns, then transversal
-        self._boxes = [self._tensor_boxes()]
+        self._edge_boxes = []
         self.n_cols = self.N * self.N
-
-    def _tensor_boxes(self):
-        support = np.array([self.sol.basis_support(i) for i in range(self.N)])
-        su = np.repeat(support, self.N, axis=0)
-        sv = np.tile(support, (self.N, 1))
-        return np.column_stack([su, sv])
 
     def add_shape(self, shape):
         """Append the columns of an edge shape; returns the first column of
@@ -222,13 +214,14 @@ class PatchPrimitives:
         self.shapes.append((shape, self.n_cols))
         for kind, space in (("trace", shape.splus), ("transversal", shape.sminus)):
             first[kind] = self.n_cols
-            self._boxes.append(shape.element_boxes(kind))
+            self._edge_boxes.append(shape.element_boxes(kind))
             self.n_cols += space.dim
         return first
 
-    def boxes(self):
-        """Inclusive element boxes (eu0, eu1, ev0, ev1) of all columns."""
-        return np.concatenate(self._boxes)
+    def edge_boxes(self):
+        """Inclusive element boxes (eu0, eu1, ev0, ev1) of the edge columns,
+        column N * N first."""
+        return np.concatenate(self._edge_boxes or [np.zeros((0, 4), dtype=int)])
 
     def selection(self, cols):
         """Unit rows picking the given columns: (len(cols), n_cols)."""
@@ -603,87 +596,31 @@ def _box_cells(boxes, n):
     return idx[order], cell[order]
 
 
-class ExtractionRow(NamedTuple):
-    """The extracted dofs of one element row of a patch.
-
-    The row's cells that hold such dofs are numbered by
-    :attr:`PatchExtraction.cells`.  Per cell, ``fids`` (nc, nd) holds the
-    dof ids padded with -1, ``pos`` (nc, ne) indexes the cell's edge
-    primitives in :attr:`PatchExtraction.cols`, padded with its length,
-    and ``blocks`` (nc, nd, (p+1)^2 + ne) the coefficients of each dof
-    over the cell's tensor window (u-major) followed by its edge
-    primitives.
-    """
-
-    fids: np.ndarray
-    pos: np.ndarray
-    blocks: np.ndarray
-
-
 class PatchExtraction:
     """Every dof of a space view on one patch as a sparse row over the
-    patch primitives, multiplied out once (element extraction).
+    patch primitives.
 
-    ``matrix`` is (n_total, n_cols).  Dofs that are a lone tensor
-    B-spline (the interior block) are read through the tensor window of
-    an element; all others are listed per element row in ``rows``, and
-    ``cells`` (n, n) gives the position of element (eu, ev) in
-    ``rows[eu]``, -1 where the element holds none of them.  ``cols`` holds
-    the edge primitive columns those dofs use, ascending.
+    ``matrix`` E_k (n_total, n_cols) holds row g for dof g restricted to
+    the patch, with sorted indices.  ``cols`` holds the edge primitive
+    columns that some dof uses, ascending, and ``cells`` (n, n, ne) gives
+    per element (eu, ev) the positions in ``cols`` of the edge primitives
+    whose support box holds it, ascending and padded with ``len(cols)``.
     """
 
-    def __init__(self, prims, matrix, direct, n):
+    def __init__(self, prims, matrix, n):
         self.prims = prims
-        self.matrix = matrix
-        sol = prims.sol
-        self._p1, step, N = sol.p + 1, sol.p - sol.r, prims.N
-        other = np.flatnonzero(~direct & (np.diff(matrix.indptr) > 0))
-        coo = matrix[other].tocoo()
-        self.rows = {}
-        self.cells = -np.ones((n, n), dtype=int)
-        self.cols = np.unique(coo.col[coo.col >= N * N])
-        if not coo.nnz:
-            return
-        # a dof is listed on every element of its support box (the union
-        # of its columns' boxes); its entries on the elements of their own
-        # column's box
-        box = prims.boxes()[coo.col]
-        row_start = np.searchsorted(coo.row, np.arange(len(other)))  # rows are sorted
-        dof_box = np.column_stack(
-            [f.reduceat(box[:, c], row_start) for c, f in enumerate((np.minimum, np.maximum) * 2)]
-        )
-        d_idx, d_cell = _box_cells(dof_box, n)
-        e_idx, e_cell = _box_cells(box, n)
-        cells, starts = np.unique(d_cell, return_index=True)
-        lo = np.searchsorted(e_cell, cells, side="left")
-        hi = np.searchsorted(e_cell, cells, side="right")
-        per_row = {}
-        for c, dofs, a, b in zip(cells, np.split(d_idx, starts[1:]), lo, hi):
-            cu, cv = divmod(int(c), n)
-            seg = e_idx[a:b]
-            col, w = coo.col[seg], coo.data[seg]
-            r_loc = np.searchsorted(dofs, coo.row[seg])
-            edge = col >= N * N
-            ecols, e_loc = np.unique(col[edge], return_inverse=True)
-            iu, iv = np.divmod(col[~edge], N)
-            block = np.zeros((len(dofs), self._p1 ** 2 + len(ecols)))
-            block[r_loc[~edge], (iu - cu * step) * self._p1 + iv - cv * step] = w[~edge]
-            block[r_loc[edge], self._p1 ** 2 + e_loc] = w[edge]
-            self.cells[cu, cv] = len(per_row.setdefault(cu, []))
-            per_row[cu].append((other[dofs], ecols, block))
-        self.rows = {eu: self._padded(row) for eu, row in per_row.items()}
-
-    def _padded(self, row):
-        nd = max(len(f) for f, _, _ in row)
-        ne = max(len(e) for _, e, _ in row)
-        fids = -np.ones((len(row), nd), dtype=int)
-        pos = np.full((len(row), ne), len(self.cols))
-        blocks = np.zeros((len(row), nd, self._p1 ** 2 + ne))
-        for i, (f, e, b) in enumerate(row):
-            fids[i, : len(f)] = f
-            pos[i, : len(e)] = np.searchsorted(self.cols, e)
-            blocks[i, : len(f), : b.shape[1]] = b
-        return ExtractionRow(fids, pos, blocks)
+        self.matrix = scipy.sparse.csr_matrix(matrix)
+        self.matrix.sort_indices()
+        first = prims.N * prims.N
+        self.cols = np.unique(self.matrix.indices[self.matrix.indices >= first])
+        cells = np.full((n * n, 0), len(self.cols))
+        if len(self.cols):
+            idx, cell = _box_cells(prims.edge_boxes()[self.cols - first], n)
+            count = np.bincount(cell, minlength=n * n)
+            cells = np.full((n * n, count.max()), len(self.cols))
+            # entries come ordered by cell: each one's rank within its cell
+            cells[cell, np.arange(len(cell)) - np.repeat(np.cumsum(count) - count, count)] = idx
+        self.cells = cells.reshape(n, n, cells.shape[1])
 
 
 class ConstrainedC1Space:
@@ -705,8 +642,12 @@ class ConstrainedC1Space:
         missing = [e for e in space.topology.boundary_edges if e not in self.bc]
         if missing:
             raise ParameterError(f"boundary edges without condition tag: {missing}")
+        self.sol, self.topology = space.sol, space.topology
         self._partition()
-        self._tables = [self._extract(k) for k in range(len(space.topology.patches))]
+        self._tables = [
+            PatchExtraction(prims, self.transform @ rows, space.n)
+            for prims, rows in zip(space.primitives, space.patch_rows)
+        ]
 
     def _partition(self):
         space = self.space
@@ -773,36 +714,10 @@ class ConstrainedC1Space:
     def n_total(self):
         return len(self.labels)
 
-    def _extract(self, k):
-        """Tensor-dof map and extraction of patch k (see :meth:`element_table`)."""
-        prims = self.space.primitives[k]
-        matrix = (self.transform @ self.space.patch_rows[k]).tocsr()
-        matrix.sort_indices()
-        tensor_fids = -np.ones((prims.N, prims.N), dtype=int)
-        direct = np.zeros(self.n_total, dtype=bool)
-        for fid, lab in enumerate(self.labels):
-            if lab[0] == "interior" and lab[1] == k:
-                tensor_fids[lab[2], lab[3]] = fid
-                direct[fid] = True
-        return tensor_fids, PatchExtraction(prims, matrix, direct, self.space.n)
-
     def element_table(self, patch_index):
-        """Dofs of one patch for assembly.
-
-        Returns ``(tensor_fids, extraction)``: ``tensor_fids`` is an (N, N)
-        int array mapping solution-space tensor indices to the dof ids of
-        lone tensor B-splines (-1 when absent); the
-        :class:`PatchExtraction` writes every dof over the patch
-        primitives and lists the other dofs per element row.
-        """
+        """The :class:`PatchExtraction` of one patch: every dof over the
+        patch primitives."""
         return self._tables[patch_index]
-
-    def patch_combinations(self, patch_index, stack):
-        """The primitives of one patch and every row of an (m, n_total)
-        coefficient stack restricted to the patch, as (m, n_cols) weights
-        over them."""
-        ext = self._tables[patch_index][1]
-        return ext.prims, stack @ ext.matrix
 
 
 def homogeneous_subspace(space, bc_tags):

@@ -14,6 +14,7 @@ eigenproblem at h0 and mult defaulting to 4.
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,8 @@ from .errors import IndefiniteSystemError, NumericalError, ParameterError
 from .fixtures import BUILTIN_NAMES, builtin_geometry, default_bc, load_geometry
 
 METHODS = ("approx-c1", "nitsche")
+# jump norms at or below this are round-off (README "Command line")
+JUMP_ROUND_OFF = 1e-12
 
 
 @dataclass
@@ -58,8 +61,12 @@ class ExperimentConfig:
             self.r = self.p - 1
         if not 1 <= self.r <= self.p - 1:
             raise ParameterError(f"regularity r={self.r} invalid for degree p={self.p}")
+        if len(self.levels) == 0:
+            raise ParameterError("no refinement levels given")
         if list(self.levels) != sorted(set(self.levels)):
             raise ParameterError("refinement levels must be strictly increasing")
+        if not (math.isfinite(self.h0) and self.h0 > 0.0):
+            raise ParameterError(f"h0={self.h0} is not a positive finite mesh size")
         if self.topology is None:
             if self.geometry in BUILTIN_NAMES:
                 self.topology = builtin_geometry(self.geometry)
@@ -266,7 +273,11 @@ def run_eta_sweep(config, factors=None, n=None):
 
 
 def run_jump_study(config):
-    """Normal-derivative jump norms of the approx-C1 solution per level."""
+    """Normal-derivative jump norms of the approx-C1 solution per level.
+
+    ``rate_max`` is left empty where either level's largest jump is
+    round-off (at most :data:`JUMP_ROUND_OFF`), as on exactly-C1 fixtures.
+    """
     config.resolve()
     if config.method != "approx-c1":
         raise ParameterError("the jump study applies to the approx-c1 method")
@@ -280,7 +291,7 @@ def run_jump_study(config):
     prev = None
     for n, rep in reports:
         rate = ""
-        if prev is not None and prev.jump_max > 0 and rep.jump_max > 0:
+        if prev is not None and min(prev.jump_max, rep.jump_max) > JUMP_ROUND_OFF:
             rate = _fmt(np.log2(prev.jump_max / rep.jump_max) / np.log2(prev.h / rep.h))
         rows.append([n, _fmt(rep.h)] + [_fmt(j) for j in rep.jumps] + [rate])
         prev = rep

@@ -34,10 +34,9 @@ class SparseSymMatrix:
 
     Each :meth:`add_blocks` call sums its stack's duplicates at once and
     keeps one triplet per distinct coupled (row, col) pair; :meth:`tocsr`
-    merges those triplets into a compacted CSR base and frees them, and
-    later blocks accumulate on top of that base.  Assembly routines add
-    full symmetric element blocks, so both triangles receive bit-identical
-    contributions.
+    merges those triplets into a compacted CSR matrix once and frees them.
+    Assembly routines add full symmetric element blocks, so both triangles
+    receive bit-identical contributions.
     """
 
     def __init__(self, dim):
@@ -45,7 +44,7 @@ class SparseSymMatrix:
         self._rows = []
         self._cols = []
         self._vals = []
-        self._csr = None  # compacted base; never modified in place
+        self._csr = None  # the compacted matrix
         # triplet ids in scipy's index type for this size, so compaction converts none
         self._index = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
 
@@ -57,78 +56,37 @@ class SparseSymMatrix:
         ids that some block couples (:func:`sum_blocks`), kept even where
         the sum is 0.0, so the sparsity pattern is that of the blocks.
         """
+        if self._csr is not None:
+            raise ParameterError("blocks added to a compacted matrix")
         rows, cols, vals = sum_blocks(ids, blocks)
         self._rows.append(rows.astype(self._index))
         self._cols.append(cols.astype(self._index))
         self._vals.append(vals)
 
-    def positions(self, rows, cols):
-        """Positions of the entries (rows, cols) in the data of the compacted
-        base, each of which must be in the base's pattern (for example a
-        pair that blocks added before :meth:`tocsr` coupled).  With
-        :meth:`with_data` this adds values there without merging triplets.
-        """
-        csr = self.tocsr()
-        # canonical CSR: (row, col) keys ascend through the data
-        keys = np.repeat(np.arange(self.dim, dtype=np.int64), np.diff(csr.indptr)) * self.dim
-        keys += csr.indices
-        return np.searchsorted(keys, np.asarray(rows, dtype=np.int64) * self.dim + cols)
-
-    def with_data(self, data):
-        """A matrix on the compacted base's pattern, explicit zeros
-        included, with the values ``data``.
-
-        The pattern is copied, so the new matrix holds no array of this
-        one: shared arrays, built amid assembly temporaries, would stay
-        alive through the new matrix's solve and raise its resident peak.
-        """
-        if not np.all(np.isfinite(data)):
-            raise ParameterError("non-finite entries in assembled matrix")
-        csr = self.tocsr()
-        pattern = csr.indices.copy(), csr.indptr.copy()
-        return SparseSymMatrix.from_sparse(scipy.sparse.csr_matrix((data, *pattern), shape=csr.shape))
-
     @property
     def pending(self):
-        """Number of triplets not yet merged into the compacted base."""
+        """Number of triplets not yet merged into the compacted matrix."""
         return sum(len(v) for v in self._vals)
-
-    def copy(self):
-        """A matrix with the same entries, open to further blocks.
-
-        The compacted base and the triplet arrays are never modified in
-        place, so the copy shares them.
-        """
-        out = SparseSymMatrix(self.dim)
-        out._rows, out._cols, out._vals = list(self._rows), list(self._cols), list(self._vals)
-        out._csr = self._csr
-        return out
 
     @classmethod
     def from_sparse(cls, A):
-        """Wrap an existing scipy sparse matrix as the compacted base."""
+        """Wrap an existing scipy sparse matrix as the compacted matrix;
+        non-finite entries raise :class:`ParameterError`."""
         out = cls(A.shape[0])
-        out._csr = scipy.sparse.csr_matrix(A)
+        out._csr = _finite(scipy.sparse.csr_matrix(A))
         return out
 
     def tocsr(self):
-        """The compacted CSR matrix; pending triplets are merged into it and freed."""
-        if self._vals or self._csr is None:
+        """The compacted CSR matrix; the triplets are merged into it and freed
+        on the first call."""
+        if self._csr is None:
             parts = self._rows, self._cols, self._vals
-            if self._csr is not None:  # the base joins the merge as triplets
-                base, self._csr = self._csr, None
-                rows = np.repeat(np.arange(self.dim, dtype=self._index), np.diff(base.indptr))
-                for part, head in zip(parts, (rows, base.indices, base.data)):
-                    part.insert(0, head)
             for part, dtype in zip(parts, (self._index, self._index, float)):
                 # merged one list at a time, so at most one array is held twice
                 part[:] = [np.concatenate(part or [np.zeros(0, dtype)])]
-            csr = scipy.sparse.csr_matrix(
+            self._csr = _finite(scipy.sparse.csr_matrix(
                 (self._vals[0], (self._rows[0], self._cols[0])), shape=(self.dim, self.dim)
-            )
-            if not np.all(np.isfinite(csr.data)):
-                raise ParameterError("non-finite entries in assembled matrix")
-            self._csr = csr
+            ))
             for part in parts:
                 part.clear()
         return self._csr
@@ -142,6 +100,12 @@ class SparseSymMatrix:
         gap = abs(K - K.T).max()
         scale = abs(K).max()
         return gap / scale if scale > 0 else 0.0
+
+
+def _finite(csr):
+    if not np.all(np.isfinite(csr.data)):
+        raise ParameterError("non-finite entries in assembled matrix")
+    return csr
 
 
 def _as_csr(K):

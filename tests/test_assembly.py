@@ -148,7 +148,7 @@ def test_folded_geometry_raises_in_volume_and_edge_kernels():
     with pytest.raises(GeometryError):
         asm.interface_edge_rows(0)
     with pytest.raises(GeometryError):
-        asm.boundary_moment_load(np.zeros(space.n_total), manufactured_laplacian, {(0, 3): "gl"})
+        asm.boundary_moment_load(np.zeros(asm.n_prims), manufactured_laplacian, {(0, 3): "gl"})
 
 
 # -- manufactured solution -------------------------------------------------------
@@ -259,7 +259,8 @@ def test_nitsche_terms_vanish_for_smooth_function():
             for j in range(sol.dim):
                 coeffs[fid[i, j]] = grev[i] + k  # x-coordinate on [0,2]
     ids, jump, _avg, _w = asm.interface_edge_rows(0)
-    jumps = np.einsum("sa,saq->sq", np.where(ids >= 0, coeffs[ids], 0.0), jump)
+    weights = asm.E.T @ coeffs  # the function over the primitives
+    jumps = np.einsum("sa,saq->sq", np.where(ids >= 0, weights[ids], 0.0), jump)
     assert np.abs(jumps).max() <= 1e-11
 
 
@@ -326,7 +327,8 @@ def _laplacian_row(pull, w, _point):
 
 
 def _volume_stacks(asm):
-    """The (ids, Laplacian Gram blocks) stacks of the volume stiffness, row by row."""
+    """The (primitive ids, Laplacian Gram blocks) stacks of the volume
+    stiffness, row by row."""
     for k in range(len(asm.topology.patches)):
         for ids, vals in asm.element_rows(k, _laplacian_row):
             lap = vals[:, :, 0]
@@ -334,7 +336,8 @@ def _volume_stacks(asm):
 
 
 def _interface_stacks(asm):
-    """Per interface, the ids and the consistency and penalty blocks of its spans."""
+    """Per interface, the primitive ids and the consistency and penalty
+    blocks of its spans."""
     for idx in range(len(asm.topology.interfaces)):
         ids, jump, avg, w = asm.interface_edge_rows(idx)
         jw = jump * w[:, None, :]
@@ -352,18 +355,19 @@ def test_nitsche_system_shares_pattern_across_eta(topo2c):
     view = C0Space(topo2c, 3, 2, 4, gl_tags(topo2c))
     form = NitscheForm(view, manufactured_rhs, g2=manufactured_laplacian, bc_tags=gl_tags(topo2c))
     asm = _Assembler(view)
-    V = np.zeros((view.n_total, view.n_total))
+    V = np.zeros((asm.n_prims, asm.n_prims))
     S, P = np.zeros_like(V), np.zeros_like(V)
     for ids, blocks in _volume_stacks(asm):
         _dense_add(V, ids, blocks)
     for ids, sym, penalty in _interface_stacks(asm):
         _dense_add(S, ids, sym)
         _dense_add(P, ids, penalty)
+    E = asm.E.toarray()
     h = view.sol.h
     matrices = []
     for eta in (3.0, 250.0):
         K = form.system(eta).matrix.tocsr()
-        ref = V + S + eta / h * P
+        ref = E @ (V + S + eta / h * P) @ E.T
         assert np.abs(K.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
         matrices.append(K)
     assert np.array_equal(matrices[0].indices, matrices[1].indices)
@@ -371,18 +375,22 @@ def test_nitsche_system_shares_pattern_across_eta(topo2c):
 
 
 def test_nitsche_system_matches_triplet_merge(topo6):
-    # system(eta) adds the weighted penalty at positions found once; merging
-    # the weighted blocks as triplets into the base gives the same matrix
+    # system(eta) adds the mapped penalties to the mapped base; merging all
+    # weighted blocks as triplets over the primitives and mapping them to
+    # dofs once gives the same matrix
     view = C0Space(topo6, 4, 3, 4, gn_tags(topo6))
     form = NitscheForm(view, manufactured_rhs, bc_tags=gn_tags(topo6))
-    stacks = list(_interface_stacks(_Assembler(view)))
+    asm = _Assembler(view)
+    stacks = list(_interface_stacks(asm))
     h = view.sol.h
     for eta in (7.0, {i: 10.0 ** i for i in range(len(stacks))}):
         weights = eta if isinstance(eta, dict) else dict.fromkeys(range(len(stacks)), eta)
-        merged = form.base.copy()
-        for idx, (ids, _sym, penalty) in enumerate(stacks):
-            merged.add_blocks(ids, weights[idx] / h * penalty)
-        want, got = merged.tocsr(), form.system(eta).matrix.tocsr()
+        merged = SparseSymMatrix(asm.n_prims)
+        for ids, blocks in _volume_stacks(asm):
+            merged.add_blocks(ids, blocks)
+        for idx, (ids, sym, penalty) in enumerate(stacks):
+            merged.add_blocks(ids, sym + weights[idx] / h * penalty)
+        want, got = asm.to_dofs(merged).tocsr(), form.system(eta).matrix.tocsr()
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert np.abs(got.data - want.data).max() <= 1e-15 * np.abs(want.data).max()
@@ -406,19 +414,33 @@ def test_assembly_stores_one_triplet_per_coupled_pair(topo6):
         if isinstance(view, C0Space):
             stacks += [(ids, sym) for ids, sym, _ in _interface_stacks(asm)]
         for ids, blocks in stacks:
-            M = SparseSymMatrix(view.n_total)
+            M = SparseSymMatrix(asm.n_prims)
             M.add_blocks(ids, blocks)
             assert M.pending == _coupled_pairs(ids)
             M.tocsr()
             assert M.pending == 0
-    form = NitscheForm(views[0], manufactured_rhs, bc_tags=gn_tags(topo6))
-    assert form.base.pending == 0
-    # the penalty keeps one entry per coupled pair, at its place in the base
-    penalty_pairs = sum(_coupled_pairs(ids) for ids, _, _ in _interface_stacks(_Assembler(views[0])))
-    assert sum(len(pos) for _, _, pos in form.penalties) == penalty_pairs
-    system = form.system(10.0)
-    assert system.matrix.pending == 0 and form.base.pending == 0
+    system = NitscheForm(views[0], manufactured_rhs, bc_tags=gn_tags(topo6)).system(10.0)
+    assert system.matrix.pending == 0
     assert assemble_approx_c1(views[1], manufactured_rhs).matrix.pending == 0
+
+
+@pytest.mark.parametrize(
+    "name,bc,p,n", [("square-6-bilinear", "gn", 4, 8), ("square-2-bicubic", "gl", 3, 16)]
+)
+def test_assembled_matrices_store_no_zeros(name, bc, p, n):
+    # forms are mapped to dofs once as E M E^T, which keeps no entry that
+    # sums to exactly zero: the C0 primitives whose interface jump and
+    # average vanish, and the primitives no kept dof uses, leave none
+    topo = builtin_geometry(name)
+    tags = {e: bc for e in topo.boundary_edges}
+    g2 = manufactured_laplacian if bc == "gl" else None
+    view = homogeneous_subspace(build_c1_space(topo, p, p - 1, n), tags)
+    c0 = C0Space(topo, p, p - 1, n, tags)
+    for system in (
+        assemble_approx_c1(view, manufactured_rhs, g2=g2),
+        assemble_nitsche(c0, manufactured_rhs, g2=g2, bc_tags=tags, eta=10.0),
+    ):
+        assert (system.matrix.tocsr().data != 0).all()
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
@@ -488,10 +510,11 @@ def test_stability_constant_matches_dense_pencil(fixture, n, rtol):
     B, _ = asm.volume_system(None)
     A = np.zeros((B.dim, B.dim))
     ids, _jump, avg, w = asm.interface_edge_rows(0)
-    for fids, rows, ws in zip(ids, avg, w):
-        keep = fids >= 0
-        A[np.ix_(fids[keep], fids[keep])] += np.einsum("aq,q,bq->ab", rows[keep], ws, rows[keep])
-    B = B.todense()
+    for pids, rows, ws in zip(ids, avg, w):
+        keep = pids >= 0
+        A[np.ix_(pids[keep], pids[keep])] += np.einsum("aq,q,bq->ab", rows[keep], ws, rows[keep])
+    E = asm.E.toarray()
+    A, B = E @ A @ E.T, asm.to_dofs(B).todense()
     B_reg = B + 1e-12 * np.trace(B) / B.shape[0] * np.eye(B.shape[0])
     lam = scipy.linalg.eigh(A, B_reg, eigvals_only=True)[-1]
     c = estimate_stability_constant(topo, 0, p, p - 1, n)

@@ -83,9 +83,10 @@ def test_volume_kernels_match_per_element_loops(name, kind, quad_scale, n, p):
     K_ref, F_ref, G_ref, norms_ref = per_element_reference(
         view, manufactured_rhs, coeffs, exact_jets, quad_scale
     )
-    K, F = _Assembler(view, quad_scale).volume_system(manufactured_rhs)
-    assert rel_gap(K.todense(), K_ref) <= RTOL
-    assert rel_gap(F, F_ref) <= RTOL
+    asm = _Assembler(view, quad_scale)
+    K, F = asm.volume_system(manufactured_rhs)
+    assert rel_gap(asm.to_dofs(K).todense(), K_ref) <= RTOL
+    assert rel_gap(asm.E @ F, F_ref) <= RTOL
     assert rel_gap(broken_gram(view, quad_scale).todense(), G_ref) <= RTOL
     for exact, (l2, h1, h2, jumps) in zip(exact_jets, norms_ref):
         report = error_norms(view, coeffs, exact, quad_scale)
@@ -99,16 +100,17 @@ def test_edge_span_rows_match_per_span_loops(name, kind, quad_scale, n, p):
     asm = _Assembler(view, quad_scale)
     refs = interface_rows_reference(view, quad_scale)
     for idx, (jump_ref, avg_ref, w_ref, side_max) in enumerate(refs):
-        jump, avg = np.zeros_like(jump_ref), np.zeros_like(avg_ref)
+        jump, avg = (np.zeros((asm.n_prims, jump_ref.shape[1])) for _ in range(2))
         ids, j, a, w = asm.interface_edge_rows(idx)
-        for span, fids in enumerate(ids):
-            keep = fids >= 0
-            # every dof once per span; padding carries zero rows
-            assert len(np.unique(fids[keep])) == keep.sum()
+        for span, pids in enumerate(ids):
+            keep = pids >= 0
+            # every primitive once per span; padding carries zero rows
+            assert len(np.unique(pids[keep])) == keep.sum()
             assert not np.any(j[span, ~keep]) and not np.any(a[span, ~keep])
             cols = slice(span * asm.edge_nq, (span + 1) * asm.edge_nq)
-            jump[fids[keep], cols], avg[fids[keep], cols] = j[span, keep], a[span, keep]
-        w = w.ravel()
+            jump[pids[keep], cols], avg[pids[keep], cols] = j[span, keep], a[span, keep]
+        # the rows of the dofs, through the extraction
+        jump, avg, w = asm.E @ jump, asm.E @ avg, w.ravel()
         # jumps of approx-C1 dofs are differences of nearly equal sides
         assert np.abs(jump - jump_ref).max() <= RTOL * side_max
         assert rel_gap(avg, avg_ref) <= RTOL
@@ -116,10 +118,10 @@ def test_edge_span_rows_match_per_span_loops(name, kind, quad_scale, n, p):
     if kind.endswith("gl"):
         tags = {e: "gl" for e in asm.topology.boundary_edges}
         F_ref = boundary_load_reference(view, manufactured_laplacian, tags, quad_scale)
-        F = np.zeros(view.n_total)
+        F = np.zeros(asm.n_prims)
         asm.boundary_moment_load(F, manufactured_laplacian, tags)
         assert np.abs(F_ref).max() > 0.0
-        assert rel_gap(F, F_ref) <= RTOL
+        assert rel_gap(asm.E @ F, F_ref) <= RTOL
 
 
 SIDE_CASES = [
@@ -141,9 +143,10 @@ def test_side_lines_match_per_span_loops(name, kind):
                 side_map = SideMap(side, t_flip)
                 ids, phys, _geom = asm.side_line(k, side_map)
                 for span in range(N):
-                    got = np.zeros((view.n_total, asm.edge_nq, 6))
+                    got = np.zeros((asm.n_prims, asm.edge_nq * 6))
                     keep = ids[span] >= 0
-                    np.add.at(got, ids[span, keep], phys[span, keep])
+                    np.add.at(got, ids[span, keep], phys[span, keep].reshape(-1, asm.edge_nq * 6))
+                    got = (asm.E @ got).reshape(view.n_total, asm.edge_nq, 6)
                     want = np.zeros_like(got)
                     ref_ids, ref_phys = ref.span(k, side_map, span)
                     np.add.at(want, ref_ids, ref_phys)

@@ -156,6 +156,16 @@ def test_jump_study_rates(topo2c):
     assert "rate_max" in text.split("\n")[0]
 
 
+def test_jump_rate_is_empty_between_round_off_jumps(topo6):
+    # square-6-bilinear has linear gluing data: the space is exactly C1 and
+    # its jumps are round-off, so a rate between them would be noise
+    cfg = small_config(geometry="square-6-bilinear")
+    cfg.topology = topo6
+    reports, text = run_jump_study(cfg)
+    assert all(rep.jump_max <= 1e-12 for _, rep in reports)
+    assert [row.split(",")[-1] for row in text.splitlines()[1:]] == ["", ""]
+
+
 def test_jump_study_requires_approx_c1(topo2c):
     cfg = small_config(method="nitsche")
     cfg.topology = topo2c
@@ -199,6 +209,21 @@ def test_cli_config_error(capsys):
     assert main(["solve", "--geometry", "hexagon-9", "--levels", "4"]) == 2
     assert main(["converge", "--levels", "8,4"]) == 2
     assert main(["solve", "--geometry", "/nonexistent/path.json"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--h0", "0"],
+        ["solve", "--h0", "nan"],
+        ["solve", "--levels", ","],
+        ["converge", "--levels", ","],
+    ],
+    ids=["h0-zero", "h0-nan", "solve-no-levels", "converge-no-levels"],
+)
+def test_cli_rejects_bad_mesh_configuration(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("configuration error")
 
 
 def test_cli_numerical_error(monkeypatch):

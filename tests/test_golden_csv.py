@@ -35,6 +35,10 @@ GOLDEN = {
         ["jump", "--geometry", "square-2-bicubic", "--levels", "4,8"],
         False,
     ),
+    "jump-square-6-bilinear.csv": (
+        ["jump", "--geometry", "square-6-bilinear", "--levels", "4,8"],
+        True,
+    ),
 }
 
 EXACT_C1_JUMP = 1e-12

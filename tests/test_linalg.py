@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse
 
 from mpiga.errors import IndefiniteSystemError, ParameterError
-from mpiga.linalg import SparseSymMatrix, gram_pencil_max, kernel_split, solve_spd, sum_blocks
+from mpiga.linalg import SparseSymMatrix, gram_pencil_max, kernel_split, solve_spd
 
 from oracles import jacobi_generalized_max
 
@@ -123,42 +123,18 @@ def test_sparse_sym_matrix_matches_dense_reference():
     _assert_matches(M, stacks)
     assert M.tocsr()[10, 11] == 0.0 and M.tocsr()[11, 11] == 0.0
 
-    # blocks added after compaction accumulate on the compacted base, and a
-    # copy taken then keeps its entries while the original grows
-    frozen = M.copy()
-    before = M.todense()
-    more = _random_stack(rng, dim, 4, 3)
-    M.add_blocks(*more)
-    _assert_matches(M, stacks + [more])
-    assert np.array_equal(frozen.todense(), before)
-    other = _random_stack(rng, dim, 2, 6)
-    frozen.add_blocks(*other)
-    _assert_matches(frozen, stacks + [other])
-
-
-def test_positions_in_base_keep_explicit_zeros():
-    # a stack added at its pairs' positions in the base sums like a triplet
-    # merge, and an entry that cancels to exactly 0.0 stays in the pattern
-    ids = np.array([[0, 2, -1], [2, 3, 1]])
-    blocks = np.arange(18.0).reshape(2, 3, 3)
-    blocks = blocks + blocks.swapaxes(1, 2)
-    base = SparseSymMatrix(5)
-    base.add_blocks(ids, blocks)
-    base.tocsr()
-    extra = -blocks
-    extra[1] = 0.5 * blocks[1]
-    rows, cols, sums = sum_blocks(ids, extra)
-    data = base.tocsr().data.copy()
-    data[base.positions(rows, cols)] += sums
-    got = base.with_data(data).tocsr()
-    merged = base.copy()
-    merged.add_blocks(ids, extra)
-    want = merged.tocsr()
-    assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
-    assert np.array_equal(got.data, want.data)
-    assert np.any(got.data == 0.0) and got.nnz == base.tocsr().nnz
+    # compaction is final: later blocks would be lost, so they are refused
     with pytest.raises(ParameterError):
-        base.with_data(np.full(got.nnz, np.inf))
+        M.add_blocks(*_random_stack(rng, dim, 2, 3))
+
+
+def test_non_finite_entries_are_refused():
+    M = SparseSymMatrix(2)
+    M.add_blocks(np.array([[0, 1]]), np.array([[[1.0, np.inf], [np.inf, 1.0]]]))
+    with pytest.raises(ParameterError):
+        M.tocsr()
+    with pytest.raises(ParameterError):
+        SparseSymMatrix.from_sparse(scipy.sparse.diags([1.0, np.nan]))
 
 
 def test_gram_pencil_max_diagonal():
