@@ -24,7 +24,7 @@ import scipy.sparse
 from .bspline import _SLOT_U, _SLOT_V, gauss_legendre
 from .c1space import ConstrainedC1Space, GridJets, PatchExtraction, PatchPrimitives
 from .errors import ParameterError
-from .geometry import EdgeFrame, SideMap, interface_frames, physical_jet, pullback
+from .geometry import EdgeFrame, SideMap, interface_frames, laplacian_rows, physical_jet, pullback
 from .linalg import SparseSymMatrix, gram_pencil_max, solve_spd
 
 __all__ = [
@@ -234,8 +234,9 @@ class _Assembler:
         shared by every cell.  The indices number the points of ``edges``,
         the patch's :meth:`edge_table`.  ``op`` (nc, Q, m, 6) holds, at
         each of the Q = mu * mv points (u-major), m rows that act on a
-        parametric 2-jet (value, du, dv, duu, duv, dvv), for example rows
-        of the :func:`~mpiga.geometry.pullback` map times a weight.
+        parametric 2-jet (value, du, dv, duu, duv, dvv), for example the
+        :func:`~mpiga.geometry.laplacian_rows` or rows of the
+        :func:`~mpiga.geometry.pullback` map, times a weight.
         Returns primitive ids (nc, nd) and values (nc, nd, m, Q), every row
         applied to every primitive's jet: the (p+1)^2 tensor window
         (u-major) first, with id -1 where no dof uses the column, then the
@@ -292,44 +293,46 @@ class _Assembler:
     def element_rows(self, patch_index, operator):
         """Operator values of the primitives of one patch, one element row at a time.
 
-        For the row of elements (eu, 0..n-1), ``operator(pull, w, point)``
-        receives the per-point :func:`~mpiga.geometry.pullback` maps (n,
-        Q, 6, 6) to physical jets, the quadrature weights times det J (n,
-        Q) and the quadrature points (n, Q, 2), with the Q = nq^2 points
-        of an element ordered u-major, and returns operator rows (n, Q, m,
-        6).  Yields the primitive ids (n, nd) and values (n, nd, m, Q) of
-        :meth:`cells` for them.
+        The geometry jets of the patch's whole Gauss grid come from one
+        :meth:`~mpiga.geometry.Patch.jet_grid` call, and each row reads its
+        slice.  For the row of elements (eu, 0..n-1), ``operator(jac, hess,
+        w, point)`` receives the geometry Jacobians (n, Q, 2, 2) and
+        Hessians (n, Q, 2, 2, 2), the quadrature weights times det J (n, Q)
+        and the quadrature points (n, Q, 2), with the Q = nq^2 points of an
+        element ordered u-major, and returns operator rows (n, Q, m, 6)
+        acting on parametric 2-jets.  Yields the primitive ids (n, nd) and
+        values (n, nd, m, Q) of :meth:`cells` for them.
         """
         n, nq = self.n, self.nq
         Q = nq * nq
-        patch = self.topology.patches[patch_index]
         pts = (np.arange(n)[:, None] + self.nodes).ravel() * self.sol.h
         _, tables = self.sol.eval_many(pts, 2)
         per_cell = np.arange(n * nq).reshape(n, nq), tables.reshape(n, nq, 3, -1)
         edges = self.edge_table(patch_index, pts, pts)
+        geometry = self.topology.patches[patch_index].jet_grid(pts, pts)
         ev = np.arange(n)
         wq = np.outer(self.weights, self.weights).ravel() * self.sol.h ** 2
         for eu in range(n):
             row = per_cell[0][eu], per_cell[1][eu]
-            # geometry on the row's nq x (n nq) grid, regrouped per element
+            # the row's nq x (n nq) slice of the grid, regrouped per element
             point, jac, hess = (
-                a.reshape(nq, n, nq, *a.shape[2:]).swapaxes(0, 1).reshape(n, Q, *a.shape[2:])
-                for a in patch.jet_grid(pts[row[0]], pts)
+                a[row[0]].reshape(nq, n, nq, *a.shape[2:]).swapaxes(0, 1).reshape(n, Q, *a.shape[2:])
+                for a in geometry
             )
             det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-            op = operator(pullback(jac, hess), wq * det, point)
+            op = operator(jac, hess, wq * det, point)
             yield self.cells(patch_index, np.full(n, eu), ev, row, per_cell, op, edges)
 
     def volume_system(self, f=None):
         """Stiffness (Delta, Delta) and load (f, psi) over all primitives.
 
         The element rows act with two operator rows per point: sqrt(w)
-        times the Laplacian rows of the pullback for the stiffness, and w f
-        on the value slot for the load (values are the same in parametric
-        and physical jets).
+        times the :func:`~mpiga.geometry.laplacian_rows` for the stiffness,
+        and w f on the value slot for the load (values are the same in
+        parametric and physical jets).
         """
-        def operator(pull, w, point):
-            lap = (pull[..., 3, :] + pull[..., 5, :]) * np.sqrt(w)[..., None]
+        def operator(jac, hess, w, point):
+            lap = laplacian_rows(jac, hess) * np.sqrt(w)[..., None]
             if f is None:
                 return lap[:, :, None]
             load = np.zeros_like(lap)
@@ -495,7 +498,8 @@ def broken_gram(view, quad_scale=1):
     asm = _Assembler(view, quad_scale)
     G = SparseSymMatrix(asm.n_prims)
     for k in range(len(asm.topology.patches)):
-        for ids, phys in asm.element_rows(k, lambda pull, w, _: pull * np.sqrt(w)[..., None, None]):
+        rows = asm.element_rows(k, lambda jac, hess, w, _: pullback(jac, hess) * np.sqrt(w)[..., None, None])
+        for ids, phys in rows:
             phys = phys.reshape(ids.shape + (-1,))
             G.add_blocks(ids, phys @ phys.swapaxes(1, 2))
     return asm.to_dofs(G)
@@ -560,7 +564,7 @@ class NitscheForm:
     def system(self, eta):
         """The assembled system for the stability weights ``eta``.
 
-        ``eta`` is a positive scalar applied to every interface or a
+        ``eta`` is a positive finite scalar applied to every interface or a
         mapping from interface index to the per-interface weight; the
         penalty term scales it by 1/h of the current mesh.  The matrix is
         base + sum_i (eta_i / h) P_i, so equal weights give a bit-identical
@@ -570,8 +574,8 @@ class NitscheForm:
             raise ParameterError("Nitsche assembly requires a stability parameter eta")
         if np.isscalar(eta):
             eta = {i: float(eta) for i in range(len(self.penalties))}
-        if any(val <= 0.0 for val in eta.values()):
-            raise ParameterError("stability parameters must be positive")
+        if not all(np.isfinite(val) and val > 0.0 for val in eta.values()):
+            raise ParameterError(f"stability parameters eta must be positive and finite, got {eta}")
         h = self.view.sol.h
         # the penalties couple interface dofs only: summed first, they meet
         # the whole base in one addition
@@ -645,11 +649,13 @@ def stacked_error_norms(view, stack, exact_jet=None, quad_scale=1):
     Each row is evaluated as one function per patch: its restriction to
     the patch's primitives (the row times the patch's extraction) is
     multiplied out from univariate tables (:class:`~mpiga.c1space.GridJets`),
-    so no dof is evaluated on its own.  The geometry of a band of element
-    rows (points, w det J, the pullback) and the exact jet there are
-    computed once for all m functions; jumps come from the same evaluator
-    on each side of every interface line.  Every step treats the rows
-    alone, so a function's report does not depend on the stack it is in.
+    so no dof is evaluated on its own.  The geometry jets of a patch's
+    whole Gauss grid come from one :meth:`~mpiga.geometry.Patch.jet_grid`
+    call; each band of element rows slices them, and its w det J, pullback
+    and exact jet are computed once for all m functions.  Jumps come from
+    the same evaluator on each side of every interface line.  Every step
+    treats the rows alone, so a function's report does not depend on the
+    stack it is in.
     Returns one :class:`ErrorReport` per row.
     """
     asm = _Assembler(view, quad_scale)
@@ -667,9 +673,10 @@ def stacked_error_norms(view, stack, exact_jet=None, quad_scale=1):
     acc = np.zeros((3, len(stack)))  # L2^2, H1-semi^2, H2-semi^2 per function
     for patch, (prims, rows) in zip(patches, combos):
         grid = GridJets(prims, rows, pts, pts)
+        geometry = patch.jet_grid(pts, pts)
         for start in range(0, len(pts), band):
             sel = slice(start, start + band)
-            point, jac, hess = patch.jet_grid(pts[sel], pts)
+            point, jac, hess = (a[sel] for a in geometry)
             det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
             w = wq[sel] * det
             err = physical_jet(grid.jets(sel), jac, hess)

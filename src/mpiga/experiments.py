@@ -67,6 +67,8 @@ class ExperimentConfig:
             raise ParameterError("refinement levels must be strictly increasing")
         if not (math.isfinite(self.h0) and self.h0 > 0.0):
             raise ParameterError(f"h0={self.h0} is not a positive finite mesh size")
+        if not (math.isfinite(self.eta_mult) and self.eta_mult > 0.0):
+            raise ParameterError(f"eta_mult={self.eta_mult} is not a positive finite stability multiplier")
         if self.topology is None:
             if self.geometry in BUILTIN_NAMES:
                 self.topology = builtin_geometry(self.geometry)

@@ -23,7 +23,7 @@ coefficients couple identically across the interface.
 
 import numpy as np
 
-from .bspline import JET_ORDERS, SplineSpace, TensorSplineSpace
+from .bspline import _SLOT_U, _SLOT_V, JET_ORDERS, SplineSpace, TensorSplineSpace
 from .errors import ConformityError, GeometryError, NonManifoldError, ParameterError
 
 #: side -> (transversal axis: 0 for u / 1 for v, transversal flipped?)
@@ -115,7 +115,11 @@ class Patch:
         """Geometry jets on a tensor grid.
 
         ``us`` and ``vs`` may be in any order and may repeat; every point
-        is evaluated from its own knot span.
+        is evaluated from its own knot span.  The jets are separable: with
+        the dense collocation tables B_u[a] (nu, Nu) and B_v[b] (nv, Nv) of
+        the a-th and b-th derivatives of every univariate geometry
+        B-spline, derivative (a, b) of component c is B_u[a] C_c B_v[b]^T
+        for the control net C_c of that component.
 
         Returns
         -------
@@ -124,27 +128,17 @@ class Patch:
         hess : (nu, nv, 2, 2, 2) with hess[..., c, a, b] second derivatives
         """
         su, sv = self.space.space_u, self.space.space_v
-        us = np.atleast_1d(np.asarray(us, dtype=float))
-        vs = np.atleast_1d(np.asarray(vs, dtype=float))
-        fu, tu = su.eval_many(us, 2)
-        fv, tv = sv.eval_many(vs, 2)
-        nu, nv = len(us), len(vs)
-        # contract the u-windows of all points against the full control
-        # columns, then gather and contract the v-windows
-        cu = self.control[fu[:, None] + np.arange(su.p + 1)]  # (nu, pu+1, Nv, 2)
-        partial = np.einsum("udi,uijc->udjc", tu, cu)  # (nu, 3, Nv, 2)
-        pw = partial[:, :, fv[:, None] + np.arange(sv.p + 1)]  # (nu, 3, nv, pv+1, 2)
-        jets = np.empty((nu, nv, 6, 2))
-        for slot, (a, b) in enumerate(JET_ORDERS):
-            jets[:, :, slot, :] = np.einsum("uvjc,vj->uvc", pw[:, a], tv[:, b])
-        point = jets[:, :, 0, :]
-        jac = np.stack([jets[:, :, 1, :], jets[:, :, 2, :]], axis=-1)
-        hess = np.empty((nu, nv, 2, 2, 2))
-        hess[..., 0, 0] = jets[:, :, 3, :]
-        hess[..., 0, 1] = jets[:, :, 4, :]
-        hess[..., 1, 0] = jets[:, :, 4, :]
-        hess[..., 1, 1] = jets[:, :, 5, :]
-        return point, jac, hess
+        bu = su.eval_columns(np.arange(su.dim), us, 2).transpose(2, 1, 0)  # (3, nu, Nu)
+        bv = sv.eval_columns(np.arange(sv.dim), vs, 2).transpose(2, 0, 1)  # (3, Nv, nv)
+        # einsum adds the products in index order, as a sum over one point's
+        # knot-span window does.  The second-derivative sums cancel, and
+        # a BLAS product, summing in another order, moved them by up to
+        # 2e-14 of their size on the built-in patches.
+        left = np.einsum("aun,nmc->acum", bu, self.control)  # (3, 2, nu, Nv)
+        jets = np.einsum("scum,smv->scuv", left[_SLOT_U], bv[_SLOT_V])  # (6, 2, nu, nv)
+        jac = jets[[1, 2]].transpose(2, 3, 1, 0)
+        hess = jets[[3, 4, 4, 5]].reshape(2, 2, 2, *jets.shape[2:]).transpose(3, 4, 2, 0, 1)
+        return jets[0].transpose(1, 2, 0), jac, hess
 
     def jet_at(self, u, v):
         point, jac, hess = self.jet_grid([u], [v])
@@ -495,6 +489,23 @@ def gluing_data(topology, iface, side, ts):
     return alpha, beta
 
 
+def _inverse_transpose(jac):
+    """P = J^{-T} (..., 2, 2) of Jacobians (..., 2, 2), so that the physical
+    gradient is P grad_uv.  Raises :class:`GeometryError` where det J is
+    not positive."""
+    xu, xv = jac[..., 0, 0], jac[..., 0, 1]
+    yu, yv = jac[..., 1, 0], jac[..., 1, 1]
+    det = xu * yv - xv * yu
+    if np.any(det <= 0.0):
+        raise GeometryError(
+            f"non-positive Jacobian determinant (min {np.min(det):.3e}) in jet transform"
+        )
+    P = np.empty(jac.shape)
+    P[..., 0, 0], P[..., 0, 1] = yv / det, -yu / det
+    P[..., 1, 0], P[..., 1, 1] = -xv / det, xu / det
+    return P
+
+
 def pullback(jac, hess):
     """Per-point linear map from parametric to physical 2-jets.
 
@@ -508,18 +519,10 @@ def pullback(jac, hess):
     """
     jac = np.asarray(jac, dtype=float)
     hess = np.asarray(hess, dtype=float)
-    xu, xv = jac[..., 0, 0], jac[..., 0, 1]
-    yu, yv = jac[..., 1, 0], jac[..., 1, 1]
-    det = xu * yv - xv * yu
-    if np.any(det <= 0.0):
-        raise GeometryError(
-            f"non-positive Jacobian determinant (min {np.min(det):.3e}) in jet transform"
-        )
-    out = np.zeros(det.shape + (6, 6))
+    P = _inverse_transpose(jac)
+    out = np.zeros(jac.shape[:-2] + (6, 6))
     out[..., 0, 0] = 1.0
-    P = out[..., 1:3, 1:3]
-    P[..., 0, 0], P[..., 0, 1] = yv / det, -yu / det
-    P[..., 1, 0], P[..., 1, 1] = -xv / det, xu / det
+    out[..., 1:3, 1:3] = P
     p11, p12, p21, p22 = P[..., 0, 0], P[..., 0, 1], P[..., 1, 0], P[..., 1, 1]
     S = out[..., 3:, 3:]
     S[..., 0, 0], S[..., 0, 1], S[..., 0, 2] = p11 * p11, 2.0 * p11 * p12, p12 * p12
@@ -528,6 +531,33 @@ def pullback(jac, hess):
     # (uu, uv, vv) rows of the component Hessians, components as columns
     H = hess[..., :, [0, 0, 1], [0, 1, 1]].swapaxes(-1, -2)
     out[..., 3:, 1:3] = -(S @ (H @ P))
+    return out
+
+
+def laplacian_rows(jac, hess):
+    """Per-point row of the physical Laplacian acting on parametric 2-jets.
+
+    Returns L of shape (..., 6) with L . (value, du, dv, duu, duv, dvv) =
+    dxx + dyy, the sum of rows 3 and 5 of :func:`pullback`, formed without
+    the 6 x 6 map: with P = J^{-T}, the second-derivative slots hold
+    s = (sum_i P_i0^2, 2 sum_i P_i0 P_i1, sum_i P_i1^2) and the gradient
+    slots -(sum_slot s H_c) P, where H_c holds the (uu, uv, vv) second
+    derivatives of geometry component c.  The value entry is zero.  Raises
+    :class:`GeometryError` where det J is not positive.
+    """
+    jac = np.asarray(jac, dtype=float)
+    hess = np.asarray(hess, dtype=float)
+    P = _inverse_transpose(jac)
+    p11, p12, p21, p22 = P[..., 0, 0], P[..., 0, 1], P[..., 1, 0], P[..., 1, 1]
+    out = np.empty(jac.shape[:-2] + (6,))
+    out[..., 0] = 0.0
+    s_uu, s_uv, s_vv = p11 * p11 + p21 * p21, 2.0 * (p11 * p12 + p21 * p22), p12 * p12 + p22 * p22
+    out[..., 3], out[..., 4], out[..., 5] = s_uu, s_uv, s_vv
+    # sum over the slots of s times the Hessian of each component
+    sh_x = s_uu * hess[..., 0, 0, 0] + s_uv * hess[..., 0, 0, 1] + s_vv * hess[..., 0, 1, 1]
+    sh_y = s_uu * hess[..., 1, 0, 0] + s_uv * hess[..., 1, 0, 1] + s_vv * hess[..., 1, 1, 1]
+    out[..., 1] = -(sh_x * p11 + sh_y * p21)
+    out[..., 2] = -(sh_x * p12 + sh_y * p22)
     return out
 
 

@@ -4,10 +4,12 @@ These deliberately avoid the library's algorithms: basis functions come
 from the textbook two-term recursion, derivatives from its recursive
 derivative identity, jets from central finite differences, and
 eigenvalues from cyclic Jacobi rotations, and physical jets from the
-closed-form chain rule.  The per-point geometry jets
-and the per-element and per-span loops at the end are the straightforward
-forms of the library's batched kernels: one point pair, one element or
-edge span and one tensor jet slot at a time.  An approx-C1 dof is
+closed-form chain rule.  The per-point geometry jets and the per-element
+and per-span loops at the end are the straightforward forms of the
+library's batched kernels: one point pair, one element or edge span and
+one tensor jet slot at a time.  The window-gather geometry jets evaluate
+each point from its own gathered control window, the reference for the
+separable ``Patch.jet_grid``.  An approx-C1 dof is
 evaluated from its sparse row over a patch's primitives: the row of the
 global dof (``GlobalC1Space.patch_rows``), weighted through the
 boundary-condition transform of a constrained view, summed one column at
@@ -180,6 +182,18 @@ def closed_form_physical_jet(jets, jac, hess):
     return out
 
 
+def _split_jets(jets):
+    """(point, jac, hess) of geometry jets (nu, nv, 6, 2) in jet-slot order."""
+    point = jets[:, :, 0, :]
+    jac = np.stack([jets[:, :, 1, :], jets[:, :, 2, :]], axis=-1)
+    hess = np.empty(jets.shape[:2] + (2, 2, 2))
+    hess[..., 0, 0] = jets[:, :, 3, :]
+    hess[..., 0, 1] = jets[:, :, 4, :]
+    hess[..., 1, 0] = jets[:, :, 4, :]
+    hess[..., 1, 1] = jets[:, :, 5, :]
+    return point, jac, hess
+
+
 def per_point_jet_grid(patch, us, vs):
     """Geometry jets (point, jac, hess) on a tensor grid, one point pair at a time."""
     su, sv = patch.space.space_u, patch.space.space_v
@@ -196,14 +210,26 @@ def per_point_jet_grid(patch, us, vs):
             pw = partial[:, fv[qv] : fv[qv] + sv.p + 1]
             for slot, (a, b) in enumerate(JET_ORDERS):
                 jets[qu, qv, slot] = tv[qv][b] @ pw[a]
-    point = jets[:, :, 0, :]
-    jac = np.stack([jets[:, :, 1, :], jets[:, :, 2, :]], axis=-1)
-    hess = np.empty((nu, nv, 2, 2, 2))
-    hess[..., 0, 0] = jets[:, :, 3, :]
-    hess[..., 0, 1] = jets[:, :, 4, :]
-    hess[..., 1, 0] = jets[:, :, 4, :]
-    hess[..., 1, 1] = jets[:, :, 5, :]
-    return point, jac, hess
+    return _split_jets(jets)
+
+
+def gather_jet_grid(patch, us, vs):
+    """Geometry jets (point, jac, hess) on a tensor grid from per-point
+    windows: the u-windows of all points are gathered from the control net
+    and contracted, then the v-windows gathered from the partial sums and
+    contracted once per jet slot."""
+    su, sv = patch.space.space_u, patch.space.space_v
+    us = np.atleast_1d(np.asarray(us, dtype=float))
+    vs = np.atleast_1d(np.asarray(vs, dtype=float))
+    fu, tu = su.eval_many(us, 2)
+    fv, tv = sv.eval_many(vs, 2)
+    cu = patch.control[fu[:, None] + np.arange(su.p + 1)]  # (nu, pu+1, Nv, 2)
+    partial = np.einsum("udi,uijc->udjc", tu, cu)  # (nu, 3, Nv, 2)
+    pw = partial[:, :, fv[:, None] + np.arange(sv.p + 1)]  # (nu, 3, nv, pv+1, 2)
+    jets = np.empty((len(us), len(vs), 6, 2))
+    for slot, (a, b) in enumerate(JET_ORDERS):
+        jets[:, :, slot, :] = np.einsum("uvjc,vj->uvc", pw[:, a], tv[:, b])
+    return _split_jets(jets)
 
 
 def edge_jet_to_patch(side_map, jet):

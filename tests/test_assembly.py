@@ -21,7 +21,14 @@ from mpiga.bspline import SplineSpace, TensorSplineSpace
 from mpiga.c1space import build_c1_space, homogeneous_subspace
 from mpiga.errors import GeometryError, IndefiniteSystemError, ParameterError
 from mpiga.fixtures import BUILTIN_NAMES, builtin_geometry
-from mpiga.geometry import InterfaceRecord, Patch, Topology, detect_topology, pullback
+from mpiga.geometry import (
+    InterfaceRecord,
+    Patch,
+    Topology,
+    detect_topology,
+    laplacian_rows,
+    pullback,
+)
 from mpiga.linalg import SparseSymMatrix
 
 from helpers import eval_jet, greville
@@ -122,6 +129,25 @@ def test_pullback_matches_closed_form_chain_rule():
     ref = closed_form_physical_jet(jets, jac, hess)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
     assert np.array_equal(physical_jet(jets, jac, hess), got)
+
+
+def test_laplacian_rows_match_pullback_rows():
+    patch, _, _ = curved_bicubic()
+    xs = np.linspace(0.05, 0.95, 7)
+    _, jac, hess = patch.jet_grid(xs, xs)
+    pull = pullback(jac, hess)
+    want = pull[..., 3, :] + pull[..., 5, :]
+    got = laplacian_rows(jac, hess)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    jets = np.random.default_rng(6).standard_normal((3, 7, 7, 6))
+    lap = physical_jet(jets, jac, hess)
+    lap = lap[..., 3] + lap[..., 5]
+    assert np.abs((got * jets).sum(axis=-1) - lap).max() <= 1e-13 * np.abs(lap).max()
+    folded = folded_topology().patches[0]
+    _, jac, hess = folded.jet_grid(xs, xs)
+    with pytest.raises(GeometryError):
+        laplacian_rows(jac, hess)
 
 
 def folded_topology():
@@ -282,6 +308,11 @@ def test_nitsche_requires_positive_eta(topo2c):
         assemble_nitsche(view, manufactured_rhs, eta=-1.0)
     with pytest.raises(ParameterError):
         assemble_nitsche(view, manufactured_rhs, eta=None)
+    form = NitscheForm(view, manufactured_rhs)
+    for eta in (float("nan"), float("inf"), 0.0):
+        for weights in (eta, {0: eta}):
+            with pytest.raises(ParameterError, match="eta"):
+                form.system(weights)
 
 
 def test_nitsche_coercive_at_reference_eta():
@@ -321,8 +352,9 @@ def test_c0_numbering_matches_union_find(name):
             assert space.n_free == space.n_total == 1 + max(g.max() for g in ref)
 
 
-def _laplacian_row(pull, w, _point):
+def _laplacian_row(jac, hess, w, _point):
     """sqrt(w) times the physical Laplacian row of the pullback, one row per point."""
+    pull = pullback(jac, hess)
     return ((pull[..., 3, :] + pull[..., 5, :]) * np.sqrt(w)[..., None])[:, :, None]
 
 

@@ -16,6 +16,7 @@ from mpiga.assembly import (
     manufactured_jet,
     manufactured_laplacian,
     manufactured_rhs,
+    stacked_error_norms,
 )
 from mpiga.bspline import gauss_legendre
 from mpiga.c1space import build_c1_space, homogeneous_subspace
@@ -26,6 +27,7 @@ from oracles import (
     _Reference,
     boundary_load_reference,
     expand_reference,
+    gather_jet_grid,
     interface_rows_reference,
     per_element_reference,
     per_point_jet_grid,
@@ -175,6 +177,23 @@ def test_jet_grid_unsorted_repeated_points_multi_element():
         assert rel_gap(got, ref) <= RTOL
 
 
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, "multi-element"])
+def test_separable_jet_grid_matches_window_gather(name):
+    """The separable jets against per-point window gathers, on unsorted and
+    repeated points that include 0, 1 and every interior geometry knot."""
+    patches = [multi_element_patch()] if name == "multi-element" else builtin_geometry(name).patches
+    rng = np.random.default_rng(7)
+    for patch in patches:
+        axes = []
+        for space in (patch.space.space_u, patch.space.space_v):
+            knots = np.arange(space.n + 1) / space.n
+            pts = np.concatenate([knots, knots[1:-1], rng.uniform(0.0, 1.0, 9)])
+            axes.append(rng.permutation(pts))
+        for got, ref in zip(patch.jet_grid(*axes), gather_jet_grid(patch, *axes)):
+            assert got.shape == ref.shape
+            assert rel_gap(got, ref) <= 1e-14
+
+
 def evaluation_grids(n, p=P):
     """An element-row grid, an edge line across each parameter direction
     and a single corner point, as (u points, v points)."""
@@ -266,3 +285,30 @@ def test_grid_jets_built_once_per_patch_and_side_line(monkeypatch):
         built.clear()
         assemble_approx_c1(view, manufactured_rhs, g2=g2)
         assert 0 < len(built) <= len(topo.patches) + side_lines
+
+
+def test_geometry_jets_evaluated_once_per_patch(monkeypatch):
+    """The volume form evaluates each patch's geometry once, and the error
+    norms once per patch plus once per interface side line, on a stack
+    whose element rows span several bands."""
+    calls = []
+    jet_grid = Patch.jet_grid
+
+    def counting_jet_grid(self, us, vs):
+        calls.append(self)
+        return jet_grid(self, us, vs)
+
+    topo = builtin_geometry("square-6-bilinear")
+    views = [
+        C0Space(topo, P, P - 1, 8, {e: "gn" for e in topo.boundary_edges}),
+        make_view("square-6-bilinear", "c1-gn", 8),
+    ]
+    monkeypatch.setattr(Patch, "jet_grid", counting_jet_grid)
+    for view in views:
+        calls.clear()
+        _Assembler(view).volume_system(manufactured_rhs)
+        assert 0 < len(calls) <= len(topo.patches)
+        calls.clear()
+        stack = np.random.default_rng(5).standard_normal((3, view.n_total))
+        stacked_error_norms(view, stack, manufactured_jet)
+        assert 0 < len(calls) <= len(topo.patches) + 2 * len(topo.interfaces)

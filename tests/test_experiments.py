@@ -226,6 +226,13 @@ def test_cli_rejects_bad_mesh_configuration(argv, capsys):
     assert capsys.readouterr().err.startswith("configuration error")
 
 
+@pytest.mark.parametrize("mult", ["nan", "inf", "0", "-1"])
+def test_cli_rejects_bad_eta_multiplier(mult, capsys):
+    assert main(["solve", "--method", "nitsche", "--levels", "4", "--eta-mult", mult]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "eta" in err
+
+
 def test_cli_numerical_error(monkeypatch):
     import mpiga.cli as cli
 
