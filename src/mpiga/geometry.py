@@ -549,8 +549,7 @@ def laplacian_rows(jac, hess):
     hess = np.asarray(hess, dtype=float)
     P = _inverse_transpose(jac)
     p11, p12, p21, p22 = P[..., 0, 0], P[..., 0, 1], P[..., 1, 0], P[..., 1, 1]
-    out = np.empty(jac.shape[:-2] + (6,))
-    out[..., 0] = 0.0
+    out = np.zeros(jac.shape[:-2] + (6,))
     s_uu, s_uv, s_vv = p11 * p11 + p21 * p21, 2.0 * (p11 * p12 + p21 * p22), p12 * p12 + p22 * p22
     out[..., 3], out[..., 4], out[..., 5] = s_uu, s_uv, s_vv
     # sum over the slots of s times the Hessian of each component
