@@ -174,6 +174,12 @@ class C0Space:
 # ---------------------------------------------------------------------------
 # generic element evaluation over a space view
 
+#: (cell, primitive, quadrature point) entries per band of element rows in
+#: the element kernels: a whole patch of an approx-C1 view at p=3, n=8
+#: (64 cells x 30 primitives x 25 points); the kernels' temporaries grow
+#: with the band, and larger bands raised the peak memory of C0 forms
+_CELL_BAND_SIZE = 49152
+
 
 class _Assembler:
     """Shared element machinery over a space view (C1 or C0).
@@ -227,15 +233,16 @@ class _Assembler:
         """Primitive ids and operator values on some cells of one patch.
 
         Cell c is the element (eu[c], ev[c]) with a tensor grid of points
-        inside it.  ``u`` and ``v`` are the grid's point indices and their
+        inside it.  ``u`` and ``v`` are the grid's point indices per cell,
+        (nc, mu) and (nc, mv), and their
         :meth:`~mpiga.bspline.SplineSpace.eval_many` tables (two
-        derivatives) along each axis: one axis has indices (nc, mq) and
-        tables (nc, mq, 3, p+1) per cell, the other (mq,) and (mq, 3, p+1)
-        shared by every cell.  The indices number the points of ``edges``,
-        the patch's :meth:`edge_table`.  ``op`` (nc, Q, m, 6) holds, at
-        each of the Q = mu * mv points (u-major), m rows that act on a
-        parametric 2-jet (value, du, dv, duu, duv, dvv), for example the
-        :func:`~mpiga.geometry.laplacian_rows` or rows of the
+        derivatives), (nc, mu, 3, p+1) and (nc, mv, 3, p+1); an axis whose
+        points every cell shares may come in as a read-only
+        ``np.broadcast_to`` view.  The indices number the points of
+        ``edges``, the patch's :meth:`edge_table`.  ``op`` (nc, Q, m, 6)
+        holds, at each of the Q = mu * mv points (u-major), m rows that act
+        on a parametric 2-jet (value, du, dv, duu, duv, dvv), for example
+        the :func:`~mpiga.geometry.laplacian_rows` or rows of the
         :func:`~mpiga.geometry.pullback` map, times a weight.
         Returns primitive ids (nc, nd) and values (nc, nd, m, Q), every row
         applied to every primitive's jet: the (p+1)^2 tensor window
@@ -243,10 +250,10 @@ class _Assembler:
         edge primitives that reach the cell (``cells`` of the
         extraction), padded with -1.  Values of ids -1 are meaningless.
 
-        No jet is formed: the rows are multiplied into the per-cell axis
-        table first, and the shared axis table contracts the jet slots in
-        one matrix product per shared point.  Edge primitives gather their
-        jets on each cell they reach from the table
+        No jet is formed: the rows are multiplied into the v table first,
+        and the u table contracts the jet slots in one matrix product per
+        cell and u point, (p+1, 6) @ (6, mv * m * (p+1)).  Edge primitives
+        gather their jets on each cell they reach from the table
         (:meth:`~mpiga.c1space.GridJets.pairs`) and the rows are applied
         to them.
         """
@@ -254,74 +261,79 @@ class _Assembler:
         (u_idx, u_tab), (v_idx, v_tab) = u, v
         ext, prim_ids = self.tables[patch_index], self.ids[patch_index]
         wu, wv = ((e * step)[:, None] + np.arange(p1) for e in (eu, ev))
-        ids = prim_ids[(wu * N)[:, :, None] + wv[:, None, :]].reshape(nc, p1 * p1)
-        mu, mv, m = u_tab.shape[-3], v_tab.shape[-3], op.shape[2]
-        grid_op = op.reshape(nc, mu, mv, m, 6)
-        if u_tab.ndim == 3:  # u shared: (qu, slot, cell, qv, row, iv) -> (cell, iu, iv, row, qu, qv)
-            shared, per_cell = u_tab[:, _SLOT_U], v_tab[:, :, _SLOT_V]
-            grid_op, order = grid_op.transpose(1, 4, 0, 2, 3), (2, 1, 5, 4, 0, 3)
-        else:  # v shared: (qv, slot, cell, qu, row, iu) -> (cell, iu, iv, row, qu, qv)
-            shared, per_cell = v_tab[:, _SLOT_V], u_tab[:, :, _SLOT_U]
-            grid_op, order = grid_op.transpose(2, 4, 0, 1, 3), (2, 5, 1, 4, 3, 0)
-        factor = grid_op[..., None] * per_cell.transpose(2, 0, 1, 3)[:, :, :, None, :]
-        vals = shared.swapaxes(1, 2) @ factor.reshape(factor.shape[:2] + (-1,))
-        vals = vals.reshape(factor.shape[:1] + (p1,) + factor.shape[2:]).transpose(order)
-        vals = vals.reshape(nc, p1 * p1, m, mu * mv)
         pad = len(ext.cols)
         pos = ext.cells[eu, ev]
         ne = int(np.count_nonzero(pos < pad, axis=1).max(initial=0))
-        if not ne:
-            return ids, vals
         pos = pos[:, :ne]
-        hit = np.flatnonzero(pos[:, 0] < pad)
-        cell, e = np.nonzero(pos[hit] < pad)
-        u_win, v_win = (
-            idx[hit[cell]] if idx.ndim == 2 else np.broadcast_to(idx, (len(cell), len(idx)))
-            for idx in (u_idx, v_idx)
+        window = prim_ids[(wu * N)[:, :, None] + wv[:, None, :]].reshape(nc, p1 * p1)
+        ids = np.concatenate([window, np.append(prim_ids[ext.cols], -1)[pos]], axis=1)
+        mu, mv, m = u_tab.shape[1], v_tab.shape[1], op.shape[2]
+        vals = np.zeros((nc, p1 * p1 + ne, m, mu * mv))
+        # per cell and u point, (iu, slot) @ (slot, (qv, row, iv)), written
+        # to the tensor window as (cell, iu, iv, row, qu, qv)
+        grid_op = op.reshape(nc, mu, mv, m, 6).transpose(0, 1, 4, 2, 3)[..., None]
+        v_slots = v_tab[:, :, _SLOT_V].transpose(0, 2, 1, 3)[:, None, :, :, None, :]
+        vals[:, : p1 * p1].reshape(nc, p1, p1, m, mu, mv)[...] = (
+            (u_tab[:, :, _SLOT_U].swapaxes(2, 3) @ (grid_op * v_slots).reshape(nc, mu, 6, -1))
+            .reshape(nc, mu, p1, mv, m, p1)
+            .transpose(0, 2, 5, 4, 1, 3)
         )
-        jets = np.zeros((len(hit), mu * mv, ne, 6))
-        jets[cell, :, e] = edges.pairs(pos[hit[cell], e], u_win, v_win).reshape(len(cell), mu * mv, 6)
-        # per hit cell and point, (primitive, slot) @ (slot, row), then
-        # (hit cell, primitive, m, Q) with zeros at padding
-        edge_vals = np.zeros((nc, ne, m, mu * mv))
-        edge_vals[hit] = (jets @ op[hit].swapaxes(2, 3)).transpose(0, 2, 3, 1)
-        edge_ids = np.append(prim_ids[ext.cols], -1)[pos]
-        return np.concatenate([ids, edge_ids], axis=1), np.concatenate([vals, edge_vals], axis=1)
+        if ne:
+            hit = np.flatnonzero(pos[:, 0] < pad)
+            cell, e = np.nonzero(pos[hit] < pad)
+            jets = np.zeros((len(hit), mu * mv, ne, 6))
+            jets[cell, :, e] = edges.pairs(pos[hit[cell], e], u_idx[hit[cell]], v_idx[hit[cell]]).reshape(
+                len(cell), mu * mv, 6
+            )
+            # per hit cell and point, (primitive, slot) @ (slot, row), then
+            # (hit cell, primitive, m, Q); padding has zero jets
+            vals[hit, p1 * p1 :] = (jets @ op[hit].swapaxes(2, 3)).transpose(0, 2, 3, 1)
+        return ids, vals
 
     # -- volume form ----------------------------------------------------
 
     def element_rows(self, patch_index, operator):
-        """Operator values of the primitives of one patch, one element row at a time.
+        """Operator values of the primitives of one patch, one band of
+        element rows at a time.
 
-        The geometry jets of the patch's whole Gauss grid come from one
-        :meth:`~mpiga.geometry.Patch.jet_grid` call, and each row reads its
-        slice.  For the row of elements (eu, 0..n-1), ``operator(jac, hess,
-        w, point)`` receives the geometry Jacobians (n, Q, 2, 2) and
-        Hessians (n, Q, 2, 2, 2), the quadrature weights times det J (n, Q)
-        and the quadrature points (n, Q, 2), with the Q = nq^2 points of an
-        element ordered u-major, and returns operator rows (n, Q, m, 6)
-        acting on parametric 2-jets.  Yields the primitive ids (n, nd) and
-        values (n, nd, m, Q) of :meth:`cells` for them.
+        A band is the cells (eu, 0..n-1) of consecutive element rows eu,
+        as many rows as keep its (cell, primitive, point) entries within
+        :data:`_CELL_BAND_SIZE` (at least one row).  The geometry jets of
+        the patch's whole Gauss grid come from one
+        :meth:`~mpiga.geometry.Patch.jet_grid` call, and each band reads
+        its slice.  For the nc cells of a band, u-major,
+        ``operator(jac, hess, w, point)`` receives the geometry Jacobians
+        (nc, Q, 2, 2) and Hessians (nc, Q, 2, 2, 2), the quadrature
+        weights times det J (nc, Q) and the quadrature points (nc, Q, 2),
+        with the Q = nq^2 points of an element ordered u-major, and
+        returns operator rows (nc, Q, m, 6) acting on parametric 2-jets.
+        Yields the primitive ids (nc, nd) and values (nc, nd, m, Q) of
+        :meth:`cells` for them.
         """
         n, nq = self.n, self.nq
         Q = nq * nq
         pts = (np.arange(n)[:, None] + self.nodes).ravel() * self.sol.h
         _, tables = self.sol.eval_many(pts, 2)
-        per_cell = np.arange(n * nq).reshape(n, nq), tables.reshape(n, nq, 3, -1)
+        idx, tab = np.arange(n * nq).reshape(n, nq), tables.reshape(n, nq, 3, -1)
         edges = self.edge_table(patch_index, pts, pts)
         geometry = self.topology.patches[patch_index].jet_grid(pts, pts)
-        ev = np.arange(n)
         wq = np.outer(self.weights, self.weights).ravel() * self.sol.h ** 2
-        for eu in range(n):
-            row = per_cell[0][eu], per_cell[1][eu]
-            # the row's nq x (n nq) slice of the grid, regrouped per element
+        nd = tab.shape[-1] ** 2 + self.tables[patch_index].cells.shape[2]
+        rows = max(1, _CELL_BAND_SIZE // (n * nd * Q))
+        for start in range(0, n, rows):
+            nb = min(rows, n - start)
+            eu, ev = np.divmod(np.arange(start * n, (start + nb) * n), n)
+            # the band's (nb nq) x (n nq) slice of the grid, regrouped per element
             point, jac, hess = (
-                a[row[0]].reshape(nq, n, nq, *a.shape[2:]).swapaxes(0, 1).reshape(n, Q, *a.shape[2:])
+                a[start * nq : (start + nb) * nq]
+                .reshape(nb, nq, n, nq, *a.shape[2:])
+                .swapaxes(1, 2)
+                .reshape(nb * n, Q, *a.shape[2:])
                 for a in geometry
             )
             det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
             op = operator(jac, hess, wq * det, point)
-            yield self.cells(patch_index, np.full(n, eu), ev, row, per_cell, op, edges)
+            yield self.cells(patch_index, eu, ev, (idx[eu], tab[eu]), (idx[ev], tab[ev]), op, edges)
 
     def volume_system(self, f=None):
         """Stiffness (Delta, Delta) and load (f, psi) over all primitives.
@@ -367,12 +379,15 @@ class _Assembler:
         frame = EdgeFrame(self.topology.patches[patch_index], side_map.side, side_map.t_flip)
         ts = (np.arange(n)[:, None] + self.enodes).ravel() * self.sol.h
         us, vs, axis = frame.line(ts)
-        # each span's points along the side; the one point across it is shared
+        # each span's points along the side; every span shares the one point across it
         grid = []
         for pts in (us, vs):
             _, tab = self.sol.eval_many(pts, 2)
             idx = np.arange(len(pts))
-            grid.append((idx, tab) if len(pts) == 1 else (idx.reshape(n, nq), tab.reshape(n, nq, 3, -1)))
+            if len(pts) == 1:
+                grid.append((np.broadcast_to(idx, (n, 1)), np.broadcast_to(tab, (n,) + tab.shape)))
+            else:
+                grid.append((idx.reshape(n, nq), tab.reshape(n, nq, 3, -1)))
         eu, ev = np.broadcast_arrays(*side_map.elements_to_patch(0, np.arange(n), n))
         geom = frame.geom(ts)
         pull = pullback(geom["jac"].reshape(n, nq, 2, 2), geom["hess"].reshape(n, nq, 2, 2, 2))

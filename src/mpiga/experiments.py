@@ -15,6 +15,7 @@ eigenproblem at h0 and mult defaulting to 4.
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +66,8 @@ class ExperimentConfig:
             raise ParameterError("no refinement levels given")
         if list(self.levels) != sorted(set(self.levels)):
             raise ParameterError("refinement levels must be strictly increasing")
+        if self.levels[0] < 1:
+            raise ParameterError(f"refinement level {self.levels[0]} is not a positive element count")
         if not (math.isfinite(self.h0) and self.h0 > 0.0):
             raise ParameterError(f"h0={self.h0} is not a positive finite mesh size")
         if not (math.isfinite(self.eta_mult) and self.eta_mult > 0.0):
@@ -81,6 +84,10 @@ class ExperimentConfig:
         n0 = round(1.0 / self.h0)
         if abs(n0 * self.h0 - 1.0) > 1e-12 or n0 < 1:
             raise ParameterError(f"h0={self.h0} is not the reciprocal of an element count")
+        if self.out and os.path.isdir(self.out):
+            raise ParameterError(f"output path {self.out!r} is a directory")
+        if self.out and not os.path.isdir(os.path.dirname(os.path.abspath(self.out))):
+            raise ParameterError(f"the directory of output path {self.out!r} does not exist")
         return self
 
     def bc_tags(self):

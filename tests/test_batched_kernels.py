@@ -6,7 +6,7 @@ which evaluate approx-C1 dofs piece by piece."""
 import numpy as np
 import pytest
 
-from mpiga import c1space
+from mpiga import assembly, c1space
 from mpiga.assembly import (
     C0Space,
     _Assembler,
@@ -312,3 +312,45 @@ def test_geometry_jets_evaluated_once_per_patch(monkeypatch):
         stack = np.random.default_rng(5).standard_normal((3, view.n_total))
         stacked_error_norms(view, stack, manufactured_jet)
         assert 0 < len(calls) <= len(topo.patches) + 2 * len(topo.interfaces)
+
+
+@pytest.mark.parametrize("kind", ["c0-gn", "c1-gn"])
+def test_element_bands_do_not_change_forms(kind, monkeypatch):
+    """Stiffness, load and broken Gram assembled one element row per band
+    and one whole patch per band agree to round-off."""
+    view = make_view("square-6-bicubic", kind, 8)
+    forms = []
+    for budget in (1, 1 << 40):
+        monkeypatch.setattr(assembly, "_CELL_BAND_SIZE", budget)
+        asm = _Assembler(view)
+        K, F = asm.volume_system(manufactured_rhs)
+        forms.append((asm.to_dofs(K).todense(), asm.E @ F, broken_gram(view).todense()))
+    for rows, patches in zip(*forms):
+        assert rel_gap(rows, patches) <= 1e-14
+
+
+def test_element_bands_cover_each_patch_once(monkeypatch):
+    """The volume form calls the cell kernel once per patch on the
+    approx-C1 view of the c1-converge benchmark; under a budget of three
+    element rows, several bands per patch cover every cell exactly once."""
+    calls = []
+    cells = _Assembler.cells
+
+    def counting_cells(self, patch_index, eu, ev, *args):
+        calls.append((patch_index, eu * self.n + ev))
+        return cells(self, patch_index, eu, ev, *args)
+
+    monkeypatch.setattr(_Assembler, "cells", counting_cells)
+    view = make_view("square-6-bilinear", "c1-gn", 8)
+    asm = _Assembler(view)
+    n_patches = len(asm.topology.patches)
+    asm.volume_system(manufactured_rhs)
+    assert [k for k, _ in calls] == list(range(n_patches))
+    nd = (asm.sol.p + 1) ** 2 + max(ext.cells.shape[2] for ext in asm.tables)
+    monkeypatch.setattr(assembly, "_CELL_BAND_SIZE", 3 * asm.n * nd * asm.nq ** 2)
+    calls.clear()
+    asm.volume_system(manufactured_rhs)
+    for k in range(n_patches):
+        bands = [cell for patch, cell in calls if patch == k]
+        assert len(bands) == 3
+        assert np.array_equal(np.sort(np.concatenate(bands)), np.arange(asm.n * asm.n))

@@ -33,6 +33,8 @@ def test_config_validation():
         ExperimentConfig(h0=0.3).resolve()
     with pytest.raises(ParameterError):
         ExperimentConfig(bc="dirichlet").resolve()
+    with pytest.raises(ParameterError):
+        ExperimentConfig(levels=(0, 4)).resolve()
 
 
 def test_determinism_bitwise(topo2c):
@@ -231,6 +233,28 @@ def test_cli_rejects_bad_eta_multiplier(mult, capsys):
     assert main(["solve", "--method", "nitsche", "--levels", "4", "--eta-mult", mult]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and "eta" in err
+
+
+@pytest.mark.parametrize(
+    "case", ["out-directory", "out-missing-parent", "level-zero", "level-negative"]
+)
+def test_cli_rejects_bad_output_and_levels_before_solving(case, tmp_path, monkeypatch, capsys):
+    """A directory as output path, an output path in a missing directory
+    and levels below 1 exit 2 before any level is assembled."""
+    import mpiga.experiments as experiments
+
+    reached = []
+    monkeypatch.setattr(experiments, "solve_level", lambda *args, **kw: reached.append(args))
+    argv = {
+        "out-directory": ["--levels", "4", "--out", str(tmp_path)],
+        "out-missing-parent": ["--levels", "4", "--out", str(tmp_path / "missing" / "solve.csv")],
+        "level-zero": ["--levels", "0"],
+        "level-negative": ["--levels=-4,8"],
+    }[case]
+    for method in ("approx-c1", "nitsche"):
+        assert main(["solve", "--method", method, *argv]) == 2
+        assert capsys.readouterr().err.startswith("configuration error")
+    assert not reached
 
 
 def test_cli_numerical_error(monkeypatch):
