@@ -10,8 +10,10 @@ Two discrete forms are assembled over element-wise Gauss quadrature:
   interface.
 
 Every form is assembled over the patch primitives of the space view
-(tensor B-splines and edge functions, numbered in one range across
-patches) and mapped to dofs once through the view's extraction matrices,
+(the columns of its tensor families: tensor B-splines and, on an
+approximately C1 view, the strip family of each patch side, numbered in
+one range across patches) and mapped to dofs once through the view's
+extraction matrices,
 as E M E^T and E F.  The volume rule uses (p+2)^2 points per element and
 interfaces use 2p+1 points per edge span; jumps are oriented as (higher
 side) minus (lower side) with the interface normal taken outward from
@@ -163,7 +165,7 @@ class C0Space:
             unit = scipy.sparse.csr_matrix(
                 (np.ones(len(cols)), (fids.ravel()[cols], cols)), shape=(self.n_total, N * N)
             )
-            self._tables.append(PatchExtraction(self.primitives, unit, n))
+            self._tables.append(PatchExtraction(self.primitives, unit))
 
     def element_table(self, patch_index):
         """The :class:`~mpiga.c1space.PatchExtraction` of one patch: unit
@@ -176,8 +178,9 @@ class C0Space:
 
 #: (cell, primitive, quadrature point) entries per band of element rows in
 #: the element kernels: a whole patch of an approx-C1 view at p=3, n=8
-#: (64 cells x 30 primitives x 25 points); the kernels' temporaries grow
-#: with the band, and larger bands raised the peak memory of C0 forms
+#: (64 cells x 26 primitives, the tensor window and two strip windows of a
+#: corner cell, x 25 points); the kernels' temporaries grow with the band,
+#: and larger bands raised the peak memory of C0 forms
 _CELL_BAND_SIZE = 49152
 
 
@@ -202,12 +205,12 @@ class _Assembler:
         self.edge_nq = quad_scale * (2 * p + 1)
         self.enodes, self.eweights = gauss_legendre(self.edge_nq)
         self.tables = [view.element_table(k) for k in range(len(self.topology.patches))]
-        sizes = [ext.prims.n_cols for ext in self.tables]
+        sizes = [ext.prims.n_basis for ext in self.tables]
         self.n_prims = sum(sizes)
         self.E = scipy.sparse.hstack([ext.matrix for ext in self.tables], format="csr")
         self.ids = []  # per patch, the id of every column some dof uses, -1 elsewhere
         for ext, offset in zip(self.tables, np.cumsum([0] + sizes[:-1])):
-            ids = -np.ones(ext.prims.n_cols, dtype=int)
+            ids = -np.ones(ext.prims.n_basis, dtype=int)
             used = np.unique(ext.matrix.indices)
             ids[used] = offset + used
             self.ids.append(ids)
@@ -220,75 +223,54 @@ class _Assembler:
         A.sort_indices()
         return SparseSymMatrix.from_sparse(A)
 
-    def edge_table(self, patch_index, u_pts, v_pts):
-        """The edge primitives some dof of one patch uses, on a tensor grid
-        of points: a :class:`~mpiga.c1space.GridJets` with one unit row per
-        column of the extraction's ``cols``, or None when there are none."""
-        ext = self.tables[patch_index]
-        if not len(ext.cols):
-            return None
-        return GridJets(ext.prims, ext.prims.selection(ext.cols), u_pts, v_pts)
-
-    def cells(self, patch_index, eu, ev, u, v, op, edges):
+    def cells(self, patch_index, eu, ev, u, v, op):
         """Primitive ids and operator values on some cells of one patch.
 
         Cell c is the element (eu[c], ev[c]) with a tensor grid of points
-        inside it.  ``u`` and ``v`` are the grid's point indices per cell,
-        (nc, mu) and (nc, mv), and their
-        :meth:`~mpiga.bspline.SplineSpace.eval_many` tables (two
-        derivatives), (nc, mu, 3, p+1) and (nc, mv, 3, p+1); an axis whose
-        points every cell shares may come in as a read-only
-        ``np.broadcast_to`` view.  The indices number the points of
-        ``edges``, the patch's :meth:`edge_table`.  ``op`` (nc, Q, m, 6)
-        holds, at each of the Q = mu * mv points (u-major), m rows that act
-        on a parametric 2-jet (value, du, dv, duu, duv, dvv), for example
-        the :func:`~mpiga.geometry.laplacian_rows` or rows of the
+        inside it.  ``u`` and ``v`` are (points, indices) per axis: the
+        grid's points and, per cell, the indices of its points among them,
+        (nc, mu) and (nc, mv); an index array that every cell shares may
+        come in as a read-only ``np.broadcast_to`` view.  ``op`` (nc, Q,
+        m, 6) holds, at each of the Q = mu * mv points (u-major), m rows
+        that act on a parametric 2-jet (value, du, dv, duu, duv, dvv), for
+        example the :func:`~mpiga.geometry.laplacian_rows` or rows of the
         :func:`~mpiga.geometry.pullback` map, times a weight.
         Returns primitive ids (nc, nd) and values (nc, nd, m, Q), every row
-        applied to every primitive's jet: the (p+1)^2 tensor window
-        (u-major) first, with id -1 where no dof uses the column, then the
-        edge primitives that reach the cell (``cells`` of the
-        extraction), padded with -1.  Values of ids -1 are meaningless.
+        applied to every primitive's jet: per family of the patch that
+        reaches the cell (:class:`~mpiga.c1space.TensorFamily`), its
+        window, u-major, one after another; the (p+1)^2 tensor window
+        comes first.  Ids are -1 where no dof uses the column and at the
+        padding; their values are meaningless.
 
-        No jet is formed: the rows are multiplied into the v table first,
-        and the u table contracts the jet slots in one matrix product per
-        cell and u point, (p+1, 6) @ (6, mv * m * (p+1)).  Edge primitives
-        gather their jets on each cell they reach from the table
-        (:meth:`~mpiga.c1space.GridJets.pairs`) and the rows are applied
-        to them.
+        No jet is formed: per family, the rows are multiplied into the v
+        table first, and the u table contracts the jet slots in one matrix
+        product per cell and u point, (wu, 6) @ (6, mv * m * wv) for
+        windows of wu and wv factors.
         """
-        nc, N, p1, step = len(eu), self.sol.dim, self.sol.p + 1, self.sol.p - self.sol.r
-        (u_idx, u_tab), (v_idx, v_tab) = u, v
-        ext, prim_ids = self.tables[patch_index], self.ids[patch_index]
-        wu, wv = ((e * step)[:, None] + np.arange(p1) for e in (eu, ev))
-        pad = len(ext.cols)
-        pos = ext.cells[eu, ev]
-        ne = int(np.count_nonzero(pos < pad, axis=1).max(initial=0))
-        pos = pos[:, :ne]
-        window = prim_ids[(wu * N)[:, :, None] + wv[:, None, :]].reshape(nc, p1 * p1)
-        ids = np.concatenate([window, np.append(prim_ids[ext.cols], -1)[pos]], axis=1)
-        mu, mv, m = u_tab.shape[1], v_tab.shape[1], op.shape[2]
-        vals = np.zeros((nc, p1 * p1 + ne, m, mu * mv))
-        # per cell and u point, (iu, slot) @ (slot, (qv, row, iv)), written
-        # to the tensor window as (cell, iu, iv, row, qu, qv)
+        nc, mu, mv, m = len(eu), u[1].shape[1], v[1].shape[1], op.shape[2]
+        prims, prim_ids = self.tables[patch_index].prims, self.ids[patch_index]
+        # per cell and u point: (slot, qv, row) of the operator
         grid_op = op.reshape(nc, mu, mv, m, 6).transpose(0, 1, 4, 2, 3)[..., None]
-        v_slots = v_tab[:, :, _SLOT_V].transpose(0, 2, 1, 3)[:, None, :, :, None, :]
-        vals[:, : p1 * p1].reshape(nc, p1, p1, m, mu, mv)[...] = (
-            (u_tab[:, :, _SLOT_U].swapaxes(2, 3) @ (grid_op * v_slots).reshape(nc, mu, 6, -1))
-            .reshape(nc, mu, p1, mv, m, p1)
-            .transpose(0, 2, 5, 4, 1, 3)
-        )
-        if ne:
-            hit = np.flatnonzero(pos[:, 0] < pad)
-            cell, e = np.nonzero(pos[hit] < pad)
-            jets = np.zeros((len(hit), mu * mv, ne, 6))
-            jets[cell, :, e] = edges.pairs(pos[hit[cell], e], u_idx[hit[cell]], v_idx[hit[cell]]).reshape(
-                len(cell), mu * mv, 6
+        windows = [fam.windows(eu, ev, u, v) for fam in prims.families]
+        windows = [window for window in windows if len(window[0])]
+        # each cell holds the windows of the families that reach it, one after another
+        start, end = [], np.zeros(nc, dtype=int)
+        for hit, cols, _, _ in windows:
+            start.append(end[hit])
+            end[hit] += cols.shape[1]
+        ids = np.full((nc, end.max()), -1)
+        vals = np.zeros((nc, end.max(), m, mu, mv))
+        for (hit, cols, u_tab, v_tab), first in zip(windows, start):
+            nh, wu, wv = len(hit), u_tab.shape[3], v_tab.shape[3]
+            slots = first[:, None] + np.arange(wu * wv)
+            ids[hit[:, None], slots] = prim_ids[cols]
+            v_slots = v_tab[:, :, _SLOT_V].transpose(0, 2, 1, 3)[:, None, :, :, None, :]
+            prod = u_tab[:, :, _SLOT_U].swapaxes(2, 3) @ (grid_op[hit] * v_slots).reshape(nh, mu, 6, -1)
+            # (cell, u point, iu, v point, row, iv) to (cell, iu, iv, row, u point, v point)
+            vals[hit[:, None, None], slots.reshape(nh, wu, wv)] = (
+                prod.reshape(nh, mu, wu, mv, m, wv).transpose(0, 2, 5, 4, 1, 3)
             )
-            # per hit cell and point, (primitive, slot) @ (slot, row), then
-            # (hit cell, primitive, m, Q); padding has zero jets
-            vals[hit, p1 * p1 :] = (jets @ op[hit].swapaxes(2, 3)).transpose(0, 2, 3, 1)
-        return ids, vals
+        return ids, vals.reshape(nc, -1, m, mu * mv)
 
     # -- volume form ----------------------------------------------------
 
@@ -313,12 +295,11 @@ class _Assembler:
         n, nq = self.n, self.nq
         Q = nq * nq
         pts = (np.arange(n)[:, None] + self.nodes).ravel() * self.sol.h
-        _, tables = self.sol.eval_many(pts, 2)
-        idx, tab = np.arange(n * nq).reshape(n, nq), tables.reshape(n, nq, 3, -1)
-        edges = self.edge_table(patch_index, pts, pts)
+        idx = np.arange(n * nq).reshape(n, nq)
         geometry = self.topology.patches[patch_index].jet_grid(pts, pts)
         wq = np.outer(self.weights, self.weights).ravel() * self.sol.h ** 2
-        nd = tab.shape[-1] ** 2 + self.tables[patch_index].cells.shape[2]
+        # the widest cell: the windows of every family that reaches it
+        nd = sum(fam.width * fam.reach for fam in self.tables[patch_index].prims.families).max()
         rows = max(1, _CELL_BAND_SIZE // (n * nd * Q))
         for start in range(0, n, rows):
             nb = min(rows, n - start)
@@ -333,7 +314,9 @@ class _Assembler:
             )
             det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
             op = operator(jac, hess, wq * det, point)
-            yield self.cells(patch_index, eu, ev, (idx[eu], tab[eu]), (idx[ev], tab[ev]), op, edges)
+            del point, jac, hess, det  # the band's geometry, before its cells are computed
+            yield self.cells(patch_index, eu, ev, (pts, idx[eu]), (pts, idx[ev]), op)
+            del op  # before the next band is computed
 
     def volume_system(self, f=None):
         """Stiffness (Delta, Delta) and load (f, psi) over all primitives.
@@ -360,6 +343,7 @@ class _Assembler:
                 if f is not None:
                     keep = ids >= 0
                     np.add.at(F, ids[keep], vals[:, :, 1].sum(axis=-1)[keep])
+                del ids, vals, lap  # before the next band is computed
         return K, F
 
     # -- edge lines ----------------------------------------------------------
@@ -380,18 +364,14 @@ class _Assembler:
         ts = (np.arange(n)[:, None] + self.enodes).ravel() * self.sol.h
         us, vs, axis = frame.line(ts)
         # each span's points along the side; every span shares the one point across it
-        grid = []
-        for pts in (us, vs):
-            _, tab = self.sol.eval_many(pts, 2)
-            idx = np.arange(len(pts))
-            if len(pts) == 1:
-                grid.append((np.broadcast_to(idx, (n, 1)), np.broadcast_to(tab, (n,) + tab.shape)))
-            else:
-                grid.append((idx.reshape(n, nq), tab.reshape(n, nq, 3, -1)))
+        grid = [
+            (pts, np.broadcast_to(0, (n, 1)) if len(pts) == 1 else np.arange(n * nq).reshape(n, nq))
+            for pts in (us, vs)
+        ]
         eu, ev = np.broadcast_arrays(*side_map.elements_to_patch(0, np.arange(n), n))
         geom = frame.geom(ts)
         pull = pullback(geom["jac"].reshape(n, nq, 2, 2), geom["hess"].reshape(n, nq, 2, 2, 2))
-        ids, phys = self.cells(patch_index, eu, ev, *grid, pull, self.edge_table(patch_index, us, vs))
+        ids, phys = self.cells(patch_index, eu, ev, *grid, pull)
         return ids, phys.swapaxes(2, 3), geom
 
     def boundary_moment_load(self, F, g2, bc_tags):
@@ -517,6 +497,7 @@ def broken_gram(view, quad_scale=1):
         for ids, phys in rows:
             phys = phys.reshape(ids.shape + (-1,))
             G.add_blocks(ids, phys @ phys.swapaxes(1, 2))
+            del ids, phys  # before the next band is computed
     return asm.to_dofs(G)
 
 

@@ -13,7 +13,7 @@ so functions are defined on the closed interval.
 """
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg import solve_banded, solveh_banded
 
 from .errors import DomainError, ParameterError
 
@@ -285,6 +285,31 @@ def l2_project(space, f):
     except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by construction
         raise ParameterError(f"singular mass matrix for {space}") from exc
     return coeffs[:, 0] if fx.ndim == 1 else coeffs
+
+
+def interpolate(space, f):
+    """Spline interpolation of scalar functions at the Greville abscissae
+    of a space.
+
+    ``f`` is called once on all dim abscissae and returns one value per
+    point, or a row of k values per point to interpolate k functions at
+    once.  The collocation matrix has bandwidth p on either side of its
+    diagonal and is solved as a banded system.
+
+    Returns
+    -------
+    ndarray
+        Coefficient vector of length ``space.dim``, or (space.dim, k)
+        coefficients, one column per function.
+    """
+    p, knots = space.p, space.kv.knots
+    xs = np.array([knots[i + 1 : i + p + 1].mean() for i in range(space.dim)])
+    first, tables = space.eval_many(xs, 0)
+    rows = np.repeat(np.arange(space.dim), p + 1)
+    cols = (first[:, None] + np.arange(p + 1)).ravel()
+    band = np.zeros((2 * p + 1, space.dim))  # band[p + i - j, j] holds entry (i, j)
+    band[p + rows - cols, cols] = tables[:, 0].ravel()
+    return solve_banded((p, p), band, np.asarray(f(xs), dtype=float))
 
 
 class TensorSplineSpace:

@@ -34,37 +34,50 @@ restrict boundary-vertex blocks to the numerical kernel of value /
 normal-derivative constraints sampled on the boundary edges within the
 support of the vertex functions.
 
+Primitives
+----------
+Dofs are numbered and defined over the paper's columns: the tensor
+B-splines and, per edge shape, its single edge functions.  They are
+evaluated over tensor families only (:class:`TensorFamily`): the N x N
+tensor B-splines and, per patch side, one strip family, the B-splines of
+the strip space S(2p-2, p-2, h) along the side times b2 across it.  T
+lies in the solution space, so T (b1 + b2) is a tensor combination, and
+the transversal factor (alpha W + beta T') h/p, a product of splines of
+S(p-1, p-2, h), lies in the strip space.  One sparse change of basis per
+patch (:attr:`PatchPrimitives.X`) writes every column over the families;
+its weights interpolate the factors at Greville abscissae, which
+reproduces them up to round-off.  At p = 3 the strip space is only C1:
+where an edge shape runs against the patch's direction, a second
+derivative at an interior knot is the other one-sided limit than the
+product rule of the factors gives; no quadrature point or sample lies
+there.
+
 Extraction
 ----------
-Every dof restricted to a patch is a fixed linear combination of
-patch-local primitives: tensor B-splines and single edge functions
-(:class:`PatchPrimitives`).  The global space stores these combinations
-as one sparse matrix per patch, a row per global dof over the patch's
-primitive columns: interior and edge dofs are unit rows, and the six
-vertex rows of an incident patch hold the three family solutions summed
-column by column.  A constrained space applies one sparse transform
-(boundary partition and boundary-vertex kernels) to those rows, giving
-one extraction matrix E_k per patch (:class:`PatchExtraction`, which also
-lists per element the edge primitives that reach it).  Assembly works on
-the primitives alone and maps every form to dofs once, as E M E^T and
-E F.
+Every dof restricted to a patch is a fixed linear combination of the
+columns.  The global space stores these combinations as one sparse
+matrix per patch, a row per global dof over the patch's columns:
+interior and edge dofs are unit rows, and the six vertex rows of an
+incident patch hold the three family solutions summed column by column.
+A constrained space applies one sparse transform (boundary partition and
+boundary-vertex kernels) to those rows and the change of basis after
+them, giving one extraction matrix E_k per patch over the family columns
+(:class:`PatchExtraction`).  Assembly works on the family columns alone
+and maps every form to dofs once, as E M E^T and E F.
 
-Any rows of weights over the primitives -- unit rows for assembly,
-vertex families and kernel samples, the boundary lift, or a whole
-discrete function for the error norms -- are evaluated by one separable
-evaluator (:class:`GridJets`): a tensor spline from basis-table products
-plus, per edge shape, A(t) (b1 + b2)(sigma) + C(t) b2(sigma), so a
-function costs O(points) rather than O(dofs x points).  Assembly builds
-one such table of the used edge primitives per patch (or per edge
-line): the univariate factors are evaluated once there, and each cell
-gathers the jets of only the primitives that reach it
-(:meth:`GridJets.pairs`).
+Any rows of weights over the family columns -- vertex families and
+kernel samples, the boundary lift, or a whole discrete function for the
+error norms -- are evaluated by one separable evaluator
+(:class:`GridJets`): per family, basis-table products U C V^T, so a
+function costs O(points) rather than O(dofs x points).  The assembly
+kernels evaluate the same families on each cell from the windows of
+their univariate tables.
 """
 
 import numpy as np
 import scipy.sparse
 
-from .bspline import _SLOT_U, _SLOT_V, JET_ORDERS, SplineSpace, l2_project
+from .bspline import JET_ORDERS, SplineSpace, interpolate, l2_project
 from .errors import (
     DegenerateVertexError,
     IllConditionedInterfaceError,
@@ -128,6 +141,22 @@ def approximate_gluing_data(topology, iface, p, n):
     return tuple(out)
 
 
+def _interpolate(space, f, factors, flip):
+    """Interpolants (factors.dim, space.dim) in a space of the functions
+    ``f`` of the parameter, one per B-spline of ``factors`` and supported
+    where it is (mirrored when ``flip``); a function of the space is
+    reproduced up to round-off.  A spline that vanishes on an element has
+    zero coefficients on every B-spline active there, so the entries of
+    B-splines that miss the support are set to exact zeros."""
+    coeffs = interpolate(space, f).T
+    lo, hi = np.array([factors.basis_support(j) for j in range(factors.dim)]).T
+    if flip:
+        lo, hi = space.n - 1 - hi, space.n - 1 - lo
+    a, b = np.array([space.basis_support(i) for i in range(space.dim)]).T
+    coeffs[(a > hi[:, None]) | (b < lo[:, None])] = 0.0
+    return coeffs
+
+
 class EdgeShape:
     """Edge-expansion factors of one patch side in one tangent orientation.
 
@@ -147,97 +176,159 @@ class EdgeShape:
         self.sminus = sminus
         self.scale = sol.h / sol.p
 
-    def carriers(self, sig):
-        """b1 + b2 and b2 at transversal points: two (3, len(sig)) tables,
-        derivative order first."""
-        b1, b2 = self.sol.eval_columns([0, 1], sig, 2)
-        return np.ascontiguousarray((b1 + b2).T), np.ascontiguousarray(b2.T)
+    def coefficients(self, strip):
+        """The factors of every edge function as splines of the patch
+        coordinate along the side: T_j over the solution space
+        (splus.dim, sol.dim), and beta T_j' h/p (splus.dim, strip.dim) and
+        alpha W_j h/p (sminus.dim, strip.dim) over the strip space."""
+        flip = self.map.t_flip
 
-    def along(self, trace, transversal, ts):
-        """The factors A and C of (m, splus.dim) trace and (m, sminus.dim)
-        transversal coefficient rows at edge parameters: two (3, m,
-        len(ts)) arrays, derivative order first."""
-        ts = np.asarray(ts, dtype=float)
-        T = self.splus.eval_splines(trace, ts, 3)
-        W = self.sminus.eval_splines(transversal, ts, 2)
-        bt = self.gluing.eval_beta(ts, 2).T
-        at = self.gluing.eval_alpha(ts, 2).T
-        C = np.empty(W.shape)
-        C[0] = bt[0] * T[1] + at[0] * W[0]
-        C[1] = (bt[1] * T[1] + bt[0] * T[2]) + (at[1] * W[0] + at[0] * W[1])
-        C[2] = (bt[2] * T[1] + 2.0 * bt[1] * T[2] + bt[0] * T[3]) + (
-            at[2] * W[0] + 2.0 * at[1] * W[1] + at[0] * W[2]
+        def bsplines(space, x, order):  # (len(x), dim) derivatives of every B-spline in t
+            return space.eval_columns(np.arange(space.dim), 1.0 - x if flip else x, order)[:, :, order].T
+
+        def glue(coeff, x):
+            return self.scale * coeff(1.0 - x if flip else x)[:, :1]
+
+        trace = _interpolate(self.sol, lambda x: bsplines(self.splus, x, 0), self.splus, flip)
+        beta = _interpolate(
+            strip, lambda x: glue(self.gluing.eval_beta, x) * bsplines(self.splus, x, 1), self.splus, flip
         )
-        C *= self.scale
-        return T[:3], C
+        alpha = _interpolate(
+            strip, lambda x: glue(self.gluing.eval_alpha, x) * bsplines(self.sminus, x, 0), self.sminus, flip
+        )
+        return trace, beta, alpha
 
-    def element_boxes(self, kind):
-        """Inclusive patch element boxes (eu0, eu1, ev0, ev1) of every
-        coefficient index of one kind: (dim, 4)."""
-        n = self.sol.n
-        space = self.splus if kind == "trace" else self.sminus
-        out = np.empty((space.dim, 4), dtype=int)
-        for j in range(space.dim):
-            t0, t1 = space.basis_support(j)
-            # b1 and b2 live on the first two element layers off the edge
-            a = self.map.elements_to_patch(0, t0, n)
-            b = self.map.elements_to_patch(min(1, n - 1), t1, n)
-            out[j] = min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1])
-        return out
+
+class TensorFamily:
+    """Patch columns that are tensor products of two univariate factor sets.
+
+    An axis is a :class:`~mpiga.bspline.SplineSpace` (all of its
+    B-splines) or a pair (space, j) (its one B-spline j).  With ``shape``
+    (nu, nv) factors per axis, column ``first + i * nv + j`` is the i-th u
+    factor times the j-th v factor.  ``reach`` (n, n) marks the elements
+    where some column is nonzero, and ``width`` is the number of columns
+    nonzero on one of them.
+    """
+
+    def __init__(self, first, u, v):
+        self.first = first
+        self.axes = [axis if isinstance(axis, tuple) else (axis, None) for axis in (u, v)]
+        self.shape = tuple(space.dim if j is None else 1 for space, j in self.axes)
+        self.count = self.shape[0] * self.shape[1]
+        self.width = int(np.prod([space.p + 1 if j is None else 1 for space, j in self.axes]))
+        masks = []
+        for space, j in self.axes:
+            e0, e1 = (0, space.n - 1) if j is None else space.basis_support(j)
+            masks.append((np.arange(space.n) >= e0) & (np.arange(space.n) <= e1))
+        self.reach = np.outer(*masks)
+
+    def tables(self, u_pts, v_pts):
+        """Derivatives up to two of the factors of each axis at its points:
+        (3, points, factors) per axis, derivative order first."""
+        return [
+            np.ascontiguousarray(
+                space.eval_columns(np.arange(space.dim) if j is None else [j], pts, 2).transpose(2, 1, 0)
+            )
+            for (space, j), pts in zip(self.axes, (u_pts, v_pts))
+        ]
+
+    def windows(self, eu, ev, u, v):
+        """The columns that reach some cells, from per-cell windows.
+
+        Cell c is the element (eu[c], ev[c]); ``u`` and ``v`` are (points,
+        indices (nc, m)) of its grid points per axis.  Returns the cells
+        the family reaches (nh,), the column of each window entry (nh,
+        width), u-major, and per axis the tables (nh, m, 3, w) of the
+        window's factors (two derivatives) at the cells' points.
+        """
+        hit = np.flatnonzero(self.reach[eu, ev])
+        cols, tabs = [], []
+        for (space, j), e, (pts, idx) in zip(self.axes, (eu[hit], ev[hit]), (u, v)):
+            tab = space.eval_many(pts, 2)[1][idx[hit]]
+            first = space.element_first_basis(e)
+            if j is None:
+                cols.append(first[:, None] + np.arange(space.p + 1))
+            else:
+                tab = np.take_along_axis(tab, (j - first)[:, None, None, None], axis=3)
+                cols.append(np.zeros((len(hit), 1), dtype=int))
+            tabs.append(tab)
+        ids = self.first + cols[0][:, :, None] * self.shape[1] + cols[1][:, None, :]
+        return hit, ids.reshape(len(hit), self.width), tabs[0], tabs[1]
 
 
 class PatchPrimitives:
     """The patch-local functions every dof on one patch is made of.
 
-    Column ``iu * N + iv`` is the tensor B-spline (iu, iv) of the N x N
-    solution space; after those, each edge shape on the patch owns one
-    column per trace coefficient and then one per transversal
-    coefficient.  A dof restricted to the patch is a sparse row of
-    weights over these columns; a C0 view uses the tensor columns alone.
-    Rows of weights are evaluated by :class:`GridJets`, in separable
-    form: a row restricted to the patch is one tensor spline plus, per
-    edge shape, one A(t) (b1 + b2)(sigma) + C(t) b2(sigma) (see
-    :class:`EdgeShape`).
+    Dofs are written over definition columns: column ``iu * N + iv`` is
+    the tensor B-spline (iu, iv) of the N x N solution space; after those,
+    each edge shape on the patch owns one column per trace coefficient and
+    then one per transversal coefficient (``n_cols`` in all).  They are
+    evaluated over the ``n_basis`` columns of ``families``: the tensor
+    family first, at the same columns, and, given a strip space, one strip
+    family per side (``strips``), the strip space along the side times b2
+    across it.  ``X`` (n_cols, n_basis) writes every definition column
+    over them: the trace function j of an edge shape as (b1 + b2) T_j on
+    the two tensor lines next to the side plus beta T_j' h/p on the strip,
+    and the transversal function j as alpha W_j h/p on the strip.  A C0
+    view uses the tensor family alone.  Rows of weights over the basis
+    columns are evaluated by :class:`GridJets`.
     """
 
-    def __init__(self, sol):
+    def __init__(self, sol, strip=None):
         self.sol = sol
         self.N = sol.dim
         self.shapes = []  # (shape, first column); trace columns, then transversal
-        self._edge_boxes = []
         self.n_cols = self.N * self.N
+        self.families = [TensorFamily(0, sol, sol)]
+        self.strip, self.strips = strip, {}
+        if strip is not None:
+            for side in (1, 2, 3, 4):
+                smap = SideMap(side)
+                across = (sol, self.N - 2 if smap.trans_flip else 1)
+                axes = (across, strip) if smap.trans_axis == 0 else (strip, across)
+                self.strips[side] = TensorFamily(self.n_basis, *axes)
+                self.families.append(self.strips[side])
+        self._rows = [scipy.sparse.eye(self.n_cols, self.n_basis, format="csr")]
+        self._X = None
+
+    @property
+    def n_basis(self):
+        return self.families[-1].first + self.families[-1].count
+
+    @property
+    def X(self):
+        """The change of basis (n_cols, n_basis), CSR."""
+        if self._X is None:
+            self._X = scipy.sparse.vstack(self._rows, format="csr")
+        return self._X
 
     def add_shape(self, shape):
-        """Append the columns of an edge shape; returns the first column of
-        each kind, ``{"trace": c, "transversal": c'}``."""
-        first = {}
+        """Append the columns of an edge shape and their rows of ``X``;
+        returns the first column of each kind, ``{"trace": c,
+        "transversal": c'}``."""
+        trace, beta, alpha = shape.coefficients(self.strip)
+        strip = self.strips[shape.map.side]
+        rows = np.zeros((len(trace) + len(alpha), self.n_basis))
+        for layer in (0, 1):  # b1 and b2 across the side
+            iu, iv = SideMap(shape.map.side).elements_to_patch(layer, np.arange(self.N), self.N)
+            rows[: len(trace), iu * self.N + iv] = trace
+        rows[:, strip.first : strip.first + strip.count] = np.vstack([beta, alpha])
+        self._rows.append(scipy.sparse.csr_matrix(rows))
+        self._X = None
         self.shapes.append((shape, self.n_cols))
-        for kind, space in (("trace", shape.splus), ("transversal", shape.sminus)):
-            first[kind] = self.n_cols
-            self._edge_boxes.append(shape.element_boxes(kind))
-            self.n_cols += space.dim
+        first = {"trace": self.n_cols, "transversal": self.n_cols + len(trace)}
+        self.n_cols += len(rows)
         return first
 
-    def edge_boxes(self):
-        """Inclusive element boxes (eu0, eu1, ev0, ev1) of the edge columns,
-        column N * N first."""
-        return np.concatenate(self._edge_boxes or [np.zeros((0, 4), dtype=int)])
-
-    def selection(self, cols):
-        """Unit rows picking the given columns: (len(cols), n_cols)."""
-        out = np.zeros((len(cols), self.n_cols))
-        out[np.arange(len(cols)), cols] = 1.0
-        return out
-
     def expand(self, W, u_pts, v_pts):
-        """Parametric jets of the combinations in the rows of an (m, n_cols)
+        """Parametric jets of the combinations in the rows of an (m, n_basis)
         weight matrix on a tensor grid: (m, nu, nv, 6)."""
         return GridJets(self, W, u_pts, v_pts).jets()
 
     def line_jets(self, W, frame, ts):
-        """Physical jets (m, len(ts), 6) of the rows of an (m, n_cols) weight
-        matrix at the parameters ``ts`` of an :class:`EdgeFrame` of this
-        patch, and the frame's :meth:`~EdgeFrame.geom` there."""
+        """Physical jets (m, len(ts), 6) of the rows of an (m, n_basis)
+        weight matrix at the parameters ``ts`` of an :class:`EdgeFrame` of
+        this patch, and the frame's :meth:`~EdgeFrame.geom` there."""
         us, vs, axis = frame.line(ts)
         geom = frame.geom(ts)
         jets = np.take(self.expand(W, us, vs), 0, axis=axis + 1)
@@ -254,32 +345,14 @@ class PatchPrimitives:
         return np.vstack(rows), geom
 
 
-def _run(idx):
-    """A slice for ascending consecutive indices, else the indices."""
-    if len(idx) and idx[-1] - idx[0] + 1 == len(idx):
-        return slice(idx[0], idx[-1] + 1)
-    return idx
-
-
-def _column_block(W, first, count):
-    """The rows of a dense weight array with weights in columns first ..
-    first+count-1, and those rows' weights there."""
-    block = W[:, first : first + count]
-    rows = _run(np.flatnonzero(block.any(axis=1)))
-    return rows, block[rows]
-
-
 class GridJets:
     """Jets of patch combinations on a tensor grid, kept in separable form.
 
-    All univariate and coefficient work is done once here: the basis
-    tables of both axes with the tensor coefficients contracted along v,
-    and per edge shape its transversal carriers and the combined edge
-    factors A and C of every row (:meth:`EdgeShape.along`).  :meth:`jets`
-    multiplies them out on any band of u points, and :meth:`pairs` on a
-    window of grid points per row.  Each row is computed alone (matrix
-    products run over rows as a batch), so a row's jets do not depend on
-    the other rows, and a unit row reproduces its primitive exactly.
+    All univariate and coefficient work is done once here: per family,
+    the tables of both axes with the family's coefficients contracted
+    along v.  :meth:`jets` multiplies them out on any band of u points.
+    Each row is computed alone (matrix products run over rows as a
+    batch), so a row's jets do not depend on the other rows.
     """
 
     def __init__(self, prims, W, u_pts, v_pts):
@@ -288,83 +361,20 @@ class GridJets:
         # C order: BLAS sums the rows of a transposed stack in another order
         W = W.toarray() if scipy.sparse.issparse(W) else np.ascontiguousarray(W, dtype=float)
         self.m, self.nu, self.nv = W.shape[0], len(u_pts), len(v_pts)
-        N = prims.N
-        self.tensor = None
-        rows, coeffs = _column_block(W, 0, N * N)
-        if len(coeffs):
-            U, V = (
-                np.ascontiguousarray(prims.sol.eval_columns(np.arange(N), pts, 2).transpose(2, 1, 0))
-                for pts in (u_pts, v_pts)
-            )  # (3, points, N)
-            # per row, its coefficient grid times the v tables: (rows, 3, N, nv)
-            self.tensor = rows, U, coeffs.reshape(-1, 1, N, N) @ V.swapaxes(1, 2)
-        self.edges = []
-        for shape, first in prims.shapes:
-            n_trace = shape.splus.dim
-            rows, block = _column_block(W, first, n_trace + shape.sminus.dim)
-            if not len(block):
-                continue
-            smap = shape.map
-            sig, ts = (u_pts, v_pts) if smap.trans_axis == 0 else (v_pts, u_pts)
-            B, D = shape.carriers(1.0 - sig if smap.trans_flip else sig)
-            if not (B.any() or D.any()):  # the grid lies beyond two elements off the side
-                continue
-            A, C = shape.along(block[:, :n_trace], block[:, n_trace:], 1.0 - ts if smap.t_flip else ts)
-            self.edges.append((rows, smap, B, D, A, C))
+        self.terms = []
+        for fam in prims.families:
+            coeffs = W[:, fam.first : fam.first + fam.count]
+            if coeffs.any():
+                U, V = fam.tables(u_pts, v_pts)
+                # per row, its coefficient grid times the v tables: (m, 3, nu', nv)
+                self.terms.append((U, coeffs.reshape(-1, 1, *fam.shape) @ V.swapaxes(1, 2)))
 
     def jets(self, sel=slice(None)):
         """Parametric jets (m, nu', nv, 6) on the u points ``sel`` (a slice)."""
-        nu = len(range(self.nu)[sel])
-        out = np.zeros((self.m, nu, self.nv, 6))
-        if self.tensor is not None:
-            rows, U, G = self.tensor
+        out = np.zeros((self.m, len(range(self.nu)[sel]), self.nv, 6))
+        for U, G in self.terms:
             for slot, (a, b) in enumerate(JET_ORDERS):
-                out[rows, :, :, slot] = U[a, sel] @ G[:, b]
-        for rows, smap, B, D, A, C in self.edges:
-            if smap.trans_axis == 0:  # sigma runs along u
-                B, D = B[:, sel], D[:, sel]
-            else:
-                A, C = A[:, :, sel], C[:, :, sel]
-            near = np.flatnonzero(B.any(axis=0) | D.any(axis=0))  # b1, b2 vanish past two elements
-            if not len(near):
-                continue
-            B, D = B[:, near, None], D[:, near, None]
-            A, C = A[:, :, None], C[:, :, None]
-            near = _run(near)
-            both = not isinstance(rows, slice) and not isinstance(near, slice)
-            index = (rows[:, None], near) if both else (rows, near)
-            for (a, b), (dest, sign) in zip(JET_ORDERS, smap.jet_slots()):
-                # the destination slot as (rows, sigma, t)
-                target = out[..., dest] if smap.trans_axis == 0 else out[..., dest].swapaxes(1, 2)
-                target[index] += sign * (B[a] * A[b] + D[a] * C[b])
-        return out
-
-    def pairs(self, rows, iu, iv):
-        """Parametric jets (P, mu, mv, 6) of row ``rows[i]`` on the grid
-        points ``iu[i]`` x ``iv[i]``, for (P,) rows without tensor weights
-        and (P, mu) u and (P, mv) v point indices.
-
-        Each pair gathers its window from the univariate tables and
-        multiplies it out as :meth:`jets` does, so a pair equals the
-        matching entries of :meth:`jets` bit for bit.
-        """
-        if self.tensor is not None:
-            raise ParameterError("window pairs take rows over edge primitives only")
-        out = np.zeros((len(rows), iu.shape[1], iv.shape[1], 6))
-        for erows, smap, B, D, A, C in self.edges:
-            local = np.full(self.m, -1)
-            local[erows] = np.arange(A.shape[1])
-            mine = np.flatnonzero(local[rows] >= 0)
-            if not len(mine):
-                continue
-            r = local[rows[mine]][:, None]
-            sig, t = (iu[mine], iv[mine]) if smap.trans_axis == 0 else (iv[mine], iu[mine])
-            dest, sign = np.array(smap.jet_slots()).T
-            # per (sigma, t) slot: (slot, pair, sigma point, t point)
-            Bs, Ds = (X[:, sig][_SLOT_U, :, :, None] for X in (B, D))
-            As, Cs = (X[:, r, t][_SLOT_V, :, None] for X in (A, C))
-            val = (sign[:, None, None, None] * (Bs * As + Ds * Cs))[np.argsort(dest)]
-            out[mine] += val.transpose(1, 2, 3, 0) if smap.trans_axis == 0 else val.transpose(1, 3, 2, 0)
+                out[..., slot] += U[a, sel] @ G[:, b]
         return out
 
 
@@ -395,7 +405,9 @@ class GlobalC1Space:
 
     ``patch_rows[k]`` is a CSR matrix (n_dofs, primitives[k].n_cols): row
     g writes global dof g restricted to patch k over the patch's
-    primitives, and is empty where the dof does not reach the patch.
+    definition columns, and is empty where the dof does not reach the
+    patch.  ``primitives[k].X`` writes those columns over the patch's
+    tensor families.
     Interior and edge dofs are unit rows; an interface dof has a row on
     both of its patches, a vertex dof on every patch incident to the
     vertex.
@@ -421,9 +433,8 @@ class GlobalC1Space:
             for i in range(len(topology.interfaces))
         ]
         self._first_cols = {}
-        self.primitives = [
-            PatchPrimitives(self.sol) for _ in topology.patches
-        ]
+        strip = SplineSpace(2 * p - 2, p - 2, n)  # one table cache for every patch side
+        self.primitives = [PatchPrimitives(self.sol, strip) for _ in topology.patches]
         self.labels = []
         self.patch_rows = []
         for prims, triplets in zip(self.primitives, self._build()):
@@ -547,8 +558,8 @@ class GlobalC1Space:
             patch = self.topology.patches[k]
             _, jac, hess = patch.jet_at(u0, v0)
             prims = self.primitives[k]
-            # the 18 family primitives at the corner, in one grid
-            phys = physical_jet(prims.expand(prims.selection(cols), [u0], [v0])[:, 0, 0], jac, hess)
+            # the 18 family columns at the corner, in one grid
+            phys = physical_jet(prims.expand(prims.X[cols], [u0], [v0])[:, 0, 0], jac, hess)
 
             coeffs = []
             for M in phys.reshape(3, 6, 6).swapaxes(1, 2):
@@ -582,45 +593,15 @@ def build_c1_space(topology, p, r, n):
     return GlobalC1Space(topology, p, r, n)
 
 
-def _box_cells(boxes, n):
-    """(box index, cell eu * n + ev) of every element in inclusive boxes
-    (eu0, eu1, ev0, ev1), ordered by cell and then box index."""
-    ku = (boxes[:, 1] - boxes[:, 0]).max() + 1
-    kv = (boxes[:, 3] - boxes[:, 2]).max() + 1
-    du, dv = np.divmod(np.arange(ku * kv), kv)
-    eu = boxes[:, :1] + du
-    ev = boxes[:, 2:3] + dv
-    idx, off = np.nonzero((eu <= boxes[:, 1:2]) & (ev <= boxes[:, 3:4]))
-    cell = eu[idx, off] * n + ev[idx, off]
-    order = np.lexsort((idx, cell))
-    return idx[order], cell[order]
-
-
 class PatchExtraction:
     """Every dof of a space view on one patch as a sparse row over the
-    patch primitives.
+    patch's family columns: ``matrix`` E_k (n_total, prims.n_basis), with
+    sorted indices."""
 
-    ``matrix`` E_k (n_total, n_cols) holds row g for dof g restricted to
-    the patch, with sorted indices.  ``cols`` holds the edge primitive
-    columns that some dof uses, ascending, and ``cells`` (n, n, ne) gives
-    per element (eu, ev) the positions in ``cols`` of the edge primitives
-    whose support box holds it, ascending and padded with ``len(cols)``.
-    """
-
-    def __init__(self, prims, matrix, n):
+    def __init__(self, prims, matrix):
         self.prims = prims
         self.matrix = scipy.sparse.csr_matrix(matrix)
         self.matrix.sort_indices()
-        first = prims.N * prims.N
-        self.cols = np.unique(self.matrix.indices[self.matrix.indices >= first])
-        cells = np.full((n * n, 0), len(self.cols))
-        if len(self.cols):
-            idx, cell = _box_cells(prims.edge_boxes()[self.cols - first], n)
-            count = np.bincount(cell, minlength=n * n)
-            cells = np.full((n * n, count.max()), len(self.cols))
-            # entries come ordered by cell: each one's rank within its cell
-            cells[cell, np.arange(len(cell)) - np.repeat(np.cumsum(count) - count, count)] = idx
-        self.cells = cells.reshape(n, n, cells.shape[1])
 
 
 class ConstrainedC1Space:
@@ -645,7 +626,7 @@ class ConstrainedC1Space:
         self.sol, self.topology = space.sol, space.topology
         self._partition()
         self._tables = [
-            PatchExtraction(prims, self.transform @ rows, space.n)
+            PatchExtraction(prims, self.transform @ rows @ prims.X)
             for prims, rows in zip(space.primitives, space.patch_rows)
         ]
 
@@ -704,7 +685,7 @@ class ConstrainedC1Space:
                 if topo.is_boundary_edge(k, side) and (k, side, t_flip) not in edges:
                     edges.append((k, side, t_flip))
                     frame = EdgeFrame(topo.patches[k], side, t_flip)
-                    W = space.patch_rows[k][gids]
+                    W = space.patch_rows[k][gids] @ space.primitives[k].X
                     rows.append(space.primitives[k].constraint_rows(W, frame, ts, self.bc[(k, side)])[0])
         return kernel_split(np.vstack(rows), self.KERNEL_TOL)
 

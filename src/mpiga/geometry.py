@@ -23,7 +23,7 @@ coefficients couple identically across the interface.
 
 import numpy as np
 
-from .bspline import _SLOT_U, _SLOT_V, JET_ORDERS, SplineSpace, TensorSplineSpace
+from .bspline import _SLOT_U, _SLOT_V, SplineSpace, TensorSplineSpace
 from .errors import ConformityError, GeometryError, NonManifoldError, ParameterError
 
 #: side -> (transversal axis: 0 for u / 1 for v, transversal flipped?)
@@ -67,17 +67,6 @@ class SideMap:
         ea = n - 1 - e_sigma if self.trans_flip else e_sigma
         eb = n - 1 - e_t if self.t_flip else e_t
         return (ea, eb) if self.trans_axis == 0 else (eb, ea)
-
-    def jet_slots(self):
-        """Per (sigma, t) jet slot, in :data:`~mpiga.bspline.JET_ORDERS`
-        order, the (u, v) slot it becomes and its sign."""
-        gs = -1.0 if self.trans_flip else 1.0
-        gt = -1.0 if self.t_flip else 1.0
-        out = []
-        for a, b in JET_ORDERS:  # a derivatives across the side, b along it
-            uv = (a, b) if self.trans_axis == 0 else (b, a)
-            out.append((JET_ORDERS.index(uv), gs ** a * gt ** b))
-        return out
 
 
 class Patch:

@@ -3,6 +3,8 @@ and the separable evaluator of patch combinations against the per-point,
 per-element, per-span and per-column reference loops in ``oracles``,
 which evaluate approx-C1 dofs piece by piece."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from mpiga.assembly import (
     manufactured_rhs,
     stacked_error_norms,
 )
-from mpiga.bspline import gauss_legendre
+from mpiga.bspline import JET_ORDERS, gauss_legendre
 from mpiga.c1space import build_c1_space, homogeneous_subspace
 from mpiga.fixtures import BUILTIN_NAMES, builtin_geometry
 from mpiga.geometry import Patch, SideMap
@@ -26,6 +28,7 @@ from mpiga.geometry import Patch, SideMap
 from oracles import (
     _Reference,
     boundary_load_reference,
+    edge_function_jets,
     expand_reference,
     gather_jet_grid,
     interface_rows_reference,
@@ -43,14 +46,15 @@ def rel_gap(a, b):
     return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
 
 
-def make_view(name, kind, n=N, p=P):
+def make_view(name, kind, n=N, p=P, r=None):
     topo = builtin_geometry(name)
     tags = {e: kind.split("-")[-1] for e in topo.boundary_edges}
+    r = p - 1 if r is None else r
     if kind == "c0":
-        return C0Space(topo, p, p - 1, n)
+        return C0Space(topo, p, r, n)
     if kind.startswith("c0-"):
-        return C0Space(topo, p, p - 1, n, tags)
-    return homogeneous_subspace(build_c1_space(topo, p, p - 1, n), tags)
+        return C0Space(topo, p, r, n, tags)
+    return homogeneous_subspace(build_c1_space(topo, p, r, n), tags)
 
 
 CASES = [(name, kind, 1, N, P) for name in BUILTIN_NAMES for kind in ("c0", "c0-gn", "c1-gn", "c1-gl")]
@@ -70,16 +74,23 @@ CASES += [("square-6-bilinear", "c0-gl", 1, 8, P)]
 # 6 or 12 points per axis, and approx-C1 extraction rows at n=8
 CASES += [("square-6-bilinear", "c0-gn", q, N, 4) for q in (1, 2)]
 CASES += [("square-6-bilinear", "c1-gn", 1, 8, 4)]
+CASES = [case + (case[4] - 1,) for case in CASES]
+# r = p-2: the trace splines T_j of S(p, p-1) enter the solution space S(p, r)
+# by interpolation, and b2 reaches one element layer off a side
+CASES += [("square-6-bicubic", kind, 1, 8, P, P - 2) for kind in ("c1-gn", "c1-gl")]
 
 
 def case_id(case):
-    name, kind, quad_scale, n, p = case
-    return f"{name}-{kind}-{quad_scale}" + ("" if n == N else f"-n{n}") + ("" if p == P else f"-p{p}")
+    name, kind, quad_scale, n, p, r = case
+    return (
+        f"{name}-{kind}-{quad_scale}" + ("" if n == N else f"-n{n}") + ("" if p == P else f"-p{p}")
+        + ("" if r == p - 1 else f"-r{r}")
+    )
 
 
-@pytest.mark.parametrize("name,kind,quad_scale,n,p", CASES, ids=[case_id(c) for c in CASES])
-def test_volume_kernels_match_per_element_loops(name, kind, quad_scale, n, p):
-    view = make_view(name, kind, n, p)
+@pytest.mark.parametrize("name,kind,quad_scale,n,p,r", CASES, ids=[case_id(c) for c in CASES])
+def test_volume_kernels_match_per_element_loops(name, kind, quad_scale, n, p, r):
+    view = make_view(name, kind, n, p, r)
     coeffs = np.random.default_rng(7).standard_normal(view.n_total)
     exact_jets = (None, manufactured_jet)
     K_ref, F_ref, G_ref, norms_ref = per_element_reference(
@@ -96,9 +107,9 @@ def test_volume_kernels_match_per_element_loops(name, kind, quad_scale, n, p):
         assert rel_gap(got, [l2, h1, h2] + jumps) <= RTOL
 
 
-@pytest.mark.parametrize("name,kind,quad_scale,n,p", CASES, ids=[case_id(c) for c in CASES])
-def test_edge_span_rows_match_per_span_loops(name, kind, quad_scale, n, p):
-    view = make_view(name, kind, n, p)
+@pytest.mark.parametrize("name,kind,quad_scale,n,p,r", CASES, ids=[case_id(c) for c in CASES])
+def test_edge_span_rows_match_per_span_loops(name, kind, quad_scale, n, p, r):
+    view = make_view(name, kind, n, p, r)
     asm = _Assembler(view, quad_scale)
     refs = interface_rows_reference(view, quad_scale)
     for idx, (jump_ref, avg_ref, w_ref, side_max) in enumerate(refs):
@@ -208,31 +219,65 @@ def evaluation_grids(n, p=P):
 
 
 EVAL_CASES = [
-    (name, kind, n)
+    (name, kind, n, P - 1)
     for name in ("square-6-bilinear", "square-2-bicubic")
     for kind in ("c1-gn", "c1-gl", "c0")
     for n in (4, 8)
 ]
+EVAL_CASES += [("square-6-bicubic", kind, 8, P - 2) for kind in ("c1-gn", "c1-gl")]
+EVAL_IDS = [f"{a}-{b}-n{c}" + ("" if d == P - 1 else f"-r{d}") for a, b, c, d in EVAL_CASES]
 
 
-@pytest.mark.parametrize("name,kind,n", EVAL_CASES, ids=[f"{a}-{b}-n{c}" for a, b, c in EVAL_CASES])
-def test_grid_jets_match_per_column_expand(name, kind, n):
-    """Random dense weight rows on every patch, against the sum of every
-    column's jets; unit rows reproduce the columns' jets bit for bit."""
-    view = make_view(name, kind, n)
+@pytest.mark.parametrize("name,kind,n,r", EVAL_CASES, ids=EVAL_IDS)
+def test_grid_jets_match_per_column_expand(name, kind, n, r):
+    """Random dense weight rows over the definition columns of every patch,
+    written over the family columns by the change of basis, against the
+    sum of every column's jets; unit rows of tensor columns reproduce the
+    columns' jets bit for bit."""
+    view = make_view(name, kind, n, r=r)
     rng = np.random.default_rng(11)
     for prims in [view.primitives] if kind == "c0" else view.space.primitives:
         W = rng.standard_normal((3, prims.n_cols))
         for u, v in evaluation_grids(n):
             want = expand_reference(prims, W, u, v)
-            grid = c1space.GridJets(prims, W, u, v)
+            grid = c1space.GridJets(prims, W @ prims.X, u, v)
             assert rel_gap(grid.jets(), want) <= RTOL
             band = slice(len(u) // 3, len(u) // 3 + 5)
             assert rel_gap(grid.jets(band), want[:, band]) <= RTOL
-        cols = np.sort(rng.choice(prims.n_cols, size=min(40, prims.n_cols), replace=False))
+        cols = np.sort(rng.choice(prims.N ** 2, size=40, replace=False))
         u, v = evaluation_grids(n)[0]
-        unit = prims.expand(prims.selection(cols), u, v)
+        unit = prims.expand(prims.X[cols], u, v)
         assert np.array_equal(unit, primitive_jets(prims, cols, u, v))
+
+
+BASIS_CASES = [(name, p, r) for name in BUILTIN_NAMES for p in (3, 4) for r in (p - 1, p - 2)]
+
+
+@pytest.mark.parametrize("name,p,r", BASIS_CASES, ids=[f"{a}-p{b}-r{c}" for a, b, c in BASIS_CASES])
+def test_change_of_basis_reproduces_edge_functions(name, p, r):
+    """Every definition column of every edge shape, evaluated through its
+    row of the change of basis over the tensor and strip families, against
+    the edge function written out from T, W and the gluing data, per jet
+    slot on the Gauss grid of the volume rule and on two side lines,
+    relative to the slot's largest value on the volume grid."""
+    n = 6
+    nodes, _ = gauss_legendre(p + 2)
+    vol = ((np.arange(n)[:, None] + nodes) / n).ravel()
+    grids = [(vol, vol), (np.array([0.0]), vol), (vol, np.array([1.0]))]
+    for prims in build_c1_space(builtin_geometry(name), p, r, n).primitives:
+        assert len(prims.families) == 5
+        for shape, first in prims.shapes:
+            for kind, cols in (
+                ("trace", range(shape.splus.dim)),
+                ("transversal", range(shape.splus.dim, shape.splus.dim + shape.sminus.dim)),
+            ):
+                scale = {}
+                for u, v in grids:
+                    got = c1space.GridJets(prims, prims.X[first + np.array(cols)], u, v).jets()
+                    for j, col in enumerate(cols):
+                        want = edge_function_jets(shape, kind, col - cols[0], u, v)
+                        scale.setdefault(j, np.abs(want).max(axis=(0, 1)))
+                        assert np.all(np.abs(got[j] - want).max(axis=(0, 1)) <= RTOL * scale[j])
 
 
 PAIR_CASES = [(name, n) for name in BUILTIN_NAMES for n in (4, 8)]
@@ -240,10 +285,11 @@ PAIR_CASES = [(name, n) for name in BUILTIN_NAMES for n in (4, 8)]
 
 @pytest.mark.parametrize("name,n", PAIR_CASES, ids=[f"{a}-n{b}" for a, b in PAIR_CASES])
 def test_window_pairs_match_per_column_primitives(name, n):
-    """Every edge column of every patch, gathered as per-pair windows from
-    one table, equals its per-column jets bit for bit: on every cell of the
-    volume grid (element rows), and on every span of a side line along
-    each parameter direction."""
+    """Every family column of every patch, gathered in the per-cell windows
+    of its family, equals its jets from a unit row bit for bit: on every
+    cell of the volume grid (element rows), and on every span of a side
+    line along each parameter direction.  A column outside a cell's
+    windows vanishes on the cell."""
     nodes, _ = gauss_legendre(P + 2)
     vol = ((np.arange(n)[:, None] + nodes) / n).ravel()
     cells = np.arange(len(vol)).reshape(n, -1)
@@ -251,24 +297,33 @@ def test_window_pairs_match_per_column_primitives(name, n):
     line = ((np.arange(n)[:, None] + nodes) / n).ravel()
     spans, across = np.arange(len(line)).reshape(n, -1), np.zeros((n, 1), dtype=int)
     eu, ev = np.divmod(np.arange(n * n), n)
-    grids = [  # (u points, v points, u windows, v windows)
-        (vol, vol, cells[eu], cells[ev]),
-        (np.array([0.0]), line[::-1].copy(), across, spans),
-        (line, np.array([1.0]), spans, across),
+    first, last = np.zeros(n, dtype=int), np.full(n, n - 1)
+    grids = [  # (u points, v points, u windows, v windows, u elements, v elements)
+        (vol, vol, cells[eu], cells[ev], eu, ev),
+        (np.array([0.0]), line[::-1].copy(), across, spans, first, n - 1 - np.arange(n)),
+        (line, np.array([1.0]), spans, across, np.arange(n), last),
     ]
     for prims in build_c1_space(builtin_geometry(name), P, P - 1, n).primitives:
-        cols = np.arange(prims.N ** 2, prims.n_cols)
-        for u, v, u_win, v_win in grids:
-            want = primitive_jets(prims, cols, u, v)
-            rows = np.repeat(np.arange(len(cols)), len(u_win))
-            iu, iv = np.tile(u_win, (len(cols), 1)), np.tile(v_win, (len(cols), 1))
-            got = c1space.GridJets(prims, prims.selection(cols), u, v).pairs(rows, iu, iv)
-            assert np.array_equal(got, want[rows[:, None, None], iu[:, :, None], iv[:, None, :]])
+        for u, v, u_win, v_win, cu, cv in grids:
+            want = prims.expand(np.eye(prims.n_basis), u, v)
+            for fam in prims.families:
+                hit, cols, U, V = fam.windows(cu, cv, (u, u_win), (v, v_win))
+                for h, c in enumerate(hit):
+                    # (iu, iv, u point, v point) per jet slot
+                    got = np.stack([U[h, :, a].T[:, None, :, None] * V[h, :, b].T[:, None] for a, b in JET_ORDERS], -1)
+                    local = want[:, u_win[c]][:, :, v_win[c]]
+                    assert np.array_equal(got.reshape(local[cols[h]].shape), local[cols[h]])
+                outside = np.ones((len(cu), prims.n_basis), dtype=bool)
+                outside[hit[:, None], cols] = False
+                outside[:, : fam.first] = outside[:, fam.first + fam.count :] = False
+                for c in range(len(cu)):
+                    assert not np.any(want[outside[c]][:, u_win[c]][:, :, v_win[c]])
 
 
 def test_grid_jets_built_once_per_patch_and_side_line(monkeypatch):
     """Vertex families take one grid per (vertex, incident patch); the
-    approx-C1 volume form one table per patch, and each side line one."""
+    approx-C1 volume form and the side lines take none, as the cell kernel
+    evaluates every family from the windows of its univariate tables."""
     built = []
     init = c1space.GridJets.__init__
 
@@ -280,11 +335,11 @@ def test_grid_jets_built_once_per_patch_and_side_line(monkeypatch):
     topo = builtin_geometry("square-6-bilinear")
     space = build_c1_space(topo, P, P - 1, 8)
     assert len(built) == sum(len(vertex.incident) for vertex in topo.vertices)
-    for tag, g2, side_lines in (("gn", None, 0), ("gl", manufactured_laplacian, len(topo.boundary_edges))):
+    for tag, g2 in (("gn", None), ("gl", manufactured_laplacian)):
         view = homogeneous_subspace(space, {e: tag for e in topo.boundary_edges})
         built.clear()
         assemble_approx_c1(view, manufactured_rhs, g2=g2)
-        assert 0 < len(built) <= len(topo.patches) + side_lines
+        assert not built
 
 
 def test_geometry_jets_evaluated_once_per_patch(monkeypatch):
@@ -346,7 +401,9 @@ def test_element_bands_cover_each_patch_once(monkeypatch):
     n_patches = len(asm.topology.patches)
     asm.volume_system(manufactured_rhs)
     assert [k for k, _ in calls] == list(range(n_patches))
-    nd = (asm.sol.p + 1) ** 2 + max(ext.cells.shape[2] for ext in asm.tables)
+    # the widest cell, in a patch corner: the tensor window and two strips
+    tensor, strip = asm.tables[0].prims.families[:2]
+    nd = tensor.width + 2 * strip.width
     monkeypatch.setattr(assembly, "_CELL_BAND_SIZE", 3 * asm.n * nd * asm.nq ** 2)
     calls.clear()
     asm.volume_system(manufactured_rhs)
@@ -354,3 +411,22 @@ def test_element_bands_cover_each_patch_once(monkeypatch):
         bands = [cell for patch, cell in calls if patch == k]
         assert len(bands) == 3
         assert np.array_equal(np.sort(np.concatenate(bands)), np.arange(asm.n * asm.n))
+
+
+def test_each_band_released_before_the_next(monkeypatch):
+    """The volume form and the broken Gram drop a band's operator rows,
+    ids and values before the cell kernel computes the next band, so at
+    most one band of values is alive at a time."""
+    alive = []
+    cells = _Assembler.cells
+
+    def tracking_cells(self, *args):
+        assert all(ref() is None for ref in alive)
+        out = cells(self, *args)
+        alive[:] = [weakref.ref(a) for a in (args[-1],) + out]
+        return out
+
+    monkeypatch.setattr(_Assembler, "cells", tracking_cells)
+    view = make_view("square-6-bilinear", "c1-gn", 8)
+    _Assembler(view).volume_system(manufactured_rhs)
+    broken_gram(view)

@@ -6,6 +6,7 @@ from mpiga.bspline import (
     SplineSpace,
     TensorSplineSpace,
     gauss_legendre,
+    interpolate,
     l2_project,
 )
 from mpiga.errors import DomainError, ParameterError
@@ -152,6 +153,19 @@ def test_l2_project_columns_match_single_projections():
     assert both.shape == (sp.dim, 2)
     assert np.array_equal(both[:, 0], l2_project(sp, lambda x: np.sin(3 * x)))
     assert np.array_equal(both[:, 1], l2_project(sp, np.exp))
+
+
+@pytest.mark.parametrize("p,r,n", [(3, 2, 4), (2, 0, 5), (4, 1, 8), (6, 2, 8)])
+def test_interpolate_reproduces_member_and_matches_at_greville_points(p, r, n):
+    # the strip spaces S(2p-2, p-2) of p = 2, 3 and 4 among them
+    sp = SplineSpace(p, r, n)
+    coeffs = np.random.default_rng(p + n).standard_normal((sp.dim, 2))
+    got = interpolate(sp, lambda x: sp.eval_splines(coeffs.T, x)[0].T)
+    assert got.shape == coeffs.shape
+    assert np.abs(got - coeffs).max() <= 1e-12 * np.abs(coeffs).max()
+    xs = greville(sp)
+    vals = sp.eval_spline(interpolate(sp, np.exp), xs)[:, 0]
+    assert np.abs(vals - np.exp(xs)).max() <= 1e-13
 
 
 def test_l2_project_constant():
