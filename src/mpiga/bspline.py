@@ -213,33 +213,16 @@ class SplineSpace:
         windows = coeffs[first[:, None] + np.arange(self.p + 1)]
         return np.einsum("mdp,mp->md", tables, windows)
 
-    def eval_splines(self, coeffs, xs, max_deriv=0):
-        """Evaluate the splines of an (m, dim) coefficient array:
-        shape (d+1, m, len(xs)), derivative order first.
-
-        The window sum runs term by term, so a row's values do not depend
-        on the other rows, and a unit row reproduces its basis function
-        exactly.
-        """
-        first, tables = self.eval_many(xs, max_deriv)
-        windows = np.take(coeffs, first + np.arange(self.p + 1)[:, None], axis=1)  # (m, p+1, xs)
-        tables = np.ascontiguousarray(tables.transpose(2, 1, 0))  # (p+1, d+1, xs)
-        out = np.empty((max_deriv + 1,) + windows[:, 0].shape)
-        for k in range(max_deriv + 1):
-            np.multiply(windows[:, 0], tables[0, k], out=out[k])
-            for i in range(1, self.p + 1):
-                out[k] += windows[:, i] * tables[i, k]
-        return out
-
     def element_first_basis(self, e):
         """Index of the first basis function supported on element e."""
         return e * (self.p - self.r)
 
     def basis_support(self, i):
-        """Inclusive element range (e0, e1) on which basis i is supported."""
+        """Inclusive element range (e0, e1) on which basis i is supported
+        (elementwise for an array of indices)."""
         step = self.p - self.r
-        e0 = max(0, -(-(i - self.p) // step))  # ceil((i - p)/step)
-        e1 = min(self.n - 1, i // step)
+        e0 = np.maximum(0, -(-(np.asarray(i) - self.p) // step))  # ceil((i - p)/step)
+        e1 = np.minimum(self.n - 1, np.asarray(i) // step)
         return e0, e1
 
 

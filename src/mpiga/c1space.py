@@ -45,12 +45,13 @@ lies in the solution space, so T (b1 + b2) is a tensor combination, and
 the transversal factor (alpha W + beta T') h/p, a product of splines of
 S(p-1, p-2, h), lies in the strip space.  One sparse change of basis per
 patch (:attr:`PatchPrimitives.X`) writes every column over the families;
-its weights interpolate the factors at Greville abscissae, which
-reproduces them up to round-off.  At p = 3 the strip space is only C1:
-where an edge shape runs against the patch's direction, a second
-derivative at an interior knot is the other one-sided limit than the
-product rule of the factors gives; no quadrature point or sample lies
-there.
+its weights interpolate the factors at Greville abscissae, one banded
+solve per target space for every edge shape (:func:`edge_factors`), up
+to round-off (exactly for T where r = p-1).  At p = 3 the strip space is
+only C1: where an edge shape runs against the patch's direction, a
+second derivative at an interior knot is the other one-sided limit than
+the product rule of the factors gives; no quadrature point or sample
+lies there.
 
 Extraction
 ----------
@@ -58,10 +59,12 @@ Every dof restricted to a patch is a fixed linear combination of the
 columns.  The global space stores these combinations as one sparse
 matrix per patch, a row per global dof over the patch's columns:
 interior and edge dofs are unit rows, and the six vertex rows of an
-incident patch hold the three family solutions summed column by column.
-A constrained space applies one sparse transform (boundary partition and
-boundary-vertex kernels) to those rows and the change of basis after
-them, giving one extraction matrix E_k per patch over the family columns
+incident patch hold the three family solutions summed column by column;
+every edge shape is added first, so each patch's change of basis is
+formed once, before the vertex solves read it.  A constrained space
+applies one sparse transform (boundary partition and boundary-vertex
+kernels) to those rows and the change of basis after them, giving one
+extraction matrix E_k per patch over the family columns
 (:class:`PatchExtraction`).  Assembly works on the family columns alone
 and maps every form to dofs once, as E M E^T and E F.
 
@@ -141,22 +144,6 @@ def approximate_gluing_data(topology, iface, p, n):
     return tuple(out)
 
 
-def _interpolate(space, f, factors, flip):
-    """Interpolants (factors.dim, space.dim) in a space of the functions
-    ``f`` of the parameter, one per B-spline of ``factors`` and supported
-    where it is (mirrored when ``flip``); a function of the space is
-    reproduced up to round-off.  A spline that vanishes on an element has
-    zero coefficients on every B-spline active there, so the entries of
-    B-splines that miss the support are set to exact zeros."""
-    coeffs = interpolate(space, f).T
-    lo, hi = np.array([factors.basis_support(j) for j in range(factors.dim)]).T
-    if flip:
-        lo, hi = space.n - 1 - hi, space.n - 1 - lo
-    a, b = np.array([space.basis_support(i) for i in range(space.dim)]).T
-    coeffs[(a > hi[:, None]) | (b < lo[:, None])] = 0.0
-    return coeffs
-
-
 class EdgeShape:
     """Edge-expansion factors of one patch side in one tangent orientation.
 
@@ -167,8 +154,7 @@ class EdgeShape:
     W = sum_j d_j W_j.
     """
 
-    def __init__(self, patch_index, side_map, gluing, sol, splus, sminus):
-        self.patch_index = patch_index
+    def __init__(self, side_map, gluing, sol, splus, sminus):
         self.map = side_map
         self.gluing = gluing
         self.sol = sol
@@ -176,27 +162,57 @@ class EdgeShape:
         self.sminus = sminus
         self.scale = sol.h / sol.p
 
-    def coefficients(self, strip):
-        """The factors of every edge function as splines of the patch
-        coordinate along the side: T_j over the solution space
-        (splus.dim, sol.dim), and beta T_j' h/p (splus.dim, strip.dim) and
-        alpha W_j h/p (sminus.dim, strip.dim) over the strip space."""
-        flip = self.map.t_flip
 
-        def bsplines(space, x, order):  # (len(x), dim) derivatives of every B-spline in t
-            return space.eval_columns(np.arange(space.dim), 1.0 - x if flip else x, order)[:, :, order].T
+def _support_mask(space, factors, flip):
+    """(factors.dim, space.dim): where a B-spline of ``space`` meets the
+    support of a B-spline of ``factors``, taken along the reversed
+    parameter when ``flip`` (both spaces are symmetric, so this reverses
+    the factors).  A spline that vanishes on an element has zero
+    coefficients on every B-spline active there, so an interpolant's
+    entries outside the mask are set to exact zeros."""
+    lo, hi = factors.basis_support(np.arange(factors.dim))
+    a, b = space.basis_support(np.arange(space.dim))
+    return ((a <= hi[:, None]) & (b >= lo[:, None]))[:: -1 if flip else 1]
 
-        def glue(coeff, x):
-            return self.scale * coeff(1.0 - x if flip else x)[:, :1]
 
-        trace = _interpolate(self.sol, lambda x: bsplines(self.splus, x, 0), self.splus, flip)
-        beta = _interpolate(
-            strip, lambda x: glue(self.gluing.eval_beta, x) * bsplines(self.splus, x, 1), self.splus, flip
-        )
-        alpha = _interpolate(
-            strip, lambda x: glue(self.gluing.eval_alpha, x) * bsplines(self.sminus, x, 0), self.sminus, flip
-        )
-        return trace, beta, alpha
+def edge_factors(shapes, sol, splus, sminus, strip):
+    """The factors of every edge function of some edge shapes as splines
+    of the patch coordinate along their sides, by interpolation at the
+    Greville abscissae: one banded solve per target space for all shapes
+    and orientations (the solve treats each right-hand side alone).
+
+    Returns the trace blocks T_j over the solution space (splus.dim,
+    sol.dim) per tangent orientation, ``{t_flip: block}``, and per shape
+    the rows beta T_j' h/p, then alpha W_j h/p, over the strip space
+    (len(shapes), splus.dim + sminus.dim, strip.dim).  Where the solution
+    space is S(p, p-1, h) the trace blocks are exact: the identity,
+    reversed against the patch's direction.
+    """
+    flips = (False, True)
+
+    def bsplines(space, x, order, flip):  # (len(x), dim) derivatives of every B-spline in t
+        return space.eval_columns(np.arange(space.dim), 1.0 - x if flip else x, order)[:, :, order].T
+
+    if sol.r == splus.r:
+        trace = {flip: np.eye(sol.dim)[:: -1 if flip else 1] for flip in flips}
+    else:
+        both = interpolate(sol, lambda x: np.hstack([bsplines(splus, x, 0, flip) for flip in flips])).T
+        trace = {flip: np.where(_support_mask(sol, splus, flip), block, 0.0)
+                 for flip, block in zip(flips, np.split(both, 2))}
+
+    def rhs(x):
+        tables = {flip: (bsplines(splus, x, 1, flip), bsplines(sminus, x, 0, flip)) for flip in flips}
+        cols = []
+        for shape in shapes:
+            t, (d_trace, trans) = 1.0 - x if shape.map.t_flip else x, tables[shape.map.t_flip]
+            cols += [shape.scale * shape.gluing.eval_beta(t)[:, :1] * d_trace,
+                     shape.scale * shape.gluing.eval_alpha(t)[:, :1] * trans]
+        return np.hstack(cols)
+
+    factors = interpolate(strip, rhs).T.reshape(len(shapes), -1, strip.dim)
+    keep = {flip: np.vstack([_support_mask(strip, f, flip) for f in (splus, sminus)]) for flip in flips}
+    factors[~np.array([keep[shape.map.t_flip] for shape in shapes])] = 0.0
+    return trace, factors
 
 
 class TensorFamily:
@@ -259,18 +275,18 @@ class TensorFamily:
 class PatchPrimitives:
     """The patch-local functions every dof on one patch is made of.
 
-    Dofs are written over definition columns: column ``iu * N + iv`` is
-    the tensor B-spline (iu, iv) of the N x N solution space; after those,
-    each edge shape on the patch owns one column per trace coefficient and
-    then one per transversal coefficient (``n_cols`` in all).  They are
-    evaluated over the ``n_basis`` columns of ``families``: the tensor
-    family first, at the same columns, and, given a strip space, one strip
-    family per side (``strips``), the strip space along the side times b2
-    across it.  ``X`` (n_cols, n_basis) writes every definition column
-    over them: the trace function j of an edge shape as (b1 + b2) T_j on
-    the two tensor lines next to the side plus beta T_j' h/p on the strip,
-    and the transversal function j as alpha W_j h/p on the strip.  A C0
-    view uses the tensor family alone.  Rows of weights over the basis
+    Dofs are written over definition columns: column ``iu * N + iv`` is the
+    tensor B-spline (iu, iv) of the N x N solution space; after those, each
+    edge shape on the patch owns one column per trace coefficient and then
+    one per transversal coefficient (``n_cols`` in all).  They are evaluated
+    over the ``n_basis`` columns of ``families``: the tensor family first,
+    at the same columns, and, given a strip space, one strip family per side
+    (``strips``), the strip space along the side times b2 across it.  ``X``
+    (n_cols, n_basis), formed by :meth:`write_X`, writes every definition
+    column over them: the trace function j of an edge shape as (b1 + b2) T_j
+    on the two tensor lines next to the side plus beta T_j' h/p on the
+    strip, and the transversal function j as alpha W_j h/p on the strip.  A
+    C0 view uses the tensor family alone.  Rows of weights over the basis
     columns are evaluated by :class:`GridJets`.
     """
 
@@ -280,7 +296,7 @@ class PatchPrimitives:
         self.shapes = []  # (shape, first column); trace columns, then transversal
         self.n_cols = self.N * self.N
         self.families = [TensorFamily(0, sol, sol)]
-        self.strip, self.strips = strip, {}
+        self.strips = {}
         if strip is not None:
             for side in (1, 2, 3, 4):
                 smap = SideMap(side)
@@ -288,37 +304,36 @@ class PatchPrimitives:
                 axes = (across, strip) if smap.trans_axis == 0 else (strip, across)
                 self.strips[side] = TensorFamily(self.n_basis, *axes)
                 self.families.append(self.strips[side])
-        self._rows = [scipy.sparse.eye(self.n_cols, self.n_basis, format="csr")]
-        self._X = None
+        self.X = scipy.sparse.eye(self.n_cols, self.n_basis, format="csr")
 
     @property
     def n_basis(self):
         return self.families[-1].first + self.families[-1].count
 
-    @property
-    def X(self):
-        """The change of basis (n_cols, n_basis), CSR."""
-        if self._X is None:
-            self._X = scipy.sparse.vstack(self._rows, format="csr")
-        return self._X
-
     def add_shape(self, shape):
-        """Append the columns of an edge shape and their rows of ``X``;
-        returns the first column of each kind, ``{"trace": c,
-        "transversal": c'}``."""
-        trace, beta, alpha = shape.coefficients(self.strip)
-        strip = self.strips[shape.map.side]
-        rows = np.zeros((len(trace) + len(alpha), self.n_basis))
-        for layer in (0, 1):  # b1 and b2 across the side
-            iu, iv = SideMap(shape.map.side).elements_to_patch(layer, np.arange(self.N), self.N)
-            rows[: len(trace), iu * self.N + iv] = trace
-        rows[:, strip.first : strip.first + strip.count] = np.vstack([beta, alpha])
-        self._rows.append(scipy.sparse.csr_matrix(rows))
-        self._X = None
+        """Append the columns of an edge shape; returns the first column of
+        each kind, ``{"trace": c, "transversal": c'}``."""
         self.shapes.append((shape, self.n_cols))
-        first = {"trace": self.n_cols, "transversal": self.n_cols + len(trace)}
-        self.n_cols += len(rows)
+        first = {"trace": self.n_cols, "transversal": self.n_cols + shape.splus.dim}
+        self.n_cols += shape.splus.dim + shape.sminus.dim
         return first
+
+    def write_X(self, trace, factors):
+        """Form ``X`` once every shape is added, from the trace blocks per
+        tangent orientation and each shape's factor rows over its strip
+        (those of :func:`edge_factors`)."""
+        N = self.N
+        parts = [(np.arange(N * N), np.arange(N * N), np.ones(N * N))]
+        for (shape, first), block in zip(self.shapes, factors):
+            tr = trace[shape.map.t_flip]
+            i, j = np.nonzero(tr)
+            for layer in (0, 1):  # b1 and b2 across the side
+                iu, iv = SideMap(shape.map.side).elements_to_patch(layer, j, N)
+                parts.append((first + i, iu * N + iv, tr[i, j]))
+            i, j = np.nonzero(block)
+            parts.append((first + i, self.strips[shape.map.side].first + j, block[i, j]))
+        rows, cols, vals = (np.concatenate(part) for part in zip(*parts))
+        self.X = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(self.n_cols, self.n_basis))
 
     def expand(self, W, u_pts, v_pts):
         """Parametric jets of the combinations in the rows of an (m, n_basis)
@@ -428,13 +443,10 @@ class GlobalC1Space:
         self.h = self.sol.h
 
         # projected gluing data per interface, shared-parameter orientation
-        self.iface_gluing = [
-            approximate_gluing_data(topology, i, p, n)
-            for i in range(len(topology.interfaces))
-        ]
+        self.iface_gluing = [approximate_gluing_data(topology, itf, p, n) for itf in topology.interfaces]
         self._first_cols = {}
-        strip = SplineSpace(2 * p - 2, p - 2, n)  # one table cache for every patch side
-        self.primitives = [PatchPrimitives(self.sol, strip) for _ in topology.patches]
+        self.strip = SplineSpace(2 * p - 2, p - 2, n)  # one table cache for every patch side
+        self.primitives = [PatchPrimitives(self.sol, self.strip) for _ in topology.patches]
         self.labels = []
         self.patch_rows = []
         for prims, triplets in zip(self.primitives, self._build()):
@@ -457,21 +469,25 @@ class GlobalC1Space:
         """
         key = (patch_index, side_map.side, side_map.t_flip)
         if key not in self._first_cols:
-            shape = EdgeShape(patch_index, side_map, gluing, self.sol, self.splus, self.sminus)
+            shape = EdgeShape(side_map, gluing, self.sol, self.splus, self.sminus)
             self._first_cols[key] = self.primitives[patch_index].add_shape(shape)
         return self._first_cols[key]
 
-    def _side_gluing(self, patch_index, side):
-        """Stored gluing functions and tangent flip of a (patch, side) edge."""
-        topo = self.topology
-        idx = topo.interface_index(patch_index, side)
-        if idx is None:
-            return GluingFunctions.artificial(self.sminus), False
-        itf = topo.interfaces[idx]
-        gk, gl = self.iface_gluing[idx]
-        if patch_index == itf.k:
-            return gk, False
-        return gl, itf.reverse
+    def _corner_columns(self, patch_index, corner):
+        """The first columns of the edge shapes of the two sides of a patch
+        corner, each running away from the corner; their gluing data is
+        the side's, reversed where it was stored the other way round."""
+        out = []
+        for side, flip in zip(_CORNER_SIDES[corner], _CORNER_FLIP[corner]):
+            idx = self.topology.interface_index(patch_index, side)
+            gf, stored = GluingFunctions.artificial(self.sminus), False
+            if idx is not None:
+                itf = self.topology.interfaces[idx]
+                other = patch_index != itf.k  # the l side, stored in the k side's parameter
+                gf, stored = self.iface_gluing[idx][other], other and itf.reverse
+            gf = gf if stored == flip else gf.reversed()
+            out.append(self._edge_columns(patch_index, SideMap(side, flip), gf))
+        return out
 
     def _build(self):
         """Number the global dofs (``labels``); returns per patch the
@@ -513,31 +529,28 @@ class GlobalC1Space:
                 for j in ids:
                     add(("bedge", bidx, kind, j), [(k, [first[kind] + j], unit)])
 
-        for vidx, vertex in enumerate(topo.vertices):
-            per_patch = self._vertex_dofs(vidx, vertex)
+        # every edge shape first: each patch's X is formed once, before the vertex solves read it
+        corners = [[self._corner_columns(k, corner) for k, corner in vx.incident] for vx in topo.vertices]
+        counts = np.cumsum([len(prims.shapes) for prims in self.primitives])[:-1]
+        shapes = [shape for prims in self.primitives for shape, _ in prims.shapes]
+        trace, factors = edge_factors(shapes, self.sol, self.splus, self.sminus, self.strip)
+        for prims, block in zip(self.primitives, np.split(factors, counts)):
+            prims.write_X(trace, block)
+        for vidx, (vertex, firsts) in enumerate(zip(topo.vertices, corners)):
+            per_patch = self._vertex_dofs(vidx, vertex, firsts)
             for q in range(6):
                 add(("vertex", vidx, q), [(k, cols, w[:, q]) for k, cols, w in per_patch])
         return triplets
 
-    def _vertex_anchored_gluing(self, patch_index, side, va_flip):
-        gf, stored_flip = self._side_gluing(patch_index, side)
-        return gf if stored_flip == bool(va_flip) else gf.reversed()
-
-    def _vertex_dofs(self, vidx, vertex):
+    def _vertex_dofs(self, vidx, vertex, firsts):
         """Per incident patch k of a vertex, ``(k, cols, weights)``: the 18
         family columns (first edge, second edge, corner) and their (18, 6)
-        weights in the six vertex dofs, ``c0, c1, -c2`` stacked."""
+        weights in the six vertex dofs, ``c0, c1, -c2`` stacked; ``firsts``
+        holds the :meth:`_corner_columns` of each incident corner."""
         out = []
         N = self.sol.dim
-        for (k, corner) in vertex.incident:
+        for (k, corner), (bottom, left) in zip(vertex.incident, firsts):
             fu, fv = _CORNER_FLIP[corner]
-            bottom_side, left_side = _CORNER_SIDES[corner]
-            bottom = self._edge_columns(
-                k, SideMap(bottom_side, t_flip=fu), self._vertex_anchored_gluing(k, bottom_side, fu)
-            )
-            left = self._edge_columns(
-                k, SideMap(left_side, t_flip=fv), self._vertex_anchored_gluing(k, left_side, fv)
-            )
 
             def ten(a, b):
                 iu = N - 1 - a if fu else a

@@ -573,3 +573,110 @@ def test_unknown_bc_tag_value_rejected(topo1):
 def test_mesh_too_coarse_rejected(topo1):
     with pytest.raises(ParameterError):
         build_c1_space(topo1, 3, 2, 2)
+
+
+# -- change of basis ----------------------------------------------------------
+
+
+ONE_PASS_CASES = [(name, n, r) for name in ("square-1", "square-6-bilinear") for n in (8, 16) for r in (2, 1)]
+
+
+@pytest.mark.parametrize("name,n,r", ONE_PASS_CASES, ids=[f"{a}-n{b}-r{c}" for a, b, c in ONE_PASS_CASES])
+def test_change_of_basis_built_in_one_pass(name, n, r, monkeypatch):
+    """One Greville interpolation per target space (the strip space, and
+    the solution space where it is not S(p, p-1, h)), whatever the number
+    of patches and edge shapes, and each patch's X formed once."""
+    targets, formed = [], []
+    interpolate, write_X = c1space.interpolate, c1space.PatchPrimitives.write_X
+
+    def counted_interpolate(space, f):
+        targets.append(space)
+        return interpolate(space, f)
+
+    def counted_write_X(prims, *args):
+        formed.append(prims)
+        write_X(prims, *args)
+
+    monkeypatch.setattr(c1space, "interpolate", counted_interpolate)
+    monkeypatch.setattr(c1space.PatchPrimitives, "write_X", counted_write_X)
+    space = build_c1_space(builtin_geometry(name), 3, r, n)
+    assert targets == ([space.strip] if r == 2 else [space.sol, space.strip])
+    assert len(formed) == len(space.primitives)
+    assert all(a is b for a, b in zip(formed, space.primitives))
+    for prims in space.primitives:
+        assert prims.X.shape == (prims.n_cols, prims.n_basis)
+
+
+def _interpolated_alone(shape, strip):
+    """The trace block over the solution space and the beta, then alpha,
+    rows over the strip space of one edge shape, one interpolation per
+    factor, with the entries of B-splines whose support misses the
+    factor's zeroed."""
+    flip = shape.map.t_flip
+
+    def bsplines(space, x, order):
+        return space.eval_columns(np.arange(space.dim), 1.0 - x if flip else x, order)[:, :, order].T
+
+    def glue(coeff, x):
+        return shape.scale * coeff(1.0 - x if flip else x)[:, :1]
+
+    def alone(space, factors, f):
+        coeffs = c1space.interpolate(space, f).T
+        for j in range(factors.dim):
+            lo, hi = factors.basis_support(j)
+            lo, hi = (space.n - 1 - hi, space.n - 1 - lo) if flip else (lo, hi)
+            for i in range(space.dim):
+                a, b = space.basis_support(i)
+                if a > hi or b < lo:
+                    coeffs[j, i] = 0.0
+        return coeffs
+
+    splus, sminus, gluing = shape.splus, shape.sminus, shape.gluing
+    trace = alone(shape.sol, splus, lambda x: bsplines(splus, x, 0))
+    beta = alone(strip, splus, lambda x: glue(gluing.eval_beta, x) * bsplines(splus, x, 1))
+    alpha = alone(strip, sminus, lambda x: glue(gluing.eval_alpha, x) * bsplines(sminus, x, 0))
+    return trace, np.vstack([beta, alpha])
+
+
+ALONE_CASES = [
+    (name, p, r) for name in ("square-6-bilinear", "square-2-bicubic") for p in (3, 4) for r in (p - 1, p - 2)
+]
+
+
+@pytest.mark.parametrize("name,p,r", ALONE_CASES, ids=[f"{a}-p{b}-r{c}" for a, b, c in ALONE_CASES])
+def test_batched_factors_match_each_shape_interpolated_alone(name, p, r):
+    """Every edge shape's rows of X equal that shape interpolated alone,
+    bit for bit: its beta and alpha rows on its strip, and its trace rows
+    on the two tensor lines next to its side (exact unit weights at
+    r = p-1, where the trace lies in the solution space).  Nothing else
+    is written in those rows.  Both tangent orientations occur."""
+    space = build_c1_space(builtin_geometry(name), p, r, 6)
+    N, flips = space.sol.dim, set()
+    for prims in space.primitives:
+        X = prims.X.toarray()
+        for shape, first in prims.shapes:
+            flips.add(shape.map.t_flip)
+            trace, factors = _interpolated_alone(shape, space.strip)
+            if r == p - 1:
+                trace = np.eye(N)[:: -1 if shape.map.t_flip else 1]
+            rows = X[first : first + len(factors)].copy()
+            strip = prims.strips[shape.map.side]
+            assert np.array_equal(rows[:, strip.first : strip.first + strip.count], factors)
+            rows[:, strip.first : strip.first + strip.count] = 0.0
+            for layer in (0, 1):
+                iu, iv = SideMap(shape.map.side).elements_to_patch(layer, np.arange(N), N)
+                assert np.array_equal(rows[: len(trace), iu * N + iv], trace)
+                rows[: len(trace), iu * N + iv] = 0.0
+            assert not rows.any()
+    assert flips == {False, True}
+
+
+def test_exact_trace_blocks_hold_no_round_off(topo6):
+    """At r = p-1 the tensor part of X holds unit weights only: the unit
+    rows of the tensor B-splines and each trace function's two unit
+    weights, with no interpolation round-off beside them."""
+    for prims in build_c1_space(topo6, 3, 2, 8).primitives:
+        tensor = prims.X[:, : prims.N ** 2]
+        assert np.all(tensor.data == 1.0)
+        for shape, first in prims.shapes:
+            assert tensor[first : first + shape.splus.dim].getnnz(axis=1).tolist() == [2] * shape.splus.dim
