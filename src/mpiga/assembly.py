@@ -265,15 +265,11 @@ class _Assembler:
             slots = first[:, None] + np.arange(wu * wv)
             ids[hit[:, None], slots] = prim_ids[cols]
             v_slots = v_tab[:, :, _SLOT_V].transpose(0, 2, 1, 3)[:, None, :, :, None, :]
-            every = nh == nc and not first.any()  # the tensor family: basic slices
-            cell_op = grid_op if every else grid_op[hit]
-            prod = u_tab[:, :, _SLOT_U].swapaxes(2, 3) @ (cell_op * v_slots).reshape(nh, mu, 6, -1)
+            prod = u_tab[:, :, _SLOT_U].swapaxes(2, 3) @ (grid_op[hit] * v_slots).reshape(nh, mu, 6, -1)
             # (cell, u point, iu, v point, row, iv) to (cell, iu, iv, row, u point, v point)
-            prod = prod.reshape(nh, mu, wu, mv, m, wv).transpose(0, 2, 5, 4, 1, 3)
-            if every:  # splitting the slot axis of a slice is a view
-                vals[:, : wu * wv].reshape(nc, wu, wv, m, mu, mv)[...] = prod
-            else:
-                vals[hit[:, None, None], slots.reshape(nh, wu, wv)] = prod
+            vals[hit[:, None, None], slots.reshape(nh, wu, wv)] = (
+                prod.reshape(nh, mu, wu, mv, m, wv).transpose(0, 2, 5, 4, 1, 3)
+            )
         return ids, vals.reshape(nc, -1, m, mu * mv)
 
     # -- volume form ----------------------------------------------------

@@ -275,19 +275,20 @@ class TensorFamily:
 class PatchPrimitives:
     """The patch-local functions every dof on one patch is made of.
 
-    Dofs are written over definition columns: column ``iu * N + iv`` is the
-    tensor B-spline (iu, iv) of the N x N solution space; after those, each
-    edge shape on the patch owns one column per trace coefficient and then
-    one per transversal coefficient (``n_cols`` in all).  They are evaluated
-    over the ``n_basis`` columns of ``families``: the tensor family first,
-    at the same columns, and, given a strip space, one strip family per side
-    (``strips``), the strip space along the side times b2 across it.  ``X``
-    (n_cols, n_basis), formed by :meth:`write_X`, writes every definition
-    column over them: the trace function j of an edge shape as (b1 + b2) T_j
-    on the two tensor lines next to the side plus beta T_j' h/p on the
-    strip, and the transversal function j as alpha W_j h/p on the strip.  A
-    C0 view uses the tensor family alone.  Rows of weights over the basis
-    columns are evaluated by :class:`GridJets`.
+    Dofs are written over definition columns: column ``iu * N + iv`` is
+    the tensor B-spline (iu, iv) of the N x N solution space; after those,
+    each edge shape on the patch owns one column per trace coefficient and
+    then one per transversal coefficient (``n_cols`` in all).  They are
+    evaluated over the ``n_basis`` columns of ``families``: the tensor
+    family first, at the same columns, and, given a strip space, one strip
+    family per side (``strips``), the strip space along the side times b2
+    across it.  ``X`` (n_cols, n_basis) writes every definition column
+    over them: the trace function j of an edge shape as (b1 + b2) T_j on
+    the two tensor lines next to the side plus beta T_j' h/p on the strip,
+    and the transversal function j as alpha W_j h/p on the strip.  A C0
+    view uses the tensor family alone.  Rows of weights over the basis
+    columns are evaluated by :class:`GridJets`.  :meth:`write_X` forms
+    ``X`` once every shape is added.
     """
 
     def __init__(self, sol, strip=None):
@@ -443,7 +444,10 @@ class GlobalC1Space:
         self.h = self.sol.h
 
         # projected gluing data per interface, shared-parameter orientation
-        self.iface_gluing = [approximate_gluing_data(topology, itf, p, n) for itf in topology.interfaces]
+        self.iface_gluing = [
+            approximate_gluing_data(topology, i, p, n)
+            for i in range(len(topology.interfaces))
+        ]
         self._first_cols = {}
         self.strip = SplineSpace(2 * p - 2, p - 2, n)  # one table cache for every patch side
         self.primitives = [PatchPrimitives(self.sol, self.strip) for _ in topology.patches]
