@@ -27,7 +27,7 @@ from .bspline import _SLOT_U, _SLOT_V, gauss_legendre
 from .c1space import ConstrainedC1Space, GridJets, PatchExtraction, PatchPrimitives
 from .errors import ParameterError
 from .geometry import EdgeFrame, SideMap, interface_frames, laplacian_rows, physical_jet, pullback
-from .linalg import SparseSymMatrix, gram_pencil_max, solve_spd
+from .linalg import gram_pencil_max, solve_spd, sum_blocks, triplets_to_csr
 
 __all__ = [
     "AssembledSystem",
@@ -189,10 +189,10 @@ class _Assembler:
 
     Forms are assembled over the primitives of all patches in one range:
     column c of patch k has id c plus the column count of the patches
-    before it.  ``E`` (n_total,
-    n_prims), the view's extraction matrices side by side, maps a
-    primitive matrix M to dofs as E M E^T (:meth:`to_dofs`) and a
-    primitive load F as E F.
+    before it, as int32, scipy's sparse index type, so that triplets merge
+    without a copy.  ``E`` (n_total, n_prims), the view's extraction
+    matrices side by side, maps a primitive matrix M to dofs as E M E^T
+    (:meth:`to_dofs`) and a primitive load F as E F.
     """
 
     def __init__(self, view, quad_scale=1):
@@ -210,18 +210,19 @@ class _Assembler:
         self.E = scipy.sparse.hstack([ext.matrix for ext in self.tables], format="csr")
         self.ids = []  # per patch, the id of every column some dof uses, -1 elsewhere
         for ext, offset in zip(self.tables, np.cumsum([0] + sizes[:-1])):
-            ids = -np.ones(ext.prims.n_basis, dtype=int)
+            ids = -np.ones(ext.prims.n_basis, dtype=np.int32)
             used = np.unique(ext.matrix.indices)
             ids[used] = offset + used
             self.ids.append(ids)
 
-    def to_dofs(self, M):
-        """The dof matrix E M E^T of a primitive :class:`SparseSymMatrix`,
-        with sorted indices; entries that sum to exactly zero are not
-        stored."""
-        A = self.E @ M.tocsr() @ self.E.T.tocsr()
+    def to_dofs(self, triplets):
+        """The dof matrix E M E^T, a CSR matrix with sorted indices, of the
+        primitive matrix M that sums a list of triplets
+        (:func:`~mpiga.linalg.triplets_to_csr`, which empties the list);
+        entries that sum to exactly zero are not stored."""
+        A = self.E @ triplets_to_csr(triplets, self.n_prims) @ self.E.T.tocsr()
         A.sort_indices()
-        return SparseSymMatrix.from_sparse(A)
+        return A
 
     def cells(self, patch_index, eu, ev, u, v, op):
         """Primitive ids and operator values on some cells of one patch.
@@ -258,7 +259,7 @@ class _Assembler:
         for hit, cols, _, _ in windows:
             start.append(end[hit])
             end[hit] += cols.shape[1]
-        ids = np.full((nc, end.max()), -1)
+        ids = np.full((nc, end.max()), -1, dtype=prim_ids.dtype)
         vals = np.zeros((nc, end.max(), m, mu, mv))
         for (hit, cols, u_tab, v_tab), first in zip(windows, start):
             nh, wu, wv = len(hit), u_tab.shape[3], v_tab.shape[3]
@@ -319,7 +320,9 @@ class _Assembler:
             del op  # before the next band is computed
 
     def volume_system(self, f=None):
-        """Stiffness (Delta, Delta) and load (f, psi) over all primitives.
+        """Stiffness (Delta, Delta) and load (f, psi) over all primitives:
+        the stiffness as a list of :func:`~mpiga.linalg.sum_blocks`
+        triplets, one per band, and the load as a vector.
 
         The element rows act with two operator rows per point: sqrt(w)
         times the :func:`~mpiga.geometry.laplacian_rows` for the stiffness,
@@ -334,12 +337,12 @@ class _Assembler:
             load[..., 0] = w * _at_points(f, point)
             return np.stack([lap, load], axis=2)
 
-        K = SparseSymMatrix(self.n_prims)
+        K = []
         F = np.zeros(self.n_prims)
         for k in range(len(self.topology.patches)):
             for ids, vals in self.element_rows(k, operator):
                 lap = vals[:, :, 0]
-                K.add_blocks(ids, lap @ lap.swapaxes(1, 2))
+                K.append(sum_blocks(ids, lap @ lap.swapaxes(1, 2)))
                 if f is not None:
                     keep = ids >= 0
                     np.add.at(F, ids[keep], vals[:, :, 1].sum(axis=-1)[keep])
@@ -439,7 +442,8 @@ class ErrorReport:
 
 
 class AssembledSystem:
-    """Reduced linear system over the free dofs of a space view."""
+    """Reduced linear system over the free dofs of a space view; ``matrix``
+    is a scipy CSR matrix with sorted indices."""
 
     def __init__(self, view, matrix, load, method, eta=None, boundary_values=None):
         self.view = view
@@ -461,7 +465,10 @@ class AssembledSystem:
         return x
 
     def symmetry_gap(self):
-        return self.matrix.symmetry_gap()
+        """max|K - K^T| / max|K| (0 for exactly symmetric assembly)."""
+        K = self.matrix
+        scale = abs(K).max()
+        return abs(K - K.T).max() / scale if scale > 0 else 0.0
 
 
 def _lift_boundary_data(asm, g0, g1, bc_tags):
@@ -491,12 +498,12 @@ def _lift_boundary_data(asm, g0, g1, bc_tags):
 def broken_gram(view, quad_scale=1):
     """Gram matrix of all view dofs in the broken H2 inner product."""
     asm = _Assembler(view, quad_scale)
-    G = SparseSymMatrix(asm.n_prims)
+    G = []
     for k in range(len(asm.topology.patches)):
         rows = asm.element_rows(k, lambda jac, hess, w, _: pullback(jac, hess) * np.sqrt(w)[..., None, None])
         for ids, phys in rows:
             phys = phys.reshape(ids.shape + (-1,))
-            G.add_blocks(ids, phys @ phys.swapaxes(1, 2))
+            G.append(sum_blocks(ids, phys @ phys.swapaxes(1, 2)))
             del ids, phys  # before the next band is computed
     return asm.to_dofs(G)
 
@@ -514,14 +521,13 @@ def assemble_approx_c1(view, f, g2=None, bc_tags=None, g0=None, g1=None, quad_sc
     asm = _Assembler(view, quad_scale)
     K, F = asm.volume_system(f)
     asm.boundary_moment_load(F, g2, bc_tags)
-    Kc = asm.to_dofs(K).tocsr()
+    Kc = asm.to_dofs(K)
     nf = view.n_free
     bvals = _lift_boundary_data(asm, g0, g1, bc_tags)
     load = (asm.E @ F)[:nf]
     if len(bvals):
         load = load - Kc[:nf, nf:] @ bvals
-    red = SparseSymMatrix.from_sparse(Kc[:nf, :nf])
-    return AssembledSystem(view, red, load, "approx-c1", boundary_values=bvals)
+    return AssembledSystem(view, Kc[:nf, :nf], load, "approx-c1", boundary_values=bvals)
 
 
 class NitscheForm:
@@ -550,11 +556,9 @@ class NitscheForm:
             consistency = jw @ avg.swapaxes(1, 2)
             # integrating Lap^2 u * v by parts patch-wise leaves
             # +{Lap u}[dn v] with this jump orientation
-            K.add_blocks(ids, consistency + consistency.swapaxes(1, 2))
-            penalty = SparseSymMatrix(asm.n_prims)
-            penalty.add_blocks(ids, jw @ jump.swapaxes(1, 2))
-            self.penalties.append(asm.to_dofs(penalty).tocsr())
-        self.base = asm.to_dofs(K).tocsr()
+            K.append(sum_blocks(ids, consistency + consistency.swapaxes(1, 2)))
+            self.penalties.append(asm.to_dofs([sum_blocks(ids, jw @ jump.swapaxes(1, 2))]))
+        self.base = asm.to_dofs(K)
         self.load = asm.E @ F
 
     def system(self, eta):
@@ -577,7 +581,7 @@ class NitscheForm:
         # the whole base in one addition
         penalty = sum(eta[idx] / h * P for idx, P in enumerate(self.penalties))
         K = self.base + penalty if self.penalties else self.base
-        return AssembledSystem(self.view, SparseSymMatrix.from_sparse(K), self.load, "nitsche", eta=eta)
+        return AssembledSystem(self.view, K, self.load, "nitsche", eta=eta)
 
 
 def assemble_nitsche(view, f, g2=None, bc_tags=None, eta=None, g0=None, g1=None, quad_scale=1):

@@ -1,7 +1,7 @@
-"""Minimal numerical linear algebra for the solver: sparse symmetric storage,
-one symmetric sparse factorization whose pivots witness definiteness (shared
-by the SPD solve and the low-rank Gram pencil), and a rank-revealing kernel
-split."""
+"""Minimal numerical linear algebra for the solver: element blocks summed to
+triplets and merged into CSR matrices, one symmetric sparse factorization
+whose pivots witness definiteness (shared by the SPD solve and the low-rank
+Gram pencil), and a rank-revealing kernel split."""
 
 import numpy as np
 import scipy.linalg
@@ -29,77 +29,23 @@ def sum_blocks(ids, blocks):
     return uniq[rows], uniq[cols], sums[pairs]
 
 
-class SparseSymMatrix:
-    """Symmetric sparse matrix accumulated from stacks of dense element blocks.
+def triplets_to_csr(triplets, dim):
+    """The dim x dim CSR matrix that sums a list of (row, col, value)
+    triplets, such as the :func:`sum_blocks` of each band; entries whose
+    sum is 0.0 stay in the pattern, and non-finite entries raise
+    :class:`ParameterError`.
 
-    Each :meth:`add_blocks` call sums its stack's duplicates at once and
-    keeps one triplet per distinct coupled (row, col) pair; :meth:`tocsr`
-    merges those triplets into a compacted CSR matrix once and frees them.
-    Assembly routines add full symmetric element blocks, so both triangles
-    receive bit-identical contributions.
+    The list is emptied: each part (rows, columns, values) is merged in
+    turn and its band arrays freed, so at most one part is held twice.
     """
-
-    def __init__(self, dim):
-        self.dim = dim
-        self._rows = []
-        self._cols = []
-        self._vals = []
-        self._csr = None  # the compacted matrix
-        # triplet ids in scipy's index type for this size, so compaction converts none
-        self._index = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
-
-    def add_blocks(self, ids, blocks):
-        """Accumulate a stack of dense square blocks (nb, nd, nd) at the ids
-        (nb, nd); entries whose row or column id is -1 are dropped.
-
-        The stack is summed in stack order into one triplet per pair of
-        ids that some block couples (:func:`sum_blocks`), kept even where
-        the sum is 0.0, so the sparsity pattern is that of the blocks.
-        """
-        if self._csr is not None:
-            raise ParameterError("blocks added to a compacted matrix")
-        rows, cols, vals = sum_blocks(ids, blocks)
-        self._rows.append(rows.astype(self._index))
-        self._cols.append(cols.astype(self._index))
-        self._vals.append(vals)
-
-    @property
-    def pending(self):
-        """Number of triplets not yet merged into the compacted matrix."""
-        return sum(len(v) for v in self._vals)
-
-    @classmethod
-    def from_sparse(cls, A):
-        """Wrap an existing scipy sparse matrix as the compacted matrix;
-        non-finite entries raise :class:`ParameterError`."""
-        out = cls(A.shape[0])
-        out._csr = _finite(scipy.sparse.csr_matrix(A))
-        return out
-
-    def tocsr(self):
-        """The compacted CSR matrix; the triplets are merged into it and freed
-        on the first call."""
-        if self._csr is None:
-            parts = self._rows, self._cols, self._vals
-            for part, dtype in zip(parts, (self._index, self._index, float)):
-                # merged one list at a time, so at most one array is held twice
-                part[:] = [np.concatenate(part or [np.zeros(0, dtype)])]
-            self._csr = _finite(scipy.sparse.csr_matrix(
-                (self._vals[0], (self._rows[0], self._cols[0])), shape=(self.dim, self.dim)
-            ))
-            for part in parts:
-                part.clear()
-        return self._csr
-
-    def todense(self):
-        return self.tocsr().toarray()
-
-    def symmetry_gap(self):
-        """max|K - K^T| / max|K| (0 for exactly symmetric assembly)."""
-        K = self.tocsr()
-        gap = abs(K - K.T).max()
-        scale = abs(K).max()
-        return gap / scale if scale > 0 else 0.0
+    # ids in scipy's index type for this size, so the conversion copies none
+    index = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
+    parts = [list(part) for part in zip(*triplets)] or [[], [], []]
+    triplets.clear()
+    for part, dtype in zip(parts, (index, index, float)):
+        part[:] = [np.concatenate(part or [np.zeros(0, dtype)], dtype=dtype)]
+    (rows,), (cols,), (vals,) = parts
+    return _finite(scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim)))
 
 
 def _finite(csr):
@@ -108,15 +54,9 @@ def _finite(csr):
     return csr
 
 
-def _as_csr(K):
-    if isinstance(K, SparseSymMatrix):
-        return K.tocsr()
-    return scipy.sparse.csr_matrix(K)
-
-
 def _regularized(B):
     """B + eps I with eps = 1e-12 trace(B)/dim, as a CSC matrix."""
-    Bc = _as_csr(B)
+    Bc = scipy.sparse.csr_matrix(B)
     n = Bc.shape[0]
     eps = 1e-12 * Bc.diagonal().sum() / n
     return (Bc + eps * scipy.sparse.identity(n, format="csr")).tocsc()
@@ -152,24 +92,30 @@ def _factor_spd(A):
 
 
 def solve_spd(K, b, residual_tol=1e-10):
-    """Solve K x = b for symmetric positive definite K.
+    """Solve K x = b for a symmetric positive definite scipy sparse K.
 
     One symmetric sparse factorization serves every size; its pivot signs
     witness definiteness (:class:`IndefiniteSystemError` otherwise), and a
-    backward error above ``residual_tol`` raises :class:`NumericalError`.
+    solution or backward error that is not finite, or a backward error
+    above ``residual_tol``, raises :class:`NumericalError`.  Non-finite
+    entries of K or b raise :class:`ParameterError`.
     """
     b = np.asarray(b, dtype=float)
-    A = _as_csr(K)
+    A = _finite(scipy.sparse.csr_matrix(K))
     n = A.shape[0]
     if b.shape[0] != n:
         raise ParameterError(f"rhs length {b.shape[0]} does not match matrix size {n}")
+    if not np.all(np.isfinite(b)):
+        raise ParameterError("non-finite entries in right-hand side")
     x = _factor_spd(A).solve(b)
+    if not np.all(np.isfinite(x)):
+        raise NumericalError("non-finite solution")
 
     # backward-stable residual scale: |b| alone undersells ill-conditioned
     # but perfectly solvable systems (extreme penalty weights)
     scale = max(np.linalg.norm(b), abs(A).max() * np.linalg.norm(x), 1e-300)
     res = np.linalg.norm(A @ x - b)
-    if res > residual_tol * scale:
+    if not res <= residual_tol * scale:  # a NaN residual fails too
         raise NumericalError(
             f"solver residual {res / scale:.3e} above tolerance {residual_tol:.1e}"
         )

@@ -182,7 +182,7 @@ def test_criterion_5_coercivity_threshold():
             view, manufactured_rhs, g2=manufactured_laplacian, bc_tags=tags, eta=32.0 * h * c
         )
         lam = scipy.linalg.eigh(
-            stable.matrix.todense(), eigvals_only=True, subset_by_index=[0, 0]
+            stable.matrix.toarray(), eigvals_only=True, subset_by_index=[0, 0]
         )[0]
         spd = lam > 0.0
         ok &= spd
@@ -338,7 +338,7 @@ def test_criterion_9_space_integrity():
         for n in (4, 8):
             space = build_c1_space(topo, 3, 2, n)
             view = homogeneous_subspace(space, tags)
-            G = broken_gram(view).todense()
+            G = broken_gram(view).toarray()
             s = np.linalg.svd(G, compute_uv=False)
             full = s[-1] > 1e-10 * s[0]
             ok &= full

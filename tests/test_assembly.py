@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from mpiga.assembly import (
     C0Space,
@@ -29,7 +30,7 @@ from mpiga.geometry import (
     laplacian_rows,
     pullback,
 )
-from mpiga.linalg import SparseSymMatrix
+from mpiga.linalg import sum_blocks
 
 from helpers import eval_jet, greville
 from oracles import c0_numbering_reference, closed_form_physical_jet, fd_bilaplacian
@@ -266,7 +267,7 @@ def test_solver_residual_bound(topo2c):
     view = homogeneous_subspace(space, gl_tags(topo2c))
     system = assemble_approx_c1(view, manufactured_rhs, g2=manufactured_laplacian)
     x = system.solve()[: view.n_free]
-    K = system.matrix.tocsr()
+    K = system.matrix
     res = np.linalg.norm(K @ x - system.load)
     assert res <= 1e-10 * max(np.linalg.norm(system.load), abs(K).max() * np.linalg.norm(x))
 
@@ -296,8 +297,8 @@ def test_nitsche_single_patch_equals_plain_form(topo1):
     s1 = assemble_approx_c1(view, manufactured_rhs)
     c0 = C0Space(topo1, 3, 2, 8, gn_tags(topo1))
     s2 = assemble_nitsche(c0, manufactured_rhs, eta=1.0)
-    K1 = np.sort(s1.matrix.todense().ravel())
-    K2 = np.sort(s2.matrix.todense().ravel())
+    K1 = np.sort(s1.matrix.toarray().ravel())
+    K2 = np.sort(s2.matrix.toarray().ravel())
     assert K1.shape == K2.shape
     assert np.abs(K1 - K2).max() <= 1e-12 * max(1.0, np.abs(K1).max())
 
@@ -320,7 +321,7 @@ def test_nitsche_coercive_at_reference_eta():
     c = estimate_stability_constant(topo, 0, 3, 2, 4)
     view = C0Space(topo, 3, 2, 4, gn_tags(topo))
     system = assemble_nitsche(view, manufactured_rhs, bc_tags=gn_tags(topo), eta=4.0 * c / 0.25)
-    lam = scipy.linalg.eigh(system.matrix.todense(), eigvals_only=True, subset_by_index=[0, 0])
+    lam = scipy.linalg.eigh(system.matrix.toarray(), eigvals_only=True, subset_by_index=[0, 0])
     assert lam[0] > 0.0
 
 
@@ -330,7 +331,7 @@ def test_nitsche_indefinite_at_tiny_eta():
     view = C0Space(topo, 3, 2, 4, gn_tags(topo))
     system = assemble_nitsche(view, manufactured_rhs, bc_tags=gn_tags(topo),
                               eta=1e-3 * 0.25 * c)
-    w = np.linalg.eigvalsh(system.matrix.todense())
+    w = np.linalg.eigvalsh(system.matrix.toarray())
     assert w[0] < 0.0
 
 
@@ -398,7 +399,7 @@ def test_nitsche_system_shares_pattern_across_eta(topo2c):
     h = view.sol.h
     matrices = []
     for eta in (3.0, 250.0):
-        K = form.system(eta).matrix.tocsr()
+        K = form.system(eta).matrix
         ref = E @ (V + S + eta / h * P) @ E.T
         assert np.abs(K.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
         matrices.append(K)
@@ -417,12 +418,10 @@ def test_nitsche_system_matches_triplet_merge(topo6):
     h = view.sol.h
     for eta in (7.0, {i: 10.0 ** i for i in range(len(stacks))}):
         weights = eta if isinstance(eta, dict) else dict.fromkeys(range(len(stacks)), eta)
-        merged = SparseSymMatrix(asm.n_prims)
-        for ids, blocks in _volume_stacks(asm):
-            merged.add_blocks(ids, blocks)
+        merged = [sum_blocks(ids, blocks) for ids, blocks in _volume_stacks(asm)]
         for idx, (ids, sym, penalty) in enumerate(stacks):
-            merged.add_blocks(ids, sym + weights[idx] / h * penalty)
-        want, got = asm.to_dofs(merged).tocsr(), form.system(eta).matrix.tocsr()
+            merged.append(sum_blocks(ids, sym + weights[idx] / h * penalty))
+        want, got = asm.to_dofs(merged), form.system(eta).matrix
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert np.abs(got.data - want.data).max() <= 1e-15 * np.abs(want.data).max()
@@ -434,7 +433,7 @@ def _coupled_pairs(ids):
 
 
 def test_assembly_stores_one_triplet_per_coupled_pair(topo6):
-    # the memory of an assembled matrix before compaction is one triplet
+    # the memory of an assembled matrix before the merge is one triplet
     # per distinct coupled pair of each block stack, and none after it
     views = [
         C0Space(topo6, 3, 2, 4, gn_tags(topo6)),
@@ -442,18 +441,12 @@ def test_assembly_stores_one_triplet_per_coupled_pair(topo6):
     ]
     for view in views:
         asm = _Assembler(view)
-        stacks = list(_volume_stacks(asm))
-        if isinstance(view, C0Space):
-            stacks += [(ids, sym) for ids, sym, _ in _interface_stacks(asm)]
-        for ids, blocks in stacks:
-            M = SparseSymMatrix(asm.n_prims)
-            M.add_blocks(ids, blocks)
-            assert M.pending == _coupled_pairs(ids)
-            M.tocsr()
-            assert M.pending == 0
-    system = NitscheForm(views[0], manufactured_rhs, bc_tags=gn_tags(topo6)).system(10.0)
-    assert system.matrix.pending == 0
-    assert assemble_approx_c1(views[1], manufactured_rhs).matrix.pending == 0
+        K, _ = asm.volume_system(None)
+        assert [len(vals) for _, _, vals in K] == [_coupled_pairs(ids) for ids, _ in _volume_stacks(asm)]
+        asm.to_dofs(K)
+        assert K == []
+    for ids, sym, _ in _interface_stacks(_Assembler(views[0])):
+        assert len(sum_blocks(ids, sym)[2]) == _coupled_pairs(ids)
 
 
 @pytest.mark.parametrize(
@@ -472,7 +465,9 @@ def test_assembled_matrices_store_no_zeros(name, bc, p, n):
         assemble_approx_c1(view, manufactured_rhs, g2=g2),
         assemble_nitsche(c0, manufactured_rhs, g2=g2, bc_tags=tags, eta=10.0),
     ):
-        assert (system.matrix.tocsr().data != 0).all()
+        K = system.matrix
+        assert scipy.sparse.issparse(K) and K.format == "csr" and K.has_sorted_indices
+        assert (K.data != 0).all()
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
@@ -485,7 +480,7 @@ def test_pivot_count_is_negative_eigenvalue_count(n):
     c = estimate_stability_constant(topo, 0, 3, 2, n)
     view = C0Space(topo, 3, 2, n, tags)
     system = assemble_nitsche(view, manufactured_rhs, bc_tags=tags, eta=1e-3 * h * c)
-    negative = int(np.sum(np.linalg.eigvalsh(system.matrix.todense()) < 0.0))
+    negative = int(np.sum(np.linalg.eigvalsh(system.matrix.toarray()) < 0.0))
     with pytest.raises(IndefiniteSystemError) as info:
         system.solve()
     assert negative > 0 and info.value.nonpositive_pivots == negative
@@ -540,13 +535,13 @@ def test_stability_constant_matches_dense_pencil(fixture, n, rtol):
     p = 3
     asm = _Assembler(C0Space(topo, p, p - 1, n))
     B, _ = asm.volume_system(None)
-    A = np.zeros((B.dim, B.dim))
+    A = np.zeros((asm.n_prims, asm.n_prims))
     ids, _jump, avg, w = asm.interface_edge_rows(0)
     for pids, rows, ws in zip(ids, avg, w):
         keep = pids >= 0
         A[np.ix_(pids[keep], pids[keep])] += np.einsum("aq,q,bq->ab", rows[keep], ws, rows[keep])
     E = asm.E.toarray()
-    A, B = E @ A @ E.T, asm.to_dofs(B).todense()
+    A, B = E @ A @ E.T, asm.to_dofs(B).toarray()
     B_reg = B + 1e-12 * np.trace(B) / B.shape[0] * np.eye(B.shape[0])
     lam = scipy.linalg.eigh(A, B_reg, eigvals_only=True)[-1]
     c = estimate_stability_constant(topo, 0, p, p - 1, n)
@@ -579,8 +574,8 @@ def test_quadrature_sufficiency(topo1):
     # the integrands are polynomial (identity geometry)
     space = build_c1_space(topo1, 3, 2, 4)
     view = homogeneous_subspace(space, gn_tags(topo1))
-    K1 = assemble_approx_c1(view, None).matrix.todense()
-    K2 = assemble_approx_c1(view, None, quad_scale=2).matrix.todense()
+    K1 = assemble_approx_c1(view, None).matrix.toarray()
+    K2 = assemble_approx_c1(view, None, quad_scale=2).matrix.toarray()
     scale = np.abs(K1).max()
     assert np.abs(K1 - K2).max() <= 1e-10 * scale
 
@@ -588,7 +583,7 @@ def test_quadrature_sufficiency(topo1):
 def test_gram_full_rank_small(topo2c):
     space = build_c1_space(topo2c, 3, 2, 4)
     view = homogeneous_subspace(space, gl_tags(topo2c))
-    G = broken_gram(view).todense()
+    G = broken_gram(view).toarray()
     s = np.linalg.svd(G, compute_uv=False)
     assert s[-1] > 1e-10 * s[0]
 

@@ -98,9 +98,9 @@ def test_volume_kernels_match_per_element_loops(name, kind, quad_scale, n, p, r)
     )
     asm = _Assembler(view, quad_scale)
     K, F = asm.volume_system(manufactured_rhs)
-    assert rel_gap(asm.to_dofs(K).todense(), K_ref) <= RTOL
+    assert rel_gap(asm.to_dofs(K).toarray(), K_ref) <= RTOL
     assert rel_gap(asm.E @ F, F_ref) <= RTOL
-    assert rel_gap(broken_gram(view, quad_scale).todense(), G_ref) <= RTOL
+    assert rel_gap(broken_gram(view, quad_scale).toarray(), G_ref) <= RTOL
     for exact, (l2, h1, h2, jumps) in zip(exact_jets, norms_ref):
         report = error_norms(view, coeffs, exact, quad_scale)
         got = [report.l2, report.h1, report.h2] + report.jumps
@@ -379,7 +379,7 @@ def test_element_bands_do_not_change_forms(kind, monkeypatch):
         monkeypatch.setattr(assembly, "_CELL_BAND_SIZE", budget)
         asm = _Assembler(view)
         K, F = asm.volume_system(manufactured_rhs)
-        forms.append((asm.to_dofs(K).todense(), asm.E @ F, broken_gram(view).todense()))
+        forms.append((asm.to_dofs(K).toarray(), asm.E @ F, broken_gram(view).toarray()))
     for rows, patches in zip(*forms):
         assert rel_gap(rows, patches) <= 1e-14
 

@@ -75,8 +75,8 @@ def test_method_sanity_single_patch(topo1):
     cfg_n.topology = topo1
     rep_n, sys_n, _, _ = solve_level(cfg_n, 8, eta=1.0)
     assert abs(rep_a.h2 - rep_n.h2) <= 1e-12 * rep_a.h2
-    Ka = np.sort(sys_a.matrix.todense().ravel())
-    Kn = np.sort(sys_n.matrix.todense().ravel())
+    Ka = np.sort(sys_a.matrix.toarray().ravel())
+    Kn = np.sort(sys_n.matrix.toarray().ravel())
     assert np.abs(Ka - Kn).max() <= 1e-12 * np.abs(Ka).max()
 
 
@@ -125,7 +125,7 @@ def test_eta_sweep_matches_per_factor_solves(topo2c, monkeypatch):
         for a, b in zip([rep.l2, rep.h1, rep.h2] + rep.jumps, [ref.l2, ref.h1, ref.h2] + ref.jumps):
             assert abs(a - b) <= 1e-12 * abs(b)
         if fac == 1.0:
-            K, K_ref = system.matrix.tocsr(), ref_system.matrix.tocsr()
+            K, K_ref = system.matrix, ref_system.matrix
             for attr in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(K, attr), getattr(K_ref, attr))
     assert statuses == ["failed", "ok", "ok"]

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from mpiga.errors import IndefiniteSystemError, ParameterError
-from mpiga.linalg import SparseSymMatrix, gram_pencil_max, kernel_split, solve_spd
+from mpiga.errors import IndefiniteSystemError, NumericalError, ParameterError
+from mpiga.linalg import gram_pencil_max, kernel_split, solve_spd, sum_blocks, triplets_to_csr
 
 from oracles import jacobi_generalized_max
 
@@ -66,15 +66,14 @@ def test_row_pivoting_is_no_witness():
         solve_spd(K, np.ones(2))
 
 
-def test_sparse_sym_matrix_blocks():
-    M = SparseSymMatrix(4)
+def test_triplets_to_csr_blocks():
     # a stack of two blocks; the second is padded with -1, whose entries drop out
     ids = np.array([[0, 2], [1, -1]])
-    M.add_blocks(ids, np.array([[[2.0, 1.0], [1.0, 3.0]], [[5.0, 7.0], [7.0, 9.0]]]))
-    K = M.todense()
+    triplets = [sum_blocks(ids, np.array([[[2.0, 1.0], [1.0, 3.0]], [[5.0, 7.0], [7.0, 9.0]]]))]
+    K = triplets_to_csr(triplets, 4).toarray()
     assert K[0, 2] == 1.0 and K[2, 0] == 1.0 and K[1, 1] == 5.0
     assert K[2, 2] == 3.0 and np.count_nonzero(K) == 5
-    assert M.symmetry_gap() == 0.0
+    assert np.array_equal(K, K.T)
 
 
 def _dense_reference(dim, stacks):
@@ -96,17 +95,7 @@ def _random_stack(rng, dim, nb, nd):
     return ids, blocks + blocks.swapaxes(1, 2)
 
 
-def _assert_matches(M, stacks):
-    ref, pattern = _dense_reference(M.dim, stacks)
-    K = M.tocsr()
-    assert M.pending == 0
-    got = np.zeros_like(pattern)
-    got[np.repeat(np.arange(M.dim), np.diff(K.indptr)), K.indices] = True
-    assert np.array_equal(got, pattern) and K.nnz == np.count_nonzero(pattern)
-    assert np.abs(K.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
-
-
-def test_sparse_sym_matrix_matches_dense_reference():
+def test_triplets_to_csr_matches_dense_reference():
     rng = np.random.default_rng(7)
     dim = 12
     # the pair (10, 11) and both diagonal entries are coupled but sum to exactly 0.0
@@ -115,26 +104,51 @@ def test_sparse_sym_matrix_matches_dense_reference():
     )
     padding = np.full((2, 2), -1), np.ones((2, 2, 2))
     stacks = [_random_stack(rng, 10, 6, 4), cancel, padding, _random_stack(rng, 10, 3, 5)]
-    M = SparseSymMatrix(dim)
-    for ids, blocks in stacks:
-        M.add_blocks(ids, blocks)
-    # one pending triplet per distinct coupled pair of each stack
-    assert M.pending == sum(np.count_nonzero(_dense_reference(dim, [s])[1]) for s in stacks)
-    _assert_matches(M, stacks)
-    assert M.tocsr()[10, 11] == 0.0 and M.tocsr()[11, 11] == 0.0
-
-    # compaction is final: later blocks would be lost, so they are refused
-    with pytest.raises(ParameterError):
-        M.add_blocks(*_random_stack(rng, dim, 2, 3))
+    triplets = [sum_blocks(ids, blocks) for ids, blocks in stacks]
+    # one triplet per distinct coupled pair of each stack
+    counts = [np.count_nonzero(_dense_reference(dim, [s])[1]) for s in stacks]
+    assert [len(vals) for _, _, vals in triplets] == counts
+    K = triplets_to_csr(triplets, dim)
+    assert triplets == []
+    ref, pattern = _dense_reference(dim, stacks)
+    got = np.zeros_like(pattern)
+    got[np.repeat(np.arange(dim), np.diff(K.indptr)), K.indices] = True
+    assert np.array_equal(got, pattern) and K.nnz == np.count_nonzero(pattern)
+    assert np.abs(K.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert K[10, 11] == 0.0 and K[11, 11] == 0.0
 
 
 def test_non_finite_entries_are_refused():
-    M = SparseSymMatrix(2)
-    M.add_blocks(np.array([[0, 1]]), np.array([[[1.0, np.inf], [np.inf, 1.0]]]))
+    triplets = [sum_blocks(np.array([[0, 1]]), np.array([[[1.0, np.inf], [np.inf, 1.0]]]))]
     with pytest.raises(ParameterError):
-        M.tocsr()
+        triplets_to_csr(triplets, 2)
     with pytest.raises(ParameterError):
-        SparseSymMatrix.from_sparse(scipy.sparse.diags([1.0, np.nan]))
+        solve_spd(scipy.sparse.diags([1.0, np.nan]), np.ones(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rhs_is_refused(bad):
+    # a non-finite load would otherwise solve to non-finite coefficients
+    # without an error: its residual compares False with any bound
+    b = np.ones(3)
+    b[1] = bad
+    with pytest.raises(ParameterError):
+        solve_spd(scipy.sparse.identity(3, format="csr"), b)
+
+
+@pytest.mark.parametrize(
+    "K,b",
+    [
+        # the solution overflows to +-inf and its residual is NaN
+        (1e-200 * np.array([[1.0, 0.5], [0.5, 1.0]]), np.array([1e150, -1e150])),
+        # the solution overflows to inf, and so do its residual and scale
+        (np.diag([1e-300, 1.0]), np.array([1e10, 1.0])),
+    ],
+)
+def test_non_finite_solution_raises(K, b):
+    # finite, symmetric and with positive pivots, yet no finite solution
+    with pytest.raises(NumericalError):
+        solve_spd(scipy.sparse.csr_matrix(K), b)
 
 
 def test_gram_pencil_max_diagonal():
