@@ -26,7 +26,7 @@ import scipy.sparse
 from .bspline import _SLOT_U, _SLOT_V, gauss_legendre
 from .c1space import ConstrainedC1Space, GridJets, PatchExtraction, PatchPrimitives
 from .errors import ParameterError
-from .geometry import EdgeFrame, SideMap, interface_frames, laplacian_rows, physical_jet, pullback
+from .geometry import EdgeFrame, SideMap, interface_frames, laplacian_rows, physical_jet
 from .linalg import gram_pencil_max, solve_spd, sum_blocks, triplets_to_csr
 
 __all__ = [
@@ -235,7 +235,7 @@ class _Assembler:
         m, 6) holds, at each of the Q = mu * mv points (u-major), m rows
         that act on a parametric 2-jet (value, du, dv, duu, duv, dvv), for
         example the :func:`~mpiga.geometry.laplacian_rows` or rows of the
-        :func:`~mpiga.geometry.pullback` map, times a weight.
+        :func:`~mpiga.geometry.physical_jet` of the unit jets, times a weight.
         Returns primitive ids (nc, nd) and values (nc, nd, m, Q), every row
         applied to every primitive's jet: per family of the patch that
         reaches the cell (:class:`~mpiga.c1space.TensorFamily`), its
@@ -351,16 +351,19 @@ class _Assembler:
 
     # -- edge lines ----------------------------------------------------------
 
-    def side_line(self, patch_index, side_map):
-        """Primitives on a patch side and their physical jets along the whole side.
+    def side_line(self, patch_index, side_map, normal=None):
+        """Primitives on a patch side and their normal derivative and
+        Laplacian along the whole side.
 
         The edge_nq Gauss points of span s of the side map's edge
-        parameter lie in one patch element.  Returns ``(ids, phys, geom)``:
-        primitive ids (n, nd) of :meth:`cells`, physical jets (n, nd, edge_nq, 6)
-        at the points of each span in the order of the side map's
-        parameter, and the :meth:`~mpiga.geometry.EdgeFrame.geom`
-        quantities at all n * edge_nq points.  Jets of padded ids are
-        meaningless and must be masked out.
+        parameter lie in one patch element.  Returns ``(ids, rows, geom)``:
+        primitive ids (n, nd) of :meth:`cells`, rows (n, nd, 2, edge_nq)
+        of the derivative along ``normal`` (n * edge_nq, 2), by default
+        the side's outward normal, and of the Laplacian at the points of
+        each span in the order of the side map's parameter, and the
+        :meth:`~mpiga.geometry.EdgeFrame.geom` quantities at all
+        n * edge_nq points.  Rows of padded ids are meaningless and must
+        be masked out.
         """
         n, nq = self.n, self.edge_nq
         frame = EdgeFrame(self.topology.patches[patch_index], side_map.side, side_map.t_flip)
@@ -373,9 +376,11 @@ class _Assembler:
         ]
         eu, ev = np.broadcast_arrays(*side_map.elements_to_patch(0, np.arange(n), n))
         geom = frame.geom(ts)
-        pull = pullback(geom["jac"].reshape(n, nq, 2, 2), geom["hess"].reshape(n, nq, 2, 2, 2))
-        ids, phys = self.cells(patch_index, eu, ev, *grid, pull)
-        return ids, phys.swapaxes(2, 3), geom
+        normal = geom["n_out"] if normal is None else normal
+        unit = physical_jet(np.eye(6)[:, None], geom["jac"], geom["hess"])  # (slot, point, physical slot)
+        op = np.stack([np.einsum("qc,sqc->qs", normal, unit[..., 1:3]), (unit[..., 3] + unit[..., 5]).T], axis=1)
+        ids, vals = self.cells(patch_index, eu, ev, *grid, op.reshape(n, nq, 2, 6))
+        return ids, vals, geom
 
     def boundary_moment_load(self, F, g2, bc_tags):
         """Add (g2, dn psi) over 'gl' boundary edges to a primitive load vector."""
@@ -385,12 +390,11 @@ class _Assembler:
         for (k, side), tag in bc_tags.items():
             if tag != "gl":
                 continue
-            ids, phys, g = self.side_line(k, SideMap(side, False))
-            dn = np.einsum("sqc,saqc->saq", g["n_out"].reshape(n, nq, 2), phys[..., 1:3])
+            ids, rows, g = self.side_line(k, SideMap(side, False))
             w = np.tile(self.eweights, n) * self.sol.h * g["tau"]
             wg = (w * g2(g["point"][:, 0], g["point"][:, 1])).reshape(n, nq)
             keep = ids >= 0
-            np.add.at(F, ids[keep], np.einsum("saq,sq->sa", dn, wg)[keep])
+            np.add.at(F, ids[keep], np.einsum("saq,sq->sa", rows[:, :, 0], wg)[keep])
 
     # -- interface machinery ---------------------------------------------
 
@@ -406,16 +410,15 @@ class _Assembler:
         average is the mean Laplacian.
         """
         itf = self.topology.interfaces[iface_index]
-        ids_k, phys_k, g = self.side_line(itf.k, SideMap(itf.side_k, False))
-        ids_l, phys_l, _ = self.side_line(itf.l, SideMap(itf.side_l, itf.reverse))
-        n, nq = self.n, self.edge_nq
+        ids_k, rows_k, g = self.side_line(itf.k, SideMap(itf.side_k, False))
+        ids_l, rows_l, _ = self.side_line(itf.l, SideMap(itf.side_l, itf.reverse), g["n_out"])
         ids = np.concatenate([ids_k, ids_l], axis=1)
-        phys = np.concatenate([phys_k, phys_l], axis=1)
+        rows = np.concatenate([rows_k, rows_l], axis=1)
         sign = np.repeat([-1.0, 1.0], [ids_k.shape[1], ids_l.shape[1]])
-        jump = sign[:, None] * np.einsum("sqc,saqc->saq", g["n_out"].reshape(n, nq, 2), phys[..., 1:3])
-        avg = 0.5 * (phys[..., 3] + phys[..., 5])
+        jump = sign[:, None] * rows[:, :, 0]
+        avg = 0.5 * rows[:, :, 1]
         jump[ids < 0] = avg[ids < 0] = 0.0
-        w = self.eweights * self.sol.h * g["tau"].reshape(n, nq)
+        w = self.eweights * self.sol.h * g["tau"].reshape(self.n, self.edge_nq)
         return ids, jump, avg, w
 
 
@@ -499,9 +502,12 @@ def broken_gram(view, quad_scale=1):
     """Gram matrix of all view dofs in the broken H2 inner product."""
     asm = _Assembler(view, quad_scale)
     G = []
+
+    def operator(jac, hess, w, _):  # row i, slot j: slot i of the physical jet of unit jet j
+        return np.moveaxis(physical_jet(np.eye(6)[:, None, None], jac, hess), 0, -1) * np.sqrt(w)[..., None, None]
+
     for k in range(len(asm.topology.patches)):
-        rows = asm.element_rows(k, lambda jac, hess, w, _: pullback(jac, hess) * np.sqrt(w)[..., None, None])
-        for ids, phys in rows:
+        for ids, phys in asm.element_rows(k, operator):
             phys = phys.reshape(ids.shape + (-1,))
             G.append(sum_blocks(ids, phys @ phys.swapaxes(1, 2)))
             del ids, phys  # before the next band is computed
@@ -651,9 +657,9 @@ def stacked_error_norms(view, stack, exact_jet=None, quad_scale=1):
     multiplied out from univariate tables (:class:`~mpiga.c1space.GridJets`),
     so no dof is evaluated on its own.  The geometry jets of a patch's
     whole Gauss grid come from one :meth:`~mpiga.geometry.Patch.jet_grid`
-    call; each band of element rows slices them, and its w det J, pullback
-    and exact jet are computed once for all m functions.  Jumps come from
-    the same evaluator on each side of every interface line.  Every step
+    call; each band of element rows slices them, and its w det J and exact
+    jet are computed once for all m functions.  Jumps come from the same
+    evaluator on each side of every interface line.  Every step
     treats the rows alone, so a function's report does not depend on the
     stack it is in.
     Returns one :class:`ErrorReport` per row.

@@ -164,15 +164,16 @@ class EdgeShape:
 
 
 def _support_mask(space, factors, flip):
-    """(factors.dim, space.dim): where a B-spline of ``space`` meets the
-    support of a B-spline of ``factors``, taken along the reversed
-    parameter when ``flip`` (both spaces are symmetric, so this reverses
-    the factors).  A spline that vanishes on an element has zero
-    coefficients on every B-spline active there, so an interpolant's
-    entries outside the mask are set to exact zeros."""
+    """(factors.dim, space.dim): where the support of a B-spline of
+    ``space`` lies inside that of a B-spline of ``factors``, taken along
+    the reversed parameter when ``flip`` (both spaces are symmetric, so
+    this reverses the factors).  A spline that vanishes on an element has
+    zero coefficients on every B-spline active there (local linear
+    independence), so an interpolant's entries outside the mask are set to
+    exact zeros."""
     lo, hi = factors.basis_support(np.arange(factors.dim))
     a, b = space.basis_support(np.arange(space.dim))
-    return ((a <= hi[:, None]) & (b >= lo[:, None]))[:: -1 if flip else 1]
+    return ((a >= lo[:, None]) & (b <= hi[:, None]))[:: -1 if flip else 1]
 
 
 def edge_factors(shapes, sol, splus, sminus, strip):

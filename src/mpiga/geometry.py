@@ -87,6 +87,8 @@ class Patch:
                 f"control net shape {control.shape} does not match geometry space "
                 f"{space.shape()} x 2"
             )
+        if not np.isfinite(control).all():
+            raise GeometryError("control points must be finite")
         self.space = space
         self.control = control
 
@@ -154,7 +156,7 @@ class Patch:
         xs = np.linspace(0.0, 1.0, samples)
         _, jac, _ = self.jet_grid(xs, xs)
         det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-        if det.min() <= floor:
+        if not det.min() > floor:
             raise GeometryError(
                 f"non-positive Jacobian determinant (min {det.min():.3e}) on sampled grid"
             )
@@ -485,7 +487,7 @@ def _inverse_transpose(jac):
     xu, xv = jac[..., 0, 0], jac[..., 0, 1]
     yu, yv = jac[..., 1, 0], jac[..., 1, 1]
     det = xu * yv - xv * yu
-    if np.any(det <= 0.0):
+    if not np.all(det > 0.0):
         raise GeometryError(
             f"non-positive Jacobian determinant (min {np.min(det):.3e}) in jet transform"
         )
@@ -495,40 +497,12 @@ def _inverse_transpose(jac):
     return P
 
 
-def pullback(jac, hess):
-    """Per-point linear map from parametric to physical 2-jets.
-
-    ``jac`` is (..., 2, 2) with component rows and coordinate columns and
-    ``hess`` is (..., 2, 2, 2).  Returns M of shape (..., 6, 6) with
-    M @ (value, du, dv, duu, duv, dvv) = (value, dx, dy, dxx, dxy, dyy).
-    The gradient is g = P grad_uv with P = J^{-T}, and the second
-    derivatives are S (H_uv - g_x H_x - g_y H_y), where S is the map
-    H -> P H P^T on the (uu, uv, vv) slots of a symmetric H.  Raises
-    :class:`GeometryError` where det J is not positive.
-    """
-    jac = np.asarray(jac, dtype=float)
-    hess = np.asarray(hess, dtype=float)
-    P = _inverse_transpose(jac)
-    out = np.zeros(jac.shape[:-2] + (6, 6))
-    out[..., 0, 0] = 1.0
-    out[..., 1:3, 1:3] = P
-    p11, p12, p21, p22 = P[..., 0, 0], P[..., 0, 1], P[..., 1, 0], P[..., 1, 1]
-    S = out[..., 3:, 3:]
-    S[..., 0, 0], S[..., 0, 1], S[..., 0, 2] = p11 * p11, 2.0 * p11 * p12, p12 * p12
-    S[..., 1, 0], S[..., 1, 1], S[..., 1, 2] = p11 * p21, p11 * p22 + p12 * p21, p12 * p22
-    S[..., 2, 0], S[..., 2, 1], S[..., 2, 2] = p21 * p21, 2.0 * p21 * p22, p22 * p22
-    # (uu, uv, vv) rows of the component Hessians, components as columns
-    H = hess[..., :, [0, 0, 1], [0, 1, 1]].swapaxes(-1, -2)
-    out[..., 3:, 1:3] = -(S @ (H @ P))
-    return out
-
-
 def laplacian_rows(jac, hess):
     """Per-point row of the physical Laplacian acting on parametric 2-jets.
 
     Returns L of shape (..., 6) with L . (value, du, dv, duu, duv, dvv) =
-    dxx + dyy, the sum of rows 3 and 5 of :func:`pullback`, formed without
-    the 6 x 6 map: with P = J^{-T}, the second-derivative slots hold
+    dxx + dyy, slots 3 and 5 of :func:`physical_jet` written out as rows:
+    with P = J^{-T}, the second-derivative slots hold
     s = (sum_i P_i0^2, 2 sum_i P_i0 P_i1, sum_i P_i1^2) and the gradient
     slots -(sum_slot s H_c) P, where H_c holds the (uu, uv, vv) second
     derivatives of geometry component c.  The value entry is zero.  Raises
@@ -555,10 +529,26 @@ def physical_jet(jets, jac, hess):
     ``jets`` has shape (..., 6) in the order (value, du, dv, duu, duv,
     dvv); ``jac`` (..., 2, 2) and ``hess`` (..., 2, 2, 2) broadcast
     against its leading axes.  Returns (..., 6) jets (value, dx, dy, dxx,
-    dxy, dyy): the :func:`pullback` map applied to ``jets``.
+    dxy, dyy) by the chain rule: g = P grad_uv with P = J^{-T}, and the
+    second derivatives P (H_uv - g_x H_x - g_y H_y) P^T with the Hessians
+    H_x, H_y of the geometry components.  Raises :class:`GeometryError`
+    where det J is not positive.
     """
     jets = np.asarray(jets, dtype=float)
-    return (pullback(jac, hess) @ jets[..., None])[..., 0]
+    hess = np.asarray(hess, dtype=float)
+    P = _inverse_transpose(np.asarray(jac, dtype=float))
+    p11, p12, p21, p22 = P[..., 0, 0], P[..., 0, 1], P[..., 1, 0], P[..., 1, 1]
+    gx = p11 * jets[..., 1] + p12 * jets[..., 2]
+    gy = p21 * jets[..., 1] + p22 * jets[..., 2]
+    muu = jets[..., 3] - gx * hess[..., 0, 0, 0] - gy * hess[..., 1, 0, 0]
+    muv = jets[..., 4] - gx * hess[..., 0, 0, 1] - gy * hess[..., 1, 0, 1]
+    mvv = jets[..., 5] - gx * hess[..., 0, 1, 1] - gy * hess[..., 1, 1, 1]
+    out = np.empty(muu.shape + (6,))
+    out[..., 0], out[..., 1], out[..., 2] = jets[..., 0], gx, gy
+    out[..., 3] = p11 * p11 * muu + 2.0 * p11 * p12 * muv + p12 * p12 * mvv
+    out[..., 4] = p11 * p21 * muu + (p11 * p22 + p12 * p21) * muv + p12 * p22 * mvv
+    out[..., 5] = p21 * p21 * muu + 2.0 * p21 * p22 * muv + p22 * p22 * mvv
+    return out
 
 
 def patch_to_dict(patch):
@@ -587,12 +577,9 @@ def _space_from_knots(degree, knots):
         raise GeometryError("knot vectors must span [0, 1]")
     interior = np.unique(knots[(knots > 0.0) & (knots < 1.0)])
     n = len(interior) + 1
-    if n == 1:
-        return SplineSpace(degree, max(degree - 1, 0), 1)
-    mult = np.count_nonzero(np.isclose(knots, interior[0]))
-    r = degree - mult
+    r = degree - np.count_nonzero(np.isclose(knots, interior[0])) if n > 1 else max(degree - 1, 0)
     space = SplineSpace(degree, r, n)
-    if len(space.kv.knots) != len(knots) or np.abs(space.kv.knots - knots).max() > 1e-12:
+    if len(space.kv.knots) != len(knots) or not np.abs(space.kv.knots - knots).max() <= 1e-12:
         raise GeometryError("only uniform open knot vectors are supported")
     return space
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -28,7 +30,6 @@ from mpiga.geometry import (
     Topology,
     detect_topology,
     laplacian_rows,
-    pullback,
 )
 from mpiga.linalg import sum_blocks
 
@@ -121,23 +122,41 @@ def test_physical_jet_curved_symbolic_oracle():
         assert np.abs(out - np.array([pt[0], 1, 0, 0, 0, 0])).max() <= 1e-9
 
 
-def test_pullback_matches_closed_form_chain_rule():
+def test_physical_jet_matches_closed_form_chain_rule():
     patch, _, _ = curved_bicubic()
     xs = np.linspace(0.05, 0.95, 7)
     _, jac, hess = patch.jet_grid(xs, xs)
     jets = np.random.default_rng(5).standard_normal((3, 7, 7, 6))
-    got = (pullback(jac, hess) @ jets[..., None])[..., 0]
+    got = physical_jet(jets, jac, hess)
     ref = closed_form_physical_jet(jets, jac, hess)
+    assert got.shape == ref.shape
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-    assert np.array_equal(physical_jet(jets, jac, hess), got)
 
 
-def test_laplacian_rows_match_pullback_rows():
+def test_physical_jet_allocates_no_per_point_map():
+    # the chain rule runs slot by slot: its peak stays below four outputs,
+    # where a 6 x 6 map per point alone would take six
+    patch, _, _ = curved_bicubic()
+    xs = np.linspace(0.01, 0.99, 64)
+    _, jac, hess = patch.jet_grid(xs, xs)
+    jac, hess = jac.reshape(4096, 2, 2), hess.reshape(4096, 2, 2, 2)
+    jets = np.random.default_rng(8).standard_normal((1, 4096, 6))
+    physical_jet(jets, jac, hess)  # warm up numpy's own allocations
+    tracemalloc.start()
+    try:
+        out = physical_jet(jets, jac, hess)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * out.nbytes
+
+
+def test_laplacian_rows_match_physical_jet():
     patch, _, _ = curved_bicubic()
     xs = np.linspace(0.05, 0.95, 7)
     _, jac, hess = patch.jet_grid(xs, xs)
-    pull = pullback(jac, hess)
-    want = pull[..., 3, :] + pull[..., 5, :]
+    unit = physical_jet(np.eye(6)[:, None, None], jac, hess)  # (slot, 7, 7, physical slot)
+    want = np.moveaxis(unit[..., 3] + unit[..., 5], 0, -1)
     got = laplacian_rows(jac, hess)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -354,9 +373,10 @@ def test_c0_numbering_matches_union_find(name):
 
 
 def _laplacian_row(jac, hess, w, _point):
-    """sqrt(w) times the physical Laplacian row of the pullback, one row per point."""
-    pull = pullback(jac, hess)
-    return ((pull[..., 3, :] + pull[..., 5, :]) * np.sqrt(w)[..., None])[:, :, None]
+    """sqrt(w) times the physical Laplacian row, slots 3 and 5 of the
+    physical jets of the six unit jets, one row per point."""
+    unit = physical_jet(np.eye(6)[:, None, None], jac, hess)
+    return np.moveaxis((unit[..., 3] + unit[..., 5]) * np.sqrt(w), 0, -1)[:, :, None]
 
 
 def _volume_stacks(asm):

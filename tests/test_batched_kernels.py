@@ -146,25 +146,32 @@ SIDE_CASES = [
 @pytest.mark.parametrize("name,kind", SIDE_CASES, ids=[f"{n}-{k}" for n, k in SIDE_CASES])
 def test_side_lines_match_per_span_loops(name, kind):
     """Every patch side in both tangent orientations, interface and boundary
-    sides alike, against the per-span reference."""
+    sides alike: the outward normal derivative and the Laplacian rows
+    against those of the per-span reference jets."""
     view = make_view(name, kind)
     asm = _Assembler(view)
     ref = _Reference(view, 1)
+    nq = asm.edge_nq
     for k in range(len(asm.topology.patches)):
         for side in (1, 2, 3, 4):
             for t_flip in (False, True):
                 side_map = SideMap(side, t_flip)
-                ids, phys, _geom = asm.side_line(k, side_map)
+                ids, rows, geom = asm.side_line(k, side_map)
+                assert rows.shape == ids.shape + (2, nq)
+                normal = geom["n_out"].reshape(N, nq, 2)
                 for span in range(N):
-                    got = np.zeros((asm.n_prims, asm.edge_nq * 6))
+                    got = np.zeros((asm.n_prims, 2 * nq))
                     keep = ids[span] >= 0
-                    np.add.at(got, ids[span, keep], phys[span, keep].reshape(-1, asm.edge_nq * 6))
-                    got = (asm.E @ got).reshape(view.n_total, asm.edge_nq, 6)
+                    np.add.at(got, ids[span, keep], rows[span, keep].reshape(-1, 2 * nq))
+                    got = (asm.E @ got).reshape(view.n_total, 2, nq)
+                    ref_ids, phys = ref.span(k, side_map, span)
                     want = np.zeros_like(got)
-                    ref_ids, ref_phys = ref.span(k, side_map, span)
-                    np.add.at(want, ref_ids, ref_phys)
-                    assert np.abs(want).max() > 0.0
-                    assert rel_gap(got, want) <= RTOL
+                    np.add.at(want[:, 0], ref_ids, np.einsum("qc,aqc->aq", normal[span], phys[..., 1:3]))
+                    np.add.at(want[:, 1], ref_ids, phys[..., 3] + phys[..., 5])
+                    # no kept dof of a clamped side has a normal derivative on it
+                    assert np.abs(want[:, 1]).max() > 0.0
+                    for row in (0, 1):
+                        assert np.abs(got[:, row] - want[:, row]).max() <= RTOL * np.abs(want[:, row]).max()
 
 
 def multi_element_patch():

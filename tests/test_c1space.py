@@ -610,8 +610,8 @@ def test_change_of_basis_built_in_one_pass(name, n, r, monkeypatch):
 def _interpolated_alone(shape, strip):
     """The trace block over the solution space and the beta, then alpha,
     rows over the strip space of one edge shape, one interpolation per
-    factor, with the entries of B-splines whose support misses the
-    factor's zeroed."""
+    factor, with the entries of B-splines whose support does not lie
+    inside the factor's zeroed."""
     flip = shape.map.t_flip
 
     def bsplines(space, x, order):
@@ -627,7 +627,7 @@ def _interpolated_alone(shape, strip):
             lo, hi = (space.n - 1 - hi, space.n - 1 - lo) if flip else (lo, hi)
             for i in range(space.dim):
                 a, b = space.basis_support(i)
-                if a > hi or b < lo:
+                if a < lo or b > hi:
                     coeffs[j, i] = 0.0
         return coeffs
 
@@ -669,6 +669,30 @@ def test_batched_factors_match_each_shape_interpolated_alone(name, p, r):
                 rows[: len(trace), iu * N + iv] = 0.0
             assert not rows.any()
     assert flips == {False, True}
+
+
+def test_strip_rows_store_only_splines_inside_the_factor_support(topo6):
+    """Each beta and alpha row of X stores only strip B-splines whose
+    support lies inside the support of the row's factor T_j' or W_j: the
+    factor times the gluing data vanishes on every other element, and a
+    spline that vanishes on an element has zero coefficients on every
+    B-spline active there (local linear independence)."""
+    space = build_c1_space(topo6, 3, 2, 8)
+    n, stored = space.sol.n, 0
+    a, b = space.strip.basis_support(np.arange(space.strip.dim))
+    for prims in space.primitives:
+        X = prims.X.tocsr()
+        for shape, first in prims.shapes:
+            strip = prims.strips[shape.map.side]
+            factors = [(f, j) for f in (shape.splus, shape.sminus) for j in range(f.dim)]
+            for row, (f, j) in enumerate(factors, start=first):
+                lo, hi = f.basis_support(j)
+                lo, hi = (n - 1 - hi, n - 1 - lo) if shape.map.t_flip else (lo, hi)
+                cols = X.indices[X.indptr[row] : X.indptr[row + 1]] - strip.first
+                cols = cols[(cols >= 0) & (cols < strip.count)]
+                assert np.all((a[cols] >= lo) & (b[cols] <= hi))
+                stored += len(cols)
+    assert stored > 0
 
 
 def test_exact_trace_blocks_hold_no_round_off(topo6):

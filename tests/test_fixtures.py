@@ -139,14 +139,30 @@ UNIT_PATCH = {
         {"patches": 5},
         {"patches": [dict(UNIT_PATCH, knots_u=[])]},
         {"patches": [dict(UNIT_PATCH, knots_u=["a"])]},
+        # knot vectors without an interior knot in (0, 1) are checked too
+        {"patches": [dict(UNIT_PATCH, knots_u=[0, 5, 1])]},
+        {"patches": [dict(UNIT_PATCH, degree_u=3, knots_u=[0, 0, 0, float("nan"), 1, 1, 1, 1],
+                          control_points=[[i / 3, j] for i in range(4) for j in range(2)])]},
     ],
-    ids=["patches-not-a-list", "empty-knots", "non-numeric-knots"],
+    ids=["patches-not-a-list", "empty-knots", "non-numeric-knots", "knot-outside-unit-interval", "nan-knot"],
 )
 def test_malformed_geometry_is_a_configuration_error(tmp_path, data):
     # README "Exit codes": a configuration error exits with 2, not a traceback
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(data))
     with pytest.raises(GeometryError):
+        load_geometry(path)
+    assert main(["solve", "--geometry", str(path), "--levels", "4"]) == 2
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_control_point_is_a_configuration_error(tmp_path, topo2c, value):
+    path = tmp_path / "non-finite.json"
+    save_geometry(topo2c, path)
+    data = json.loads(path.read_text())
+    data["patches"][1]["control_points"][5][0] = value
+    path.write_text(json.dumps(data))
+    with pytest.raises(GeometryError, match="finite"):
         load_geometry(path)
     assert main(["solve", "--geometry", str(path), "--levels", "4"]) == 2
 

@@ -241,7 +241,7 @@ def test_exact_normal_derivative_curved_oracle():
     def phi(x, y):
         return x * x + y * y
 
-    # pullback parametric derivatives of f = phi o F on the edge
+    # parametric derivatives of the pulled-back f = phi o F on the edge
     dsig = np.empty(len(ts))
     dtan = np.empty(len(ts))
     grad_phys = np.empty((len(ts), 2))
