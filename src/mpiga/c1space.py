@@ -61,12 +61,16 @@ matrix per patch, a row per global dof over the patch's columns:
 interior and edge dofs are unit rows, and the six vertex rows of an
 incident patch hold the three family solutions summed column by column;
 every edge shape is added first, so each patch's change of basis is
-formed once, before the vertex solves read it.  A constrained space
-applies one sparse transform (boundary partition and boundary-vertex
-kernels) to those rows and the change of basis after them, giving one
-extraction matrix E_k per patch over the family columns
-(:class:`PatchExtraction`).  Assembly works on the family columns alone
-and maps every form to dofs once, as E M E^T and E F.
+formed once, before the vertex solves read it.  The vertex layer is one
+pass per build: each patch's corner columns are read from one 2 x 2 grid,
+and the 6 x 6 systems of every (vertex, patch, family) are solved as one
+stack.  A constrained space applies one sparse transform (boundary
+partition and boundary-vertex kernels) to those rows and the change of
+basis after them, giving one extraction matrix E_k per patch over the
+family columns (:class:`PatchExtraction`).  The kernels' constraints are
+sampled once per boundary edge, for the vertices at both of its ends.
+Assembly works on the family columns alone and maps every form to dofs
+once, as E M E^T and E F.
 
 Any rows of weights over the family columns -- vertex families and
 kernel samples, the boundary lift, or a whole discrete function for the
@@ -92,8 +96,9 @@ from .geometry import (
     _CORNER_UV,
     EdgeFrame,
     SideMap,
-    gluing_data,
+    interface_frames,
     physical_jet,
+    side_gluing,
 )
 from .linalg import kernel_split
 
@@ -131,10 +136,17 @@ def approximate_gluing_data(topology, iface, p, n):
     """
     itf = topology.interfaces[iface] if isinstance(iface, int) else iface
     space = SplineSpace(p - 1, p - 2, n)
+    frame_k, frame_l = interface_frames(topology, itf)
+
+    def both_sides(t):  # (alpha, beta) of the k side, then of the l side
+        gk = frame_k.geom(t)
+        sides = side_gluing(gk, gk["d_in"]) + side_gluing(gk, frame_l.geom(t)["d_in"])
+        return np.column_stack(sides)
+
+    coeffs = l2_project(space, both_sides)
     out = []
-    for side in (itf.k, itf.l):
-        coeffs = l2_project(space, lambda t: np.column_stack(gluing_data(topology, itf, side, t)))
-        gf = GluingFunctions(space, coeffs[:, 0], coeffs[:, 1])
+    for side, (alpha, beta) in zip((itf.k, itf.l), (coeffs[:, :2].T, coeffs[:, 2:].T)):
+        gf = GluingFunctions(space, alpha, beta)
         probe = gf.eval_alpha(np.linspace(0.0, 1.0, 20 * n + 1))[:, 0]
         if probe.max() * probe.min() <= 0.0:
             raise IllConditionedInterfaceError(
@@ -417,6 +429,30 @@ def edge_dof_indices(splus, sminus):
     return trace, trans
 
 
+def _family_columns(N, corner, bottom, left):
+    """The 18 definition columns of the vertex families at a patch corner:
+    per edge of the corner (``bottom``, ``left``: the first columns of its
+    edge shape) traces 0..2, transversals 0..1 and the tensor B-spline two
+    layers along the edge, then the corner's tensor B-splines (a, b) with
+    a + b <= 2, indices counted from the corner."""
+    fu, fv = _CORNER_FLIP[corner]
+
+    def ten(a, b):
+        iu = N - 1 - a if fu else a
+        iv = N - 1 - b if fv else b
+        return iu * N + iv
+
+    def edge_family(first, tensor):
+        trace, trans = first["trace"], first["transversal"]
+        return [trace, trace + 1, trace + 2, trans, trans + 1, tensor]
+
+    return (
+        edge_family(bottom, ten(0, 2))
+        + edge_family(left, ten(2, 0))
+        + [ten(0, 0), ten(0, 1), ten(0, 2), ten(1, 0), ten(1, 1), ten(2, 0)]
+    )
+
+
 class GlobalC1Space:
     """Coupled global basis: interior, interface, boundary-edge, vertex blocks.
 
@@ -427,7 +463,10 @@ class GlobalC1Space:
     tensor families.
     Interior and edge dofs are unit rows; an interface dof has a row on
     both of its patches, a vertex dof on every patch incident to the
-    vertex.
+    vertex.  ``vertex_condition`` (pairs, 3) is the 2-norm condition
+    number of the corner system of each (vertex, incident patch) pair and
+    family (first edge, second edge, corner), the pairs in the order of
+    ``topology.vertices`` and their incidences.
     """
 
     def __init__(self, topology, p, r, n):
@@ -535,62 +574,63 @@ class GlobalC1Space:
                     add(("bedge", bidx, kind, j), [(k, [first[kind] + j], unit)])
 
         # every edge shape first: each patch's X is formed once, before the vertex solves read it
-        corners = [[self._corner_columns(k, corner) for k, corner in vx.incident] for vx in topo.vertices]
+        corners = [self._corner_columns(k, corner) for vx in topo.vertices for k, corner in vx.incident]
         counts = np.cumsum([len(prims.shapes) for prims in self.primitives])[:-1]
         shapes = [shape for prims in self.primitives for shape, _ in prims.shapes]
         trace, factors = edge_factors(shapes, self.sol, self.splus, self.sminus, self.strip)
         for prims, block in zip(self.primitives, np.split(factors, counts)):
             prims.write_X(trace, block)
-        for vidx, (vertex, firsts) in enumerate(zip(topo.vertices, corners)):
-            per_patch = self._vertex_dofs(vidx, vertex, firsts)
+        for vidx, per_patch in enumerate(self._vertex_dofs(corners)):
             for q in range(6):
                 add(("vertex", vidx, q), [(k, cols, w[:, q]) for k, cols, w in per_patch])
         return triplets
 
-    def _vertex_dofs(self, vidx, vertex, firsts):
-        """Per incident patch k of a vertex, ``(k, cols, weights)``: the 18
+    def _vertex_dofs(self, corners):
+        """Per vertex, per incident patch k, ``(k, cols, weights)``: the 18
         family columns (first edge, second edge, corner) and their (18, 6)
-        weights in the six vertex dofs, ``c0, c1, -c2`` stacked; ``firsts``
-        holds the :meth:`_corner_columns` of each incident corner."""
-        out = []
-        N = self.sol.dim
-        for (k, corner), (bottom, left) in zip(vertex.incident, firsts):
-            fu, fv = _CORNER_FLIP[corner]
+        weights in the six vertex dofs, ``c0, c1, -c2`` stacked; ``corners``
+        holds the :meth:`_corner_columns` of every (vertex, incident patch)
+        pair, the pairs in the order of the vertices and their incidences.
 
-            def ten(a, b):
-                iu = N - 1 - a if fu else a
-                iv = N - 1 - b if fv else b
-                return iu * N + iv
-
-            def edge_family(first, tensor):
-                trace, trans = first["trace"], first["transversal"]
-                return [trace, trace + 1, trace + 2, trans, trans + 1, tensor]
-
-            cols = np.array(
-                edge_family(bottom, ten(0, 2))
-                + edge_family(left, ten(2, 0))
-                + [ten(0, 0), ten(0, 1), ten(0, 2), ten(1, 0), ten(1, 1), ten(2, 0)]
-            )
-
-            u0, v0 = _CORNER_UV[corner]
-            patch = self.topology.patches[k]
-            _, jac, hess = patch.jet_at(u0, v0)
-            prims = self.primitives[k]
-            # the 18 family columns at the corner, in one grid
-            phys = physical_jet(prims.expand(prims.X[cols], [u0], [v0])[:, 0, 0], jac, hess)
-
-            coeffs = []
-            for M in phys.reshape(3, 6, 6).swapaxes(1, 2):
+        All pairs are done at once: a patch's corners are read from one
+        2 x 2 grid of its columns, and the 6 x 6 systems of all pairs and
+        families are solved as one stack, whose 2-norm condition numbers
+        are kept as ``vertex_condition``.
+        """
+        topo = self.topology
+        pairs = [(vidx, k, corner) for vidx, vx in enumerate(topo.vertices) for k, corner in vx.incident]
+        cols = np.array([_family_columns(self.sol.dim, corner, *first)
+                         for (_, _, corner), first in zip(pairs, corners)])
+        jets = np.empty((len(pairs), 18, 6))
+        jac, hess = np.empty((len(pairs), 1, 2, 2)), np.empty((len(pairs), 1, 2, 2, 2))
+        for k, prims in enumerate(self.primitives):
+            mine = [i for i, (_, kk, _) in enumerate(pairs) if kk == k]
+            union, inverse = np.unique(cols[mine], return_inverse=True)
+            grid = prims.expand(prims.X[union], [0.0, 1.0], [0.0, 1.0])
+            _, grid_jac, grid_hess = topo.patches[k].jet_grid([0.0, 1.0], [0.0, 1.0])
+            for i, idx in zip(mine, inverse.reshape(len(mine), -1)):
+                iu, iv = (int(x) for x in _CORNER_UV[pairs[i][2]])
+                jets[i], jac[i, 0], hess[i, 0] = grid[idx, iu, iv], grid_jac[iu, iv], grid_hess[iu, iv]
+        # per pair and family, the six jet slots (rows) of its six columns
+        M = physical_jet(jets, jac, hess).reshape(-1, 3, 6, 6).swapaxes(2, 3)
+        try:
+            coeffs = np.linalg.solve(M, np.eye(6))
+        except np.linalg.LinAlgError as exc:
+            for (vidx, k, _), systems in zip(pairs, M):  # the first pair LAPACK finds singular
                 try:
-                    coeffs.append(np.linalg.solve(M, np.eye(6)))
-                except np.linalg.LinAlgError as exc:
+                    np.linalg.solve(systems, np.eye(6))
+                except np.linalg.LinAlgError:
                     raise DegenerateVertexError(
                         f"singular corner interpolation at vertex {vidx}, patch {k}",
                         patch=k,
                         vertex=vidx,
                     ) from exc
-            c0, c1, c2 = coeffs
-            out.append((k, cols, np.concatenate([c0, c1, -c2])))
+            raise
+        self.vertex_condition = np.linalg.cond(M)
+        weights = np.concatenate([coeffs[:, 0], coeffs[:, 1], -coeffs[:, 2]], axis=1)
+        out = [[] for _ in topo.vertices]
+        for (vidx, k, _), c, w in zip(pairs, cols, weights):
+            out[vidx].append((k, c, w))
         return out
 
     # -- queries -------------------------------------------------------
@@ -629,6 +669,9 @@ class ConstrainedC1Space:
     blocks are recombined into numerical-kernel (free) and complement
     (boundary) combinations.  ``transform`` (n_total, space.n_dofs) writes
     every final dof over the global dofs, and ``labels`` names them.
+    The constraints are sampled once per boundary edge, on its unflipped
+    frame, for the vertex dofs of both of its ends; the samples are split
+    per vertex and each boundary vertex takes one :func:`kernel_split`.
     """
 
     KERNEL_TOL = 1e-8
@@ -662,13 +705,17 @@ class ConstrainedC1Space:
             else:
                 free.append((lab, [gid], [1.0]))
 
+        samples = self._edge_samples(vertex_groups)
         for vidx in sorted(vertex_groups):
             gids = sorted(vertex_groups[vidx])
             vertex = topo.vertices[vidx]
             if vertex.kind == "inner":
                 free += [(space.labels[g], [g], [1.0]) for g in gids]
                 continue
-            kernel, compl = self._vertex_kernel(vertex, gids)
+            # only the kernel is defined, so its bases depend on its
+            # projector alone and round-off in the samples does not rotate
+            # the free vertex dofs
+            kernel, compl = kernel_split(np.vstack(samples[vidx]), self.KERNEL_TOL)
             free += [(("vertex", vidx, "free", c), gids, kernel[:, c]) for c in range(kernel.shape[1])]
             bound += [(("vertex", vidx, "bnd", c), gids, compl[:, c]) for c in range(compl.shape[1])]
 
@@ -683,29 +730,48 @@ class ConstrainedC1Space:
             (vals[keep], (rows[keep], cols[keep])), shape=(len(dofs), space.n_dofs)
         )
 
-    def _vertex_kernel(self, vertex, gids):
-        """Kernel and complement bases (6, .) of the value (and, on 'gn'
-        edges, normal-derivative) constraints of the six vertex dofs
-        ``gids``, sampled on the vertex's boundary edges.  Only the kernel
-        is defined, so its bases depend on its projector alone
-        (:func:`kernel_split`) and round-off in the samples does not
-        rotate the free vertex dofs."""
+    def _edge_samples(self, vertex_groups):
+        """Per boundary vertex, the value (and, on 'gn' edges, normal-
+        derivative) constraint samples (., 6) of its six vertex dofs on
+        each of its boundary edges, in the order of its incident corners;
+        ``vertex_groups`` maps a vertex to its dofs.
+
+        Each boundary edge is sampled once, on its unflipped frame, for the
+        rows of both of its end vertices: the vertex at t = 0 reads the
+        samples at ``ts``, the one at t = 1 those at ``1 - ts`` (the points
+        its own reversed frame would form; the outward normal does not
+        depend on the orientation).
+        """
         space, topo = self.space, self.space.topology
         # vertex functions (trace 0..2, transversal 0..1, tensor indices up
         # to 2 from the corner) vanish beyond 3 elements from the vertex, so
-        # the samples run from the vertex (t = 0) across those elements only:
+        # the samples run from the vertex across those elements only:
         # spread over a whole edge, too few of them fall inside the support
         # on fine meshes and the constraint matrix loses rank
         ts = np.linspace(0.0, min(1.0, 3 * space.h), self.EDGE_SAMPLES)
-        edges, rows = [], []
-        for (k, corner) in vertex.incident:
-            for side, t_flip in zip(_CORNER_SIDES[corner], _CORNER_FLIP[corner]):
-                if topo.is_boundary_edge(k, side) and (k, side, t_flip) not in edges:
-                    edges.append((k, side, t_flip))
-                    frame = EdgeFrame(topo.patches[k], side, t_flip)
-                    W = space.patch_rows[k][gids] @ space.primitives[k].X
-                    rows.append(space.primitives[k].constraint_rows(W, frame, ts, self.bc[(k, side)])[0])
-        return kernel_split(np.vstack(rows), self.KERNEL_TOL)
+        end_vertex = {(k, side, t_flip): vidx
+                      for vidx, vertex in enumerate(topo.vertices) for k, corner in vertex.incident
+                      for side, t_flip in zip(_CORNER_SIDES[corner], _CORNER_FLIP[corner])}
+        blocks = {}
+        for k, side in topo.boundary_edges:
+            ends = [end_vertex[(k, side, t_flip)] for t_flip in (False, True)]
+            gids = [g for vidx in ends for g in sorted(vertex_groups[vidx])]
+            W = space.patch_rows[k][gids] @ space.primitives[k].X
+            frame = EdgeFrame(topo.patches[k], side)
+            rows, _ = space.primitives[k].constraint_rows(
+                W, frame, np.concatenate([ts, 1.0 - ts]), self.bc[(k, side)]
+            )
+            # (constraint kind, end of the points, sample, end of the dofs, dof)
+            rows = rows.reshape(-1, 2, len(ts), 2, 6)
+            for end, t_flip in enumerate((False, True)):
+                blocks[(k, side, t_flip)] = rows[:, end, :, end].reshape(-1, 6)
+        return {
+            vidx: [blocks[(k, side, t_flip)]
+                   for k, corner in vertex.incident
+                   for side, t_flip in zip(_CORNER_SIDES[corner], _CORNER_FLIP[corner])
+                   if (k, side, t_flip) in blocks]
+            for vidx, vertex in enumerate(topo.vertices) if vertex.kind != "inner"
+        }
 
     # -- assembly support ----------------------------------------------
 

@@ -468,13 +468,21 @@ def gluing_data(topology, iface, side, ts):
     itf = topology.interfaces[iface] if isinstance(iface, int) else iface
     frame_k, frame_l = interface_frames(topology, itf)
     gk = frame_k.geom(ts)
-    tau, t0, n = gk["tau"], gk["t0"], gk["n_out"]
     if side == itf.k:
         d_in = gk["d_in"]
     elif side == itf.l:
         d_in = frame_l.geom(ts)["d_in"]
     else:
         raise KeyError(f"patch {side} not part of {itf}")
+    return side_gluing(gk, d_in)
+
+
+def side_gluing(geom_k, d_in):
+    """Gluing data (alpha, beta) of an interface side from the
+    :meth:`EdgeFrame.geom` of the lower-indexed side and the inward
+    transversal derivative ``d_in`` of the side, at the same interface
+    parameters (see :func:`gluing_data`)."""
+    tau, t0, n = geom_k["tau"], geom_k["t0"], geom_k["n_out"]
     alpha = -tau * np.einsum("mc,mc->m", n, d_in)
     beta = np.einsum("mc,mc->m", d_in, t0) / tau
     return alpha, beta

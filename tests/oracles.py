@@ -15,7 +15,11 @@ global dof (``GlobalC1Space.patch_rows``), weighted through the
 boundary-condition transform of a constrained view, summed one column at
 a time.  Each column -- a tensor B-spline or a single edge function -- is
 written out from its basis functions and gluing data, never through the
-library's separable evaluator or its element extraction.
+library's separable evaluator or its element extraction.  The vertex
+layer's reference is its unbatched form: per (vertex, incident patch) pair
+its 18 family columns read alone at the corner point and each 6 x 6 family
+system solved alone, and per boundary vertex its boundary edges sampled in
+their orientation away from the vertex.
 """
 
 import numpy as np
@@ -23,7 +27,8 @@ import numpy as np
 from mpiga.bspline import JET_ORDERS, gauss_legendre
 from mpiga.c1space import ConstrainedC1Space
 from mpiga.errors import GeometryError
-from mpiga.geometry import EdgeFrame, SideMap
+from mpiga.geometry import _CORNER_FLIP, _CORNER_SIDES, _CORNER_UV, EdgeFrame, SideMap, physical_jet
+from mpiga.linalg import kernel_split
 
 
 def naive_bspline(knots, p, i, x):
@@ -584,3 +589,58 @@ def c0_numbering_reference(topology, N, bc_tags=None):
                 grid[i, j] = ids[root]
         patch_fids.append(grid)
     return patch_fids
+
+
+def vertex_gids(space, vidx):
+    """The six global vertex dofs of a vertex, in jet-slot order."""
+    return [g for g, lab in enumerate(space.labels) if lab[:2] == ("vertex", vidx)]
+
+
+def per_pair_vertex_rows(space):
+    """Dense (6, n_cols) vertex rows of every (vertex, incident patch) pair
+    of a built space, ``{(vertex, patch): rows}``, one pair at a time: the
+    pair's 18 family columns (two edge families, then the corner family)
+    evaluated at its corner alone, and each family's 6 x 6 system solved
+    alone, combined as first edge + second edge - corner."""
+    N = space.sol.dim
+    out = {}
+    for vidx, vertex in enumerate(space.topology.vertices):
+        for k, corner in vertex.incident:
+            bottom, left = space._corner_columns(k, corner)
+            fu, fv = _CORNER_FLIP[corner]
+
+            def ten(a, b):
+                return (N - 1 - a if fu else a) * N + (N - 1 - b if fv else b)
+
+            def edge_family(first, tensor):
+                trace, trans = first["trace"], first["transversal"]
+                return [trace, trace + 1, trace + 2, trans, trans + 1, tensor]
+
+            cols = (edge_family(bottom, ten(0, 2)) + edge_family(left, ten(2, 0))
+                    + [ten(0, 0), ten(0, 1), ten(0, 2), ten(1, 0), ten(1, 1), ten(2, 0)])
+            u0, v0 = _CORNER_UV[corner]
+            _, jac, hess = space.topology.patches[k].jet_at(u0, v0)
+            prims = space.primitives[k]
+            phys = physical_jet(prims.expand(prims.X[cols], [u0], [v0])[:, 0, 0], jac, hess)
+            c0, c1, c2 = (np.linalg.solve(M, np.eye(6)) for M in phys.reshape(3, 6, 6).swapaxes(1, 2))
+            rows = np.zeros((prims.n_cols, 6))
+            np.add.at(rows, cols, np.concatenate([c0, c1, -c2]))
+            out[(vidx, k)] = rows.T
+    return out
+
+
+def per_vertex_kernel(view, vidx):
+    """Kernel basis (6, .) of the boundary constraints of one boundary
+    vertex's six dofs, each of its boundary edges sampled alone on a frame
+    running away from the vertex."""
+    space, topo = view.space, view.space.topology
+    gids = sorted(vertex_gids(space, vidx))
+    ts = np.linspace(0.0, min(1.0, 3 * space.h), ConstrainedC1Space.EDGE_SAMPLES)
+    rows = []
+    for k, corner in topo.vertices[vidx].incident:
+        for side, t_flip in zip(_CORNER_SIDES[corner], _CORNER_FLIP[corner]):
+            if topo.is_boundary_edge(k, side):
+                frame = EdgeFrame(topo.patches[k], side, t_flip)
+                W = space.patch_rows[k][gids] @ space.primitives[k].X
+                rows.append(space.primitives[k].constraint_rows(W, frame, ts, view.bc[(k, side)])[0])
+    return kernel_split(np.vstack(rows), ConstrainedC1Space.KERNEL_TOL)[0]

@@ -328,9 +328,10 @@ def test_window_pairs_match_per_column_primitives(name, n):
 
 
 def test_grid_jets_built_once_per_patch_and_side_line(monkeypatch):
-    """Vertex families take one grid per (vertex, incident patch); the
-    approx-C1 volume form and the side lines take none, as the cell kernel
-    evaluates every family from the windows of its univariate tables."""
+    """Vertex families take one grid per patch, on its 2 x 2 corner grid;
+    the approx-C1 volume form and the side lines take none, as the cell
+    kernel evaluates every family from the windows of its univariate
+    tables."""
     built = []
     init = c1space.GridJets.__init__
 
@@ -341,12 +342,37 @@ def test_grid_jets_built_once_per_patch_and_side_line(monkeypatch):
     monkeypatch.setattr(c1space.GridJets, "__init__", counting_init)
     topo = builtin_geometry("square-6-bilinear")
     space = build_c1_space(topo, P, P - 1, 8)
-    assert len(built) == sum(len(vertex.incident) for vertex in topo.vertices)
+    assert len(built) == len(topo.patches)
     for tag, g2 in (("gn", None), ("gl", manufactured_laplacian)):
         view = homogeneous_subspace(space, {e: tag for e in topo.boundary_edges})
         built.clear()
         assemble_approx_c1(view, manufactured_rhs, g2=g2)
         assert not built
+
+
+@pytest.mark.parametrize("tag", ["gn", "gl"])
+def test_boundary_edges_sampled_once_per_partition(tag, monkeypatch):
+    """A boundary-condition partition evaluates each boundary edge once,
+    for the vertex dofs of both of its ends, on one grid."""
+    topo = builtin_geometry("square-6-bilinear")
+    space = build_c1_space(topo, P, P - 1, 8)
+    frames, built = [], []
+    geom, init = c1space.EdgeFrame.geom, c1space.GridJets.__init__
+
+    def counting_geom(self, ts):
+        frames.append((self.patch, self.side))
+        return geom(self, ts)
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(c1space.EdgeFrame, "geom", counting_geom)
+    monkeypatch.setattr(c1space.GridJets, "__init__", counting_init)
+    homogeneous_subspace(space, {e: tag for e in topo.boundary_edges})
+    assert len(topo.boundary_edges) == 10
+    assert sorted((topo.patches.index(patch), side) for patch, side in frames) == sorted(topo.boundary_edges)
+    assert len(built) == len(topo.boundary_edges)
 
 
 def test_geometry_jets_evaluated_once_per_patch(monkeypatch):

@@ -12,12 +12,18 @@ from mpiga.c1space import (
     homogeneous_subspace,
     interior_indices,
 )
-from mpiga.errors import ParameterError
+from mpiga.errors import DegenerateVertexError, ParameterError
 from mpiga.fixtures import BUILTIN_NAMES, builtin_geometry
 from mpiga.geometry import _CORNER_SIDES, EdgeFrame, SideMap, gluing_data, physical_jet
 from mpiga.linalg import kernel_split
 
-from oracles import sampled_nullspace, view_rows
+from oracles import (
+    per_pair_vertex_rows,
+    per_vertex_kernel,
+    sampled_nullspace,
+    vertex_gids,
+    view_rows,
+)
 
 from helpers import (
     CORNER_UV,
@@ -506,6 +512,63 @@ def test_vertex_kernel_bases_stable_under_sample_round_off(name, bc, monkeypatch
         k2, c2 = kernel_split(M * (1.0 + 1e-15 * rng.randn(*M.shape)), rel_tol)
         assert np.abs(k2 - kernel).max(initial=0.0) <= 1e-12
         assert np.abs(c2 - compl).max(initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [3, 4])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_vertex_layer_matches_per_pair_path(name, p):
+    # one corner grid per patch, one stacked solve and each boundary edge
+    # sampled once, against one pair, one solve and one edge frame at a
+    # time; kernels are compared by their projectors, which alone are
+    # defined
+    topo = builtin_geometry(name)
+    space = build_c1_space(topo, p, p - 1, 8)
+    for (vidx, k), expected in per_pair_vertex_rows(space).items():
+        rows = space.patch_rows[k][vertex_gids(space, vidx)].toarray()
+        assert np.abs(rows - expected).max() <= 1e-13 * np.abs(expected).max(), (vidx, k)
+    edges = topo.boundary_edges
+    for bc in ({e: "gn" for e in edges}, {e: "gl" for e in edges},
+               {e: ("gn", "gl")[i % 2] for i, e in enumerate(edges)}):
+        view = homogeneous_subspace(space, bc)
+        for vidx, vertex in enumerate(topo.vertices):
+            if vertex.kind == "inner":
+                continue
+            fids = [f for f, lab in enumerate(view.labels) if lab[:3] == ("vertex", vidx, "free")]
+            kernel = view.transform[fids][:, vertex_gids(space, vidx)].toarray().T
+            expected = per_vertex_kernel(view, vidx)
+            assert kernel.shape == expected.shape, (vidx, bc)
+            assert np.abs(kernel @ kernel.T - expected @ expected.T).max() <= 1e-12, (vidx, bc)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_vertex_condition_per_pair_and_family(name):
+    topo = builtin_geometry(name)
+    space = build_c1_space(topo, 3, 2, 8)
+    cond = space.vertex_condition
+    assert cond.shape == (sum(len(vertex.incident) for vertex in topo.vertices), 3)
+    assert np.isfinite(cond).all() and (cond >= 1.0).all()
+
+
+def test_degenerate_vertex_named_through_stacked_solve(topo6, monkeypatch):
+    # the corner family of one (vertex, patch) pair loses its dyy row; the
+    # stacked solve fails and the error names that pair, not the first
+    pairs = [(v, k, c) for v, vertex in enumerate(topo6.vertices) for k, c in vertex.incident]
+    vidx = next(v for v, vertex in enumerate(topo6.vertices) if vertex.kind == "inner")
+    k, corner = topo6.vertices[vidx].incident[-1]
+    target = pairs.index((vidx, k, corner))
+    assert target > 0
+    jet = c1space.physical_jet
+
+    def degenerate(jets, jac, hess):
+        out = jet(jets, jac, hess)
+        if out.shape == (len(pairs), 18, 6):  # the corner jets of every pair
+            out[target, 12:, 5] = 0.0
+        return out
+
+    monkeypatch.setattr(c1space, "physical_jet", degenerate)
+    with pytest.raises(DegenerateVertexError) as info:
+        build_c1_space(topo6, 3, 2, 8)
+    assert (info.value.patch, info.value.vertex) == (k, vidx)
 
 
 @pytest.mark.parametrize("tag", ["gn", "gl"])
