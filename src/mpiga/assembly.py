@@ -26,7 +26,7 @@ import scipy.sparse
 from .bspline import _SLOT_U, _SLOT_V, gauss_legendre
 from .c1space import ConstrainedC1Space, GridJets, PatchExtraction, PatchPrimitives
 from .errors import ParameterError
-from .geometry import EdgeFrame, SideMap, interface_frames, laplacian_rows, physical_jet
+from .geometry import EdgeFrame, SideMap, laplacian_rows, physical_jet
 from .linalg import gram_pencil_max, solve_spd, sum_blocks, triplets_to_csr
 
 __all__ = [
@@ -204,12 +204,14 @@ class _Assembler:
         self.nodes, self.weights = gauss_legendre(self.nq)
         self.edge_nq = quad_scale * (2 * p + 1)
         self.enodes, self.eweights = gauss_legendre(self.edge_nq)
+        self.pts = (np.arange(self.n)[:, None] + self.nodes).ravel() * self.sol.h  # Gauss grid, per axis
         self.tables = [view.element_table(k) for k in range(len(self.topology.patches))]
         sizes = [ext.prims.n_basis for ext in self.tables]
         self.n_prims = sum(sizes)
+        self.offsets = np.cumsum([0] + sizes)  # patch k's columns are offsets[k]:offsets[k + 1]
         self.E = scipy.sparse.hstack([ext.matrix for ext in self.tables], format="csr")
         self.ids = []  # per patch, the id of every column some dof uses, -1 elsewhere
-        for ext, offset in zip(self.tables, np.cumsum([0] + sizes[:-1])):
+        for ext, offset in zip(self.tables, self.offsets):
             ids = -np.ones(ext.prims.n_basis, dtype=np.int32)
             used = np.unique(ext.matrix.indices)
             ids[used] = offset + used
@@ -275,48 +277,59 @@ class _Assembler:
 
     # -- volume form ----------------------------------------------------
 
-    def element_rows(self, patch_index, operator):
-        """Operator values of the primitives of one patch, one band of
-        element rows at a time.
+    def bands(self, patch_index):
+        """The geometry of one patch's Gauss grid, one band of element rows
+        at a time.
 
-        A band is the cells (eu, 0..n-1) of consecutive element rows eu,
-        as many rows as keep its (cell, primitive, point) entries within
-        :data:`_CELL_BAND_SIZE` (at least one row).  The geometry jets of
-        the patch's whole Gauss grid come from one
-        :meth:`~mpiga.geometry.Patch.jet_grid` call, and each band reads
-        its slice.  For the nc cells of a band, u-major,
-        ``operator(jac, hess, w, point)`` receives the geometry Jacobians
-        (nc, Q, 2, 2) and Hessians (nc, Q, 2, 2, 2), the quadrature
-        weights times det J (nc, Q) and the quadrature points (nc, Q, 2),
-        with the Q = nq^2 points of an element ordered u-major, and
-        returns operator rows (nc, Q, m, 6) acting on parametric 2-jets.
-        Yields the primitive ids (nc, nd) and values (nc, nd, m, Q) of
-        :meth:`cells` for them.
+        The grid has nq points per element and axis (:attr:`pts` on both
+        axes), and its geometry jets come from one
+        :meth:`~mpiga.geometry.Patch.jet_grid` call.  A band is the cells
+        (eu, 0..n-1) of consecutive element rows eu, as many rows as keep
+        the volume form's (cell, primitive, point) entries within
+        :data:`_CELL_BAND_SIZE` (at least one row), so the bands depend on
+        the view alone.  Yields per band the slice of its u points and, on
+        the band's (u points, v points) grid, the quadrature points
+        (nu, nv, 2), geometry Jacobians (nu, nv, 2, 2) and Hessians
+        (nu, nv, 2, 2, 2), and the quadrature weights times det J (nu, nv).
         """
         n, nq = self.n, self.nq
-        Q = nq * nq
-        pts = (np.arange(n)[:, None] + self.nodes).ravel() * self.sol.h
-        idx = np.arange(n * nq).reshape(n, nq)
-        geometry = self.topology.patches[patch_index].jet_grid(pts, pts)
-        wq = np.outer(self.weights, self.weights).ravel() * self.sol.h ** 2
+        geometry = self.topology.patches[patch_index].jet_grid(self.pts, self.pts)
+        wq = np.outer(np.tile(self.weights, n), np.tile(self.weights, n)) * self.sol.h ** 2
         # the widest cell: the windows of every family that reaches it
         nd = sum(fam.width * fam.reach for fam in self.tables[patch_index].prims.families).max()
-        rows = max(1, _CELL_BAND_SIZE // (n * nd * Q))
+        rows = max(1, _CELL_BAND_SIZE // (n * nd * nq * nq))
         for start in range(0, n, rows):
-            nb = min(rows, n - start)
-            eu, ev = np.divmod(np.arange(start * n, (start + nb) * n), n)
-            # the band's (nb nq) x (n nq) slice of the grid, regrouped per element
-            point, jac, hess = (
-                a[start * nq : (start + nb) * nq]
-                .reshape(nb, nq, n, nq, *a.shape[2:])
-                .swapaxes(1, 2)
-                .reshape(nb * n, Q, *a.shape[2:])
+            sel = slice(start * nq, min(start + rows, n) * nq)
+            point, jac, hess = (a[sel] for a in geometry)
+            det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+            yield sel, point, jac, hess, wq[sel] * det
+
+    def element_rows(self, patch_index, operator):
+        """Operator values of the primitives of one patch, one band of
+        :meth:`bands` at a time.
+
+        For the nc cells of a band, u-major, ``operator(jac, hess, w,
+        point)`` receives the band's geometry regrouped per element: the
+        Jacobians (nc, Q, 2, 2) and Hessians (nc, Q, 2, 2, 2), the
+        quadrature weights times det J (nc, Q) and the quadrature points
+        (nc, Q, 2), with the Q = nq^2 points of an element ordered u-major,
+        and returns operator rows (nc, Q, m, 6) acting on parametric
+        2-jets.  Yields the primitive ids (nc, nd) and values (nc, nd, m,
+        Q) of :meth:`cells` for them.
+        """
+        n, nq = self.n, self.nq
+        idx = np.arange(n * nq).reshape(n, nq)
+        for sel, *geometry in self.bands(patch_index):
+            nb = (sel.stop - sel.start) // nq
+            eu, ev = np.divmod(np.arange(sel.start // nq * n, sel.stop // nq * n), n)
+            # the band's (nb nq) x (n nq) grid, regrouped per element
+            point, jac, hess, w = (
+                a.reshape(nb, nq, n, nq, *a.shape[2:]).swapaxes(1, 2).reshape(nb * n, nq * nq, *a.shape[2:])
                 for a in geometry
             )
-            det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-            op = operator(jac, hess, wq * det, point)
-            del point, jac, hess, det  # the band's geometry, before its cells are computed
-            yield self.cells(patch_index, eu, ev, (pts, idx[eu]), (pts, idx[ev]), op)
+            op = operator(jac, hess, w, point)
+            del geometry, point, jac, hess, w  # the band's geometry, before its cells are computed
+            yield self.cells(patch_index, eu, ev, (self.pts, idx[eu]), (self.pts, idx[ev]), op)
             del op  # before the next band is computed
 
     def volume_system(self, f=None):
@@ -645,23 +658,22 @@ def _sums(x):
     return np.ascontiguousarray(x).reshape(len(x), -1).sum(axis=1)
 
 
-#: (function, quadrature point) pairs per band of element rows in the error norms
-_BAND_SIZE = 2048
-
-
 def stacked_error_norms(view, stack, exact_jet=None, quad_scale=1):
     """:func:`error_norms` of every row of an (m, dofs) coefficient stack.
 
-    Each row is evaluated as one function per patch: its restriction to
-    the patch's primitives (the row times the patch's extraction) is
-    multiplied out from univariate tables (:class:`~mpiga.c1space.GridJets`),
-    so no dof is evaluated on its own.  The geometry jets of a patch's
-    whole Gauss grid come from one :meth:`~mpiga.geometry.Patch.jet_grid`
-    call; each band of element rows slices them, and its w det J and exact
-    jet are computed once for all m functions.  Jumps come from the same
-    evaluator on each side of every interface line.  Every step
-    treats the rows alone, so a function's report does not depend on the
-    stack it is in.
+    Each row is mapped once to its primitive coefficients (``stack @ E``).
+    On each patch their slice is multiplied out from univariate tables
+    (:class:`~mpiga.c1space.GridJets`), so no dof is evaluated on its own,
+    over the Gauss grid and the element-row bands of
+    :meth:`_Assembler.bands`, the volume form's, whose w det J and exact
+    jet serve all m functions.  Each interface's jump applies the jump
+    rows of :meth:`_Assembler.interface_edge_rows`, those of the Nitsche
+    penalty, to the same coefficients, so its square is the penalty's
+    quadratic form.  Every step treats the rows alone and no band depends
+    on m, so a function's report does not depend on the stack it is in:
+    it is :func:`error_norms` of that row bit for bit, and the factor-1.0
+    row of a one-interface :func:`~mpiga.experiments.run_eta_sweep` is
+    :func:`~mpiga.experiments.solve_level`'s report.
     Returns one :class:`ErrorReport` per row.
     """
     asm = _Assembler(view, quad_scale)
@@ -670,39 +682,23 @@ def stacked_error_norms(view, stack, exact_jet=None, quad_scale=1):
         raise ParameterError(
             f"coefficient length {stack.shape[-1]} does not match dof count {view.n_total}"
         )
-    n, nq, h = asm.n, asm.nq, asm.sol.h
-    patches = asm.topology.patches
-    combos = [(ext.prims, stack @ ext.matrix) for ext in asm.tables]
-    pts = ((np.arange(n)[:, None] + asm.nodes) * h).ravel()
-    wq = np.outer(np.tile(asm.weights, n), np.tile(asm.weights, n)) * h ** 2
-    band = nq * max(1, _BAND_SIZE // (len(stack) * nq * len(pts)))  # u points per band
+    coeffs = stack @ asm.E  # (m, primitives of all patches)
     acc = np.zeros((3, len(stack)))  # L2^2, H1-semi^2, H2-semi^2 per function
-    for patch, (prims, rows) in zip(patches, combos):
-        grid = GridJets(prims, rows, pts, pts)
-        geometry = patch.jet_grid(pts, pts)
-        for start in range(0, len(pts), band):
-            sel = slice(start, start + band)
-            point, jac, hess = (a[sel] for a in geometry)
-            det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-            w = wq[sel] * det
+    for k, ext in enumerate(asm.tables):
+        grid = GridJets(ext.prims, coeffs[:, asm.offsets[k] : asm.offsets[k + 1]], asm.pts, asm.pts)
+        for sel, point, jac, hess, w in asm.bands(k):
             err = physical_jet(grid.jets(sel), jac, hess)
             if exact_jet is not None:
                 err -= _at_points(exact_jet, point)
-            sq = err * err
+            sq = np.square(err, out=err)
             acc[0] += _sums(w * sq[..., 0])
             acc[1] += _sums(w * (sq[..., 1] + sq[..., 2]))
             acc[2] += _sums(w * (sq[..., 3] + sq[..., 4] + sq[..., 5]))
     jumps = []
-    ts = ((np.arange(n)[:, None] + asm.enodes) * h).ravel()
-    for itf in asm.topology.interfaces:
-        dn = []  # normal derivative along the lower side's normal, per side
-        for k, frame in zip((itf.k, itf.l), interface_frames(asm.topology, itf)):
-            prims, rows = combos[k]
-            phys, geom = prims.line_jets(rows, frame, ts)
-            if k == itf.k:
-                normal, w = geom["n_out"], np.tile(asm.eweights, n) * h * geom["tau"]
-            dn.append(normal[:, 0] * phys[..., 1] + normal[:, 1] * phys[..., 2])
-        jumps.append(np.sqrt(_sums(w * (dn[1] - dn[0]) ** 2)))
+    for idx in range(len(asm.topology.interfaces)):
+        ids, jump, _, w = asm.interface_edge_rows(idx)
+        dn = (coeffs[:, ids][:, :, None] @ jump)[:, :, 0]  # (m, spans, edge_nq); jump is 0 at padding
+        jumps.append(np.sqrt(_sums(w * dn ** 2)))
     l2 = np.sqrt(acc[0])
     h1 = np.sqrt(acc[0] + acc[1])
     h2 = np.sqrt(acc.sum(axis=0))

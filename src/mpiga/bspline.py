@@ -63,19 +63,10 @@ class KnotVector:
     def __repr__(self):
         return f"KnotVector(p={self.p}, r={self.r}, n={self.n})"
 
-    def find_span(self, x):
-        """Index i with knots[i] <= x < knots[i+1]; at x=1 the last nonempty span."""
-        if x < 0.0 or x > 1.0:
-            raise DomainError(f"evaluation point {x} outside [0, 1]")
-        return self.p + (self.p - self.r) * self.element_of(x)
-
-    def element_of(self, x):
-        """Element index containing x (points on element boundaries go right, 1 goes left)."""
-        e = int(x * self.n)
-        return min(max(e, 0), self.n - 1)
-
     def spans_of(self, xs):
-        """Vectorized :meth:`find_span` (uniform open layout)."""
+        """Per point x, the span index i with knots[i] <= x < knots[i+1]
+        (points on element boundaries go right; at x = 1 the last nonempty
+        span).  Raises :class:`DomainError` outside [0, 1]."""
         xs = np.asarray(xs, dtype=float)
         if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
             raise DomainError("evaluation points outside [0, 1]")
@@ -155,25 +146,17 @@ class SplineSpace:
     def __repr__(self):
         return f"SplineSpace(p={self.p}, r={self.r}, n={self.n})"
 
-    def eval_basis(self, x, max_deriv=0):
-        """Nonzero basis values and derivatives at one point.
+    def eval_many(self, xs, max_deriv=0):
+        """Nonzero basis values and derivatives at many points.
 
         Returns
         -------
-        first : int
-            Index of the first possibly-nonzero basis function at ``x``.
-        table : ndarray of shape (max_deriv + 1, p + 1)
-            Row k holds the k-th derivatives of b_first .. b_{first+p}; all
-            other basis functions vanish identically at ``x``.
-        """
-        span = self.kv.find_span(x)
-        table = _basis_tables(
-            self.kv.knots, self.p, np.array([span]), np.array([float(x)]), max_deriv
-        )[0]
-        return span - self.p, table
-
-    def eval_many(self, xs, max_deriv=0):
-        """Vectorized :meth:`eval_basis`: (first indices, tables (m, d+1, p+1)).
+        first : ndarray of shape (m,)
+            Per point, the index of the first possibly-nonzero basis function.
+        tables : ndarray of shape (m, max_deriv + 1, p + 1)
+            Row k of a point's table holds the k-th derivatives of
+            b_first .. b_{first+p}; all other basis functions vanish
+            identically there.
 
         Results are memoized per point set; the returned arrays are
         read-only views into the cache.

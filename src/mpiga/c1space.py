@@ -251,16 +251,6 @@ class TensorFamily:
             masks.append((np.arange(space.n) >= e0) & (np.arange(space.n) <= e1))
         self.reach = np.outer(*masks)
 
-    def tables(self, u_pts, v_pts):
-        """Derivatives up to two of the factors of each axis at its points:
-        (3, points, factors) per axis, derivative order first."""
-        return [
-            np.ascontiguousarray(
-                space.eval_columns(np.arange(space.dim) if j is None else [j], pts, 2).transpose(2, 1, 0)
-            )
-            for (space, j), pts in zip(self.axes, (u_pts, v_pts))
-        ]
-
     def windows(self, eu, ev, u, v):
         """The columns that reach some cells, from per-cell windows.
 
@@ -354,20 +344,15 @@ class PatchPrimitives:
         weight matrix on a tensor grid: (m, nu, nv, 6)."""
         return GridJets(self, W, u_pts, v_pts).jets()
 
-    def line_jets(self, W, frame, ts):
-        """Physical jets (m, len(ts), 6) of the rows of an (m, n_basis)
+    def constraint_rows(self, W, frame, ts, tag):
+        """Boundary constraint samples of the rows of an (m, n_basis)
         weight matrix at the parameters ``ts`` of an :class:`EdgeFrame` of
-        this patch, and the frame's :meth:`~EdgeFrame.geom` there."""
+        this patch: values (len(ts), m), then on a 'gn' edge outward normal
+        derivatives; and the frame's :meth:`~EdgeFrame.geom` there."""
         us, vs, axis = frame.line(ts)
         geom = frame.geom(ts)
         jets = np.take(self.expand(W, us, vs), 0, axis=axis + 1)
-        return physical_jet(jets, geom["jac"], geom["hess"]), geom
-
-    def constraint_rows(self, W, frame, ts, tag):
-        """Boundary constraint samples of weight rows along an edge frame:
-        values (len(ts), m), then on a 'gn' edge outward normal
-        derivatives; and the frame's geometry."""
-        phys, geom = self.line_jets(W, frame, ts)
+        phys = physical_jet(jets, geom["jac"], geom["hess"])
         rows = [phys[:, :, 0].T]
         if tag == "gn":
             rows.append(np.einsum("mc,qmc->mq", geom["n_out"], phys[:, :, 1:3]))
@@ -377,24 +362,34 @@ class PatchPrimitives:
 class GridJets:
     """Jets of patch combinations on a tensor grid, kept in separable form.
 
-    All univariate and coefficient work is done once here: per family,
-    the tables of both axes with the family's coefficients contracted
-    along v.  :meth:`jets` multiplies them out on any band of u points.
-    Each row is computed alone (matrix products run over rows as a
-    batch), so a row's jets do not depend on the other rows.
+    All univariate and coefficient work is done once here: per axis,
+    every B-spline of each spline space is tabulated once, and per
+    family, the tables of its factors, sliced from those, with the
+    family's coefficients contracted along v.  :meth:`jets` multiplies
+    them out on any band of u points.  Each row is computed alone (matrix
+    products run over rows as a batch), so a row's jets do not depend on
+    the other rows.
     """
 
     def __init__(self, prims, W, u_pts, v_pts):
-        u_pts = np.atleast_1d(np.asarray(u_pts, dtype=float))
-        v_pts = np.atleast_1d(np.asarray(v_pts, dtype=float))
+        pts = [np.atleast_1d(np.asarray(x, dtype=float)) for x in (u_pts, v_pts)]
         # C order: BLAS sums the rows of a transposed stack in another order
         W = W.toarray() if scipy.sparse.issparse(W) else np.ascontiguousarray(W, dtype=float)
-        self.m, self.nu, self.nv = W.shape[0], len(u_pts), len(v_pts)
+        self.m, self.nu, self.nv = W.shape[0], len(pts[0]), len(pts[1])
         self.terms = []
+        tables = {}  # (axis, space): derivatives up to two of every B-spline, (3, points, dim)
+
+        def factors(axis, space, j):  # a family's factors on one axis: every B-spline, or j alone
+            if (axis, space) not in tables:
+                tab = space.eval_columns(np.arange(space.dim), pts[axis], 2).transpose(2, 1, 0)
+                tables[axis, space] = np.ascontiguousarray(tab)
+            table = tables[axis, space]
+            return table if j is None else np.ascontiguousarray(table[:, :, j : j + 1])
+
         for fam in prims.families:
             coeffs = W[:, fam.first : fam.first + fam.count]
             if coeffs.any():
-                U, V = fam.tables(u_pts, v_pts)
+                U, V = (factors(axis, *fam.axes[axis]) for axis in (0, 1))
                 # per row, its coefficient grid times the v tables: (m, 3, nu', nv)
                 self.terms.append((U, coeffs.reshape(-1, 1, *fam.shape) @ V.swapaxes(1, 2)))
 

@@ -242,8 +242,11 @@ def run_eta_sweep(config, factors=None, n=None):
     penalty and solves, and one stacked pass computes the error norms of
     every solution.  Each factor's system is the one :func:`solve_level`
     builds for that weight bit for bit, so factor 1.0 reproduces the
-    convergence-study system.  A factor whose system is indefinite or
-    fails to solve is recorded and the sweep continues.
+    convergence-study system, and a function's norms do not depend on the
+    stack they are computed in, so on a one-interface geometry (one
+    frozen weight) factor 1.0's report is :func:`solve_level`'s bit for
+    bit.  A factor whose system is indefinite or fails to solve is
+    recorded and the sweep continues.
     """
     config.resolve()
     if config.method != "nitsche":

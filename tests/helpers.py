@@ -28,8 +28,8 @@ def eval_jet(tspace, coeffs, u, v, max_deriv=2):
     if coeffs.shape != tspace.shape():
         raise ParameterError(f"coefficient shape {coeffs.shape} does not match {tspace.shape()}")
     du = min(max_deriv, 2)
-    fu, tu = tspace.space_u.eval_basis(u, du)
-    fv, tv = tspace.space_v.eval_basis(v, du)
+    (fu,), (tu,) = tspace.space_u.eval_many([u], du)
+    (fv,), (tv,) = tspace.space_v.eval_many([v], du)
     block = coeffs[fu : fu + tspace.space_u.p + 1, fv : fv + tspace.space_v.p + 1]
     jet = np.zeros(6)
     for slot, (a, b) in enumerate(JET_ORDERS):

@@ -643,23 +643,43 @@ def test_error_norms_exact_solution_is_zero(topo1):
 
 @pytest.mark.parametrize("kind", ["c0", "approx-c1"])
 def test_stacked_error_norms_match_single_calls(topo6, kind):
+    """A function's norms do not depend on the stack it is in, also where
+    the stack of a Nitsche sweep (8 rows) meets element rows of several
+    bands (n = 16)."""
     tags = gn_tags(topo6)
-    if kind == "c0":
-        view = C0Space(topo6, 3, 2, 4, tags)
-    else:
-        view = homogeneous_subspace(build_c1_space(topo6, 3, 2, 4), tags)
-    stack = np.random.RandomState(3).randn(3, view.n_total)
-    for exact in (None, manufactured_jet):
-        reports = stacked_error_norms(view, stack, exact)
-        assert len(reports) == 3
-        for coeffs, rep in zip(stack, reports):
-            ref = error_norms(view, coeffs, exact)
-            got = [rep.l2, rep.h1, rep.h2] + rep.jumps
-            want = [ref.l2, ref.h1, ref.h2] + ref.jumps
-            assert len(got) == len(want) == 3 + len(topo6.interfaces)
-            # a function's norms do not depend on the stack it is in
-            assert got == want
+    for n, m in ((4, 3), (16, 8)):
+        if kind == "c0":
+            view = C0Space(topo6, 3, 2, n, tags)
+        else:
+            view = homogeneous_subspace(build_c1_space(topo6, 3, 2, n), tags)
+        stack = np.random.RandomState(3).randn(m, view.n_total)
+        for exact in (None, manufactured_jet):
+            reports = stacked_error_norms(view, stack, exact)
+            assert len(reports) == m
+            for coeffs, rep in zip(stack, reports):
+                ref = error_norms(view, coeffs, exact)
+                got = [rep.l2, rep.h1, rep.h2] + rep.jumps
+                want = [ref.l2, ref.h1, ref.h2] + ref.jumps
+                assert len(got) == len(want) == 3 + len(topo6.interfaces)
+                assert got == want
     with pytest.raises(ParameterError):
         error_norms(view, stack[0, :-1])
     with pytest.raises(ParameterError):
         stacked_error_norms(view, stack[:, :-1])
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@pytest.mark.parametrize("p", [3, 4])
+def test_jumps_are_the_penalty_quadratic_form(name, p):
+    """The jump norm the error report prints is the quantity the Nitsche
+    penalty integrates: jumps[i]^2 = x P_i x for random coefficients (a
+    near-C1 solve would cancel in the quadratic form)."""
+    topo = builtin_geometry(name)
+    view = C0Space(topo, p, p - 1, 8, gn_tags(topo))
+    form = NitscheForm(view, manufactured_rhs)
+    stack = np.random.default_rng(11).standard_normal((3, view.n_total))
+    for x, rep in zip(stack, stacked_error_norms(view, stack)):
+        assert len(rep.jumps) == len(form.penalties) == len(topo.interfaces)
+        for jump, P in zip(rep.jumps, form.penalties):
+            quad = x @ (P @ x)
+            assert abs(jump ** 2 - quad) <= 1e-12 * quad

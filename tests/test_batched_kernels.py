@@ -377,8 +377,8 @@ def test_boundary_edges_sampled_once_per_partition(tag, monkeypatch):
 
 def test_geometry_jets_evaluated_once_per_patch(monkeypatch):
     """The volume form evaluates each patch's geometry once, and the error
-    norms once per patch plus once per interface side line, on a stack
-    whose element rows span several bands."""
+    norms once per patch plus once per interface side line, under a
+    budget of one element row per band."""
     calls = []
     jet_grid = Patch.jet_grid
 
@@ -392,6 +392,7 @@ def test_geometry_jets_evaluated_once_per_patch(monkeypatch):
         make_view("square-6-bilinear", "c1-gn", 8),
     ]
     monkeypatch.setattr(Patch, "jet_grid", counting_jet_grid)
+    monkeypatch.setattr(assembly, "_CELL_BAND_SIZE", 1)
     for view in views:
         calls.clear()
         _Assembler(view).volume_system(manufactured_rhs)

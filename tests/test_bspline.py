@@ -43,7 +43,7 @@ def test_invalid_parameters(p, r, n):
 
 def test_hat_functions():
     sp = SplineSpace(1, 0, 1)
-    first, table = sp.eval_basis(0.5, 1)
+    (first,), (table,) = sp.eval_many([0.5], 1)
     assert first == 0
     assert np.allclose(table[0], [0.5, 0.5])
     assert np.allclose(table[1], [-1.0, 1.0])
@@ -52,7 +52,7 @@ def test_hat_functions():
 def test_domain_error():
     sp = SplineSpace(2, 1, 2)
     with pytest.raises(DomainError):
-        sp.eval_basis(1.5)
+        sp.eval_many([1.5])
 
 
 def test_partition_of_unity():
@@ -79,7 +79,7 @@ def test_matches_naive_recursion():
     sp = SplineSpace(3, 2, 4)
     kn = sp.kv.knots
     for x in (0.3, 0.11, 0.77, 0.5):
-        first, table = sp.eval_basis(x, 2)
+        (first,), (table,) = sp.eval_many([x], 2)
         for col in range(sp.p + 1):
             i = first + col
             for d in range(3):
@@ -117,7 +117,7 @@ def test_interior_smoothness():
         kn = sp.kv.knots
         for e in (1, 2, 3):
             x = e * sp.h
-            span_right = sp.kv.find_span(x)
+            (span_right,) = sp.kv.spans_of([x])
             span_left = span_right - (p - r)
             right = _basis_tables(kn, p, np.array([span_right]), np.array([x]), r)[0]
             left = _basis_tables(kn, p, np.array([span_left]), np.array([x]), r)[0]
@@ -131,7 +131,7 @@ def test_interior_smoothness():
 
 def test_endpoint_derivative_value():
     sp = SplineSpace(3, 2, 4)
-    _, table = sp.eval_basis(0.0, 1)
+    _, (table,) = sp.eval_many([0.0], 1)
     assert np.isclose(table[1, 0], -sp.p / sp.h)
     assert np.isclose(table[1, 1], sp.p / sp.h)
 
