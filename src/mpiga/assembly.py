@@ -13,18 +13,17 @@ Every form is assembled over the patch primitives of the space view
 (the columns of its tensor families: tensor B-splines and, on an
 approximately C1 view, the strip family of each patch side, numbered in
 one range across patches) and mapped to dofs once through the view's
-extraction matrices,
-as E M E^T and E F.  The volume rule uses (p+2)^2 points per element and
-interfaces use 2p+1 points per edge span; jumps are oriented as (higher
-side) minus (lower side) with the interface normal taken outward from
-the lower-indexed patch.
+extraction matrix, as E M E^T and E F.  The volume rule uses (p+2)^2
+points per element and interfaces use 2p+1 points per edge span; jumps
+are oriented as (higher side) minus (lower side) with the interface
+normal taken outward from the lower-indexed patch.
 """
 
 import numpy as np
 import scipy.sparse
 
 from .bspline import _SLOT_U, _SLOT_V, gauss_legendre
-from .c1space import ConstrainedC1Space, GridJets, PatchExtraction, PatchPrimitives
+from .c1space import ConstrainedC1Space, GridJets, TensorFamily, constraint_rows
 from .errors import ParameterError
 from .geometry import EdgeFrame, SideMap, laplacian_rows, physical_jet
 from .linalg import gram_pencil_max, solve_spd, sum_blocks, triplets_to_csr
@@ -109,6 +108,8 @@ class C0Space:
     trace layer, 'gn' edges eliminate the first two layers; ``bc_tags``
     of None keeps every dof (used for the stability eigenproblem).  A tag
     on an edge that is not a boundary edge raises :class:`ParameterError`.
+    ``E`` (n_total, patches x N^2) writes every dof over the tensor family
+    (``families``) of each patch, with unit entries from ``patch_fids``.
     """
 
     def __init__(self, topology, p, r, n, bc_tags=None):
@@ -158,19 +159,9 @@ class C0Space:
         self.patch_fids = list(ids.reshape(index.shape))
         self.n_free = int(kept.sum())
         self.n_total = self.n_free
-        self.primitives = PatchPrimitives(self.sol)
-        self._tables = []
-        for fids in self.patch_fids:
-            cols = np.flatnonzero(fids.ravel() >= 0)
-            unit = scipy.sparse.csr_matrix(
-                (np.ones(len(cols)), (fids.ravel()[cols], cols)), shape=(self.n_total, N * N)
-            )
-            self._tables.append(PatchExtraction(self.primitives, unit))
-
-    def element_table(self, patch_index):
-        """The :class:`~mpiga.c1space.PatchExtraction` of one patch: unit
-        rows over its tensor B-splines."""
-        return self._tables[patch_index]
+        self.families = [TensorFamily(0, self.sol, self.sol)]
+        cols = np.flatnonzero(ids >= 0)
+        self.E = scipy.sparse.csr_matrix((np.ones(len(cols)), (ids[cols], cols)), shape=(self.n_total, ids.size))
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +178,13 @@ _CELL_BAND_SIZE = 49152
 class _Assembler:
     """Shared element machinery over a space view (C1 or C0).
 
-    Forms are assembled over the primitives of all patches in one range:
-    column c of patch k has id c plus the column count of the patches
-    before it, as int32, scipy's sparse index type, so that triplets merge
-    without a copy.  ``E`` (n_total, n_prims), the view's extraction
-    matrices side by side, maps a primitive matrix M to dofs as E M E^T
-    (:meth:`to_dofs`) and a primitive load F as E F.
+    Forms are assembled over the primitives of all patches in one range,
+    the columns of the view's extraction matrix ``E`` (n_total, n_prims):
+    every patch has the view's ``families``, ``n_basis`` columns in all,
+    and column c of patch k has id k n_basis + c, as int32, scipy's
+    sparse index type, so that triplets merge without a copy.  ``E`` maps
+    a primitive matrix M to dofs as E M E^T (:meth:`to_dofs`) and a
+    primitive load F as E F.
     """
 
     def __init__(self, view, quad_scale=1):
@@ -205,17 +197,12 @@ class _Assembler:
         self.edge_nq = quad_scale * (2 * p + 1)
         self.enodes, self.eweights = gauss_legendre(self.edge_nq)
         self.pts = (np.arange(self.n)[:, None] + self.nodes).ravel() * self.sol.h  # Gauss grid, per axis
-        self.tables = [view.element_table(k) for k in range(len(self.topology.patches))]
-        sizes = [ext.prims.n_basis for ext in self.tables]
-        self.n_prims = sum(sizes)
-        self.offsets = np.cumsum([0] + sizes)  # patch k's columns are offsets[k]:offsets[k + 1]
-        self.E = scipy.sparse.hstack([ext.matrix for ext in self.tables], format="csr")
-        self.ids = []  # per patch, the id of every column some dof uses, -1 elsewhere
-        for ext, offset in zip(self.tables, self.offsets):
-            ids = -np.ones(ext.prims.n_basis, dtype=np.int32)
-            used = np.unique(ext.matrix.indices)
-            ids[used] = offset + used
-            self.ids.append(ids)
+        self.E, self.families = view.E, view.families
+        self.n_prims = self.E.shape[1]
+        self.n_basis = self.n_prims // len(self.topology.patches)
+        # per patch, the id of every column some dof uses, -1 elsewhere
+        self.ids = np.full((len(self.topology.patches), self.n_basis), -1, dtype=np.int32)
+        self.ids.flat[self.E.indices] = self.E.indices
 
     def to_dofs(self, triplets):
         """The dof matrix E M E^T, a CSR matrix with sorted indices, of the
@@ -251,11 +238,10 @@ class _Assembler:
         windows of wu and wv factors.
         """
         nc, mu, mv, m = len(eu), u[1].shape[1], v[1].shape[1], op.shape[2]
-        prims, prim_ids = self.tables[patch_index].prims, self.ids[patch_index]
+        prim_ids = self.ids[patch_index]
         # per cell and u point: (slot, qv, row) of the operator
         grid_op = op.reshape(nc, mu, mv, m, 6).transpose(0, 1, 4, 2, 3)[..., None]
-        windows = [fam.windows(eu, ev, u, v) for fam in prims.families]
-        windows = [window for window in windows if len(window[0])]
+        windows = [fam.windows(eu, ev, u, v) for fam in self.families if fam.reach[eu, ev].any()]
         # each cell holds the windows of the families that reach it, one after another
         start, end = [], np.zeros(nc, dtype=int)
         for hit, cols, _, _ in windows:
@@ -296,7 +282,7 @@ class _Assembler:
         geometry = self.topology.patches[patch_index].jet_grid(self.pts, self.pts)
         wq = np.outer(np.tile(self.weights, n), np.tile(self.weights, n)) * self.sol.h ** 2
         # the widest cell: the windows of every family that reaches it
-        nd = sum(fam.width * fam.reach for fam in self.tables[patch_index].prims.families).max()
+        nd = sum(fam.width * fam.reach for fam in self.families).max()
         rows = max(1, _CELL_BAND_SIZE // (n * nd * nq * nq))
         for start in range(0, n, rows):
             sel = slice(start * nq, min(start + rows, n) * nq)
@@ -497,10 +483,10 @@ def _lift_boundary_data(asm, g0, g1, bc_tags):
         return np.zeros(nb)
     rows, targets = [], []
     ts = np.linspace(0.0, 1.0, 4 * (view.sol.dim + 2))
+    E, nb = view.E[view.n_free :], asm.n_basis
     for (k, side), tag in bc_tags.items():
-        ext = asm.tables[k]
         frame = EdgeFrame(asm.topology.patches[k], side)
-        A, g = ext.prims.constraint_rows(ext.matrix[view.n_free :], frame, ts, tag)
+        A, g = constraint_rows(view.families, E[:, k * nb : (k + 1) * nb], frame, ts, tag)
         rows.append(A)
         x, y = g["point"].T
         for data in (g0, g1) if tag == "gn" else (g0,):
@@ -584,15 +570,19 @@ class NitscheForm:
         """The assembled system for the stability weights ``eta``.
 
         ``eta`` is a positive finite scalar applied to every interface or a
-        mapping from interface index to the per-interface weight; the
-        penalty term scales it by 1/h of the current mesh.  The matrix is
-        base + sum_i (eta_i / h) P_i, so equal weights give a bit-identical
-        matrix.
+        mapping from each interface index to its weight, with no other
+        keys; the penalty term scales it by 1/h of the current mesh.  The
+        matrix is base + sum_i (eta_i / h) P_i, so equal weights give a
+        bit-identical matrix.
         """
         if eta is None:
             raise ParameterError("Nitsche assembly requires a stability parameter eta")
+        indices = range(len(self.penalties))
         if np.isscalar(eta):
-            eta = {i: float(eta) for i in range(len(self.penalties))}
+            eta = {i: float(eta) for i in indices}
+        missing, stray = [i for i in indices if i not in eta], [i for i in eta if i not in indices]
+        if missing or stray:
+            raise ParameterError(f"eta must map exactly the interfaces {indices}: missing {missing}, stray {stray}")
         if not all(np.isfinite(val) and val > 0.0 for val in eta.values()):
             raise ParameterError(f"stability parameters eta must be positive and finite, got {eta}")
         h = self.view.sol.h
@@ -684,8 +674,8 @@ def stacked_error_norms(view, stack, exact_jet=None, quad_scale=1):
         )
     coeffs = stack @ asm.E  # (m, primitives of all patches)
     acc = np.zeros((3, len(stack)))  # L2^2, H1-semi^2, H2-semi^2 per function
-    for k, ext in enumerate(asm.tables):
-        grid = GridJets(ext.prims, coeffs[:, asm.offsets[k] : asm.offsets[k + 1]], asm.pts, asm.pts)
+    for k, patch_coeffs in enumerate(coeffs.reshape(len(stack), -1, asm.n_basis).swapaxes(0, 1)):
+        grid = GridJets(asm.families, patch_coeffs, asm.pts, asm.pts)
         for sel, point, jac, hess, w in asm.bands(k):
             err = physical_jet(grid.jets(sel), jac, hess)
             if exact_jet is not None:

@@ -66,11 +66,11 @@ pass per build: each patch's corner columns are read from one 2 x 2 grid,
 and the 6 x 6 systems of every (vertex, patch, family) are solved as one
 stack.  A constrained space applies one sparse transform (boundary
 partition and boundary-vertex kernels) to those rows and the change of
-basis after them, giving one extraction matrix E_k per patch over the
-family columns (:class:`PatchExtraction`).  The kernels' constraints are
-sampled once per boundary edge, for the vertices at both of its ends.
-Assembly works on the family columns alone and maps every form to dofs
-once, as E M E^T and E F.
+basis after them, giving one extraction matrix E over the family columns
+of all patches side by side (:attr:`ConstrainedC1Space.E`).  The kernels'
+constraints are sampled once per boundary edge, for the vertices at both
+of its ends.  Assembly works on the family columns alone and maps every
+form to dofs once, as E M E^T and E F.
 
 Any rows of weights over the family columns -- vertex families and
 kernel samples, the boundary lift, or a whole discrete function for the
@@ -282,32 +282,25 @@ class PatchPrimitives:
     the tensor B-spline (iu, iv) of the N x N solution space; after those,
     each edge shape on the patch owns one column per trace coefficient and
     then one per transversal coefficient (``n_cols`` in all).  They are
-    evaluated over the ``n_basis`` columns of ``families``: the tensor
-    family first, at the same columns, and, given a strip space, one strip
-    family per side (``strips``), the strip space along the side times b2
-    across it.  ``X`` (n_cols, n_basis) writes every definition column
-    over them: the trace function j of an edge shape as (b1 + b2) T_j on
-    the two tensor lines next to the side plus beta T_j' h/p on the strip,
-    and the transversal function j as alpha W_j h/p on the strip.  A C0
-    view uses the tensor family alone.  Rows of weights over the basis
-    columns are evaluated by :class:`GridJets`.  :meth:`write_X` forms
-    ``X`` once every shape is added.
+    evaluated over the ``n_basis`` columns of ``families``, one list for
+    every patch of a space: the tensor family first, at the same columns,
+    and on an approximately C1 space one strip family per side
+    (``strips``), the strip space along the side times b2 across it.
+    ``X`` (n_cols, n_basis) writes every definition column over them: the
+    trace function j of an edge shape as (b1 + b2) T_j on the two tensor
+    lines next to the side plus beta T_j' h/p on the strip, and the
+    transversal function j as alpha W_j h/p on the strip.  Rows of weights
+    over the basis columns are evaluated by :class:`GridJets`.
+    :meth:`write_X` forms ``X`` once every shape is added.
     """
 
-    def __init__(self, sol, strip=None):
+    def __init__(self, sol, families):
         self.sol = sol
         self.N = sol.dim
         self.shapes = []  # (shape, first column); trace columns, then transversal
         self.n_cols = self.N * self.N
-        self.families = [TensorFamily(0, sol, sol)]
-        self.strips = {}
-        if strip is not None:
-            for side in (1, 2, 3, 4):
-                smap = SideMap(side)
-                across = (sol, self.N - 2 if smap.trans_flip else 1)
-                axes = (across, strip) if smap.trans_axis == 0 else (strip, across)
-                self.strips[side] = TensorFamily(self.n_basis, *axes)
-                self.families.append(self.strips[side])
+        self.families = families
+        self.strips = dict(zip((1, 2, 3, 4), self.families[1:]))
         self.X = scipy.sparse.eye(self.n_cols, self.n_basis, format="csr")
 
     @property
@@ -342,36 +335,38 @@ class PatchPrimitives:
     def expand(self, W, u_pts, v_pts):
         """Parametric jets of the combinations in the rows of an (m, n_basis)
         weight matrix on a tensor grid: (m, nu, nv, 6)."""
-        return GridJets(self, W, u_pts, v_pts).jets()
+        return GridJets(self.families, W, u_pts, v_pts).jets()
 
-    def constraint_rows(self, W, frame, ts, tag):
-        """Boundary constraint samples of the rows of an (m, n_basis)
-        weight matrix at the parameters ``ts`` of an :class:`EdgeFrame` of
-        this patch: values (len(ts), m), then on a 'gn' edge outward normal
-        derivatives; and the frame's :meth:`~EdgeFrame.geom` there."""
-        us, vs, axis = frame.line(ts)
-        geom = frame.geom(ts)
-        jets = np.take(self.expand(W, us, vs), 0, axis=axis + 1)
-        phys = physical_jet(jets, geom["jac"], geom["hess"])
-        rows = [phys[:, :, 0].T]
-        if tag == "gn":
-            rows.append(np.einsum("mc,qmc->mq", geom["n_out"], phys[:, :, 1:3]))
-        return np.vstack(rows), geom
+
+def constraint_rows(families, W, frame, ts, tag):
+    """Boundary constraint samples of the rows of an (m, n_basis) weight
+    matrix over the columns of ``families`` at the parameters ``ts`` of an
+    :class:`EdgeFrame` of their patch: values (len(ts), m), then on a 'gn'
+    edge outward normal derivatives; and the frame's
+    :meth:`~EdgeFrame.geom` there."""
+    us, vs, axis = frame.line(ts)
+    geom = frame.geom(ts)
+    jets = np.take(GridJets(families, W, us, vs).jets(), 0, axis=axis + 1)
+    phys = physical_jet(jets, geom["jac"], geom["hess"])
+    rows = [phys[:, :, 0].T]
+    if tag == "gn":
+        rows.append(np.einsum("mc,qmc->mq", geom["n_out"], phys[:, :, 1:3]))
+    return np.vstack(rows), geom
 
 
 class GridJets:
     """Jets of patch combinations on a tensor grid, kept in separable form.
 
-    All univariate and coefficient work is done once here: per axis,
-    every B-spline of each spline space is tabulated once, and per
-    family, the tables of its factors, sliced from those, with the
-    family's coefficients contracted along v.  :meth:`jets` multiplies
-    them out on any band of u points.  Each row is computed alone (matrix
-    products run over rows as a batch), so a row's jets do not depend on
-    the other rows.
+    The rows of ``W`` weigh the columns of a patch's ``families``.  All
+    univariate and coefficient work is done once here: per axis, every
+    B-spline of each spline space is tabulated once, and per family, the
+    tables of its factors, sliced from those, with the family's
+    coefficients contracted along v.  :meth:`jets` multiplies them out on
+    any band of u points.  Each row is computed alone (matrix products run
+    over rows as a batch), so a row's jets do not depend on the other rows.
     """
 
-    def __init__(self, prims, W, u_pts, v_pts):
+    def __init__(self, families, W, u_pts, v_pts):
         pts = [np.atleast_1d(np.asarray(x, dtype=float)) for x in (u_pts, v_pts)]
         # C order: BLAS sums the rows of a transposed stack in another order
         W = W.toarray() if scipy.sparse.issparse(W) else np.ascontiguousarray(W, dtype=float)
@@ -386,7 +381,7 @@ class GridJets:
             table = tables[axis, space]
             return table if j is None else np.ascontiguousarray(table[:, :, j : j + 1])
 
-        for fam in prims.families:
+        for fam in families:
             coeffs = W[:, fam.first : fam.first + fam.count]
             if coeffs.any():
                 U, V = (factors(axis, *fam.axes[axis]) for axis in (0, 1))
@@ -454,8 +449,9 @@ class GlobalC1Space:
     ``patch_rows[k]`` is a CSR matrix (n_dofs, primitives[k].n_cols): row
     g writes global dof g restricted to patch k over the patch's
     definition columns, and is empty where the dof does not reach the
-    patch.  ``primitives[k].X`` writes those columns over the patch's
-    tensor families.
+    patch.  ``primitives[k].X`` writes those columns over ``families``,
+    the tensor family and one strip family per side, built once and
+    shared by every patch.
     Interior and edge dofs are unit rows; an interface dof has a row on
     both of its patches, a vertex dof on every patch incident to the
     vertex.  ``vertex_condition`` (pairs, 3) is the 2-norm condition
@@ -485,7 +481,13 @@ class GlobalC1Space:
         ]
         self._first_cols = {}
         self.strip = SplineSpace(2 * p - 2, p - 2, n)  # one table cache for every patch side
-        self.primitives = [PatchPrimitives(self.sol, self.strip) for _ in topology.patches]
+        self.families = [TensorFamily(0, self.sol, self.sol)]
+        for side in (1, 2, 3, 4):
+            smap = SideMap(side)
+            across = (self.sol, self.sol.dim - 2 if smap.trans_flip else 1)
+            axes = (across, self.strip) if smap.trans_axis == 0 else (self.strip, across)
+            self.families.append(TensorFamily(self.families[-1].first + self.families[-1].count, *axes))
+        self.primitives = [PatchPrimitives(self.sol, self.families) for _ in topology.patches]
         self.labels = []
         self.patch_rows = []
         for prims, triplets in zip(self.primitives, self._build()):
@@ -646,17 +648,6 @@ def build_c1_space(topology, p, r, n):
     return GlobalC1Space(topology, p, r, n)
 
 
-class PatchExtraction:
-    """Every dof of a space view on one patch as a sparse row over the
-    patch's family columns: ``matrix`` E_k (n_total, prims.n_basis), with
-    sorted indices."""
-
-    def __init__(self, prims, matrix):
-        self.prims = prims
-        self.matrix = scipy.sparse.csr_matrix(matrix)
-        self.matrix.sort_indices()
-
-
 class ConstrainedC1Space:
     """Global space with boundary conditions applied.
 
@@ -664,6 +655,9 @@ class ConstrainedC1Space:
     blocks are recombined into numerical-kernel (free) and complement
     (boundary) combinations.  ``transform`` (n_total, space.n_dofs) writes
     every final dof over the global dofs, and ``labels`` names them.
+    ``E`` (n_total, patches x n_basis), CSR with sorted indices, writes
+    every final dof over the ``families`` columns of each patch, side by
+    side.
     The constraints are sampled once per boundary edge, on its unflipped
     frame, for the vertex dofs of both of its ends; the samples are split
     per vertex and each boundary vertex takes one :func:`kernel_split`.
@@ -681,10 +675,10 @@ class ConstrainedC1Space:
             raise ParameterError(f"boundary edges without condition tag: {missing}")
         self.sol, self.topology = space.sol, space.topology
         self._partition()
-        self._tables = [
-            PatchExtraction(prims, self.transform @ rows @ prims.X)
-            for prims, rows in zip(space.primitives, space.patch_rows)
-        ]
+        self.families = space.families
+        blocks = [self.transform @ rows @ prims.X for prims, rows in zip(space.primitives, space.patch_rows)]
+        self.E = scipy.sparse.hstack(blocks, format="csr")
+        self.E.sort_indices()
 
     def _partition(self):
         space = self.space
@@ -753,8 +747,8 @@ class ConstrainedC1Space:
             gids = [g for vidx in ends for g in sorted(vertex_groups[vidx])]
             W = space.patch_rows[k][gids] @ space.primitives[k].X
             frame = EdgeFrame(topo.patches[k], side)
-            rows, _ = space.primitives[k].constraint_rows(
-                W, frame, np.concatenate([ts, 1.0 - ts]), self.bc[(k, side)]
+            rows, _ = constraint_rows(
+                space.families, W, frame, np.concatenate([ts, 1.0 - ts]), self.bc[(k, side)]
             )
             # (constraint kind, end of the points, sample, end of the dofs, dof)
             rows = rows.reshape(-1, 2, len(ts), 2, 6)
@@ -768,16 +762,9 @@ class ConstrainedC1Space:
             for vidx, vertex in enumerate(topo.vertices) if vertex.kind != "inner"
         }
 
-    # -- assembly support ----------------------------------------------
-
     @property
     def n_total(self):
         return len(self.labels)
-
-    def element_table(self, patch_index):
-        """The :class:`PatchExtraction` of one patch: every dof over the
-        patch primitives."""
-        return self._tables[patch_index]
 
 
 def homogeneous_subspace(space, bc_tags):

@@ -25,7 +25,7 @@ their orientation away from the vertex.
 import numpy as np
 
 from mpiga.bspline import JET_ORDERS, gauss_legendre
-from mpiga.c1space import ConstrainedC1Space
+from mpiga.c1space import ConstrainedC1Space, constraint_rows
 from mpiga.errors import GeometryError
 from mpiga.geometry import _CORNER_FLIP, _CORNER_SIDES, _CORNER_UV, EdgeFrame, SideMap, physical_jet
 from mpiga.linalg import kernel_split
@@ -642,5 +642,5 @@ def per_vertex_kernel(view, vidx):
             if topo.is_boundary_edge(k, side):
                 frame = EdgeFrame(topo.patches[k], side, t_flip)
                 W = space.patch_rows[k][gids] @ space.primitives[k].X
-                rows.append(space.primitives[k].constraint_rows(W, frame, ts, view.bc[(k, side)])[0])
+                rows.append(constraint_rows(space.families, W, frame, ts, view.bc[(k, side)])[0])
     return kernel_split(np.vstack(rows), ConstrainedC1Space.KERNEL_TOL)[0]

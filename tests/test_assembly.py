@@ -335,6 +335,19 @@ def test_nitsche_requires_positive_eta(topo2c):
                 form.system(weights)
 
 
+def test_nitsche_eta_mapping_names_every_interface():
+    """A per-interface eta mapping gives a weight to every interface and to
+    no other index; the error names the missing and the stray indices."""
+    topo = builtin_geometry("square-6-bilinear")
+    form = NitscheForm(C0Space(topo, 3, 2, 4, gn_tags(topo)), manufactured_rhs)
+    assert len(topo.interfaces) == 7
+    with pytest.raises(ParameterError, match=r"missing \[1, 2, 3, 4, 5, 6\], stray \[\]"):
+        form.system({0: 1.0})
+    with pytest.raises(ParameterError, match=r"missing \[\], stray \[7, 8\]"):
+        form.system({i: 1.0 for i in range(9)})
+    assert form.system({i: 1.0 for i in range(7)}).matrix.shape == form.base.shape
+
+
 def test_nitsche_coercive_at_reference_eta():
     topo = scaled_squares()
     c = estimate_stability_constant(topo, 0, 3, 2, 4)

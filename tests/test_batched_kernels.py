@@ -21,7 +21,7 @@ from mpiga.assembly import (
     stacked_error_norms,
 )
 from mpiga.bspline import JET_ORDERS, gauss_legendre
-from mpiga.c1space import build_c1_space, homogeneous_subspace
+from mpiga.c1space import PatchPrimitives, build_c1_space, homogeneous_subspace
 from mpiga.fixtures import BUILTIN_NAMES, builtin_geometry
 from mpiga.geometry import Patch, SideMap
 
@@ -243,11 +243,11 @@ def test_grid_jets_match_per_column_expand(name, kind, n, r):
     columns' jets bit for bit."""
     view = make_view(name, kind, n, r=r)
     rng = np.random.default_rng(11)
-    for prims in [view.primitives] if kind == "c0" else view.space.primitives:
+    for prims in [PatchPrimitives(view.sol, view.families)] if kind == "c0" else view.space.primitives:
         W = rng.standard_normal((3, prims.n_cols))
         for u, v in evaluation_grids(n):
             want = expand_reference(prims, W, u, v)
-            grid = c1space.GridJets(prims, W @ prims.X, u, v)
+            grid = c1space.GridJets(prims.families, W @ prims.X, u, v)
             assert rel_gap(grid.jets(), want) <= RTOL
             band = slice(len(u) // 3, len(u) // 3 + 5)
             assert rel_gap(grid.jets(band), want[:, band]) <= RTOL
@@ -280,7 +280,7 @@ def test_change_of_basis_reproduces_edge_functions(name, p, r):
             ):
                 scale = {}
                 for u, v in grids:
-                    got = c1space.GridJets(prims, prims.X[first + np.array(cols)], u, v).jets()
+                    got = c1space.GridJets(prims.families, prims.X[first + np.array(cols)], u, v).jets()
                     for j, col in enumerate(cols):
                         want = edge_function_jets(shape, kind, col - cols[0], u, v)
                         scale.setdefault(j, np.abs(want).max(axis=(0, 1)))
@@ -418,6 +418,23 @@ def test_element_bands_do_not_change_forms(kind, monkeypatch):
         assert rel_gap(rows, patches) <= 1e-14
 
 
+@pytest.mark.parametrize("kind", ["c0-gn", "c1-gn"])
+def test_views_own_their_extraction(kind):
+    """A space view builds its extraction matrix once, a CSR matrix with
+    sorted indices and the patches' columns side by side over one family
+    list, and the assembler reads both as they are."""
+    view = make_view("square-6-bilinear", kind, 8)
+    asm = _Assembler(view)
+    assert asm.E is view.E and asm.families is view.families
+    n_basis = view.families[-1].first + view.families[-1].count
+    assert view.E.format == "csr" and view.E.has_sorted_indices
+    assert view.E.shape == (view.n_total, len(view.topology.patches) * n_basis)
+    E = view.E
+    assert all(np.all(np.diff(E.indices[a:b]) > 0) for a, b in zip(E.indptr[:-1], E.indptr[1:]))
+    if kind.startswith("c1"):
+        assert all(prims.families is view.families for prims in view.space.primitives)
+
+
 def test_element_bands_cover_each_patch_once(monkeypatch):
     """The volume form calls the cell kernel once per patch on the
     approx-C1 view of the c1-converge benchmark; under a budget of three
@@ -436,7 +453,7 @@ def test_element_bands_cover_each_patch_once(monkeypatch):
     asm.volume_system(manufactured_rhs)
     assert [k for k, _ in calls] == list(range(n_patches))
     # the widest cell, in a patch corner: the tensor window and two strips
-    tensor, strip = asm.tables[0].prims.families[:2]
+    tensor, strip = asm.families[:2]
     nd = tensor.width + 2 * strip.width
     monkeypatch.setattr(assembly, "_CELL_BAND_SIZE", 3 * asm.n * nd * asm.nq ** 2)
     calls.clear()

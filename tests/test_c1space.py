@@ -8,6 +8,7 @@ from mpiga.c1space import (
     GluingFunctions,
     approximate_gluing_data,
     build_c1_space,
+    constraint_rows,
     edge_dof_indices,
     homogeneous_subspace,
     interior_indices,
@@ -588,7 +589,7 @@ def test_constraint_rows_match_column_sums(topo6c, tag):
     gids += [space.labels.index(("bedge", bidx, "transversal", trans[0]))]
     prims, rows = space.primitives[k], space.patch_rows[k]
     ts = np.linspace(0.0, 1.0, 41)
-    A, _ = prims.constraint_rows(rows[gids] @ prims.X, EdgeFrame(topo6c.patches[k], side), ts, tag)
+    A, _ = constraint_rows(prims.families, rows[gids] @ prims.X, EdgeFrame(topo6c.patches[k], side), ts, tag)
     assert A.shape == ((2 if tag == "gn" else 1) * len(ts), len(gids))
     for col, gid in enumerate(gids):
         phys, normal = boundary_edge_jets(topo6c, prims, k, rows[gid], side, ts)
