@@ -11,6 +11,7 @@ from .assembly import (
     assemble_nitsche,
     error_norms,
     estimate_stability_constant,
+    stability_constants,
 )
 from .bspline import KnotVector, SplineSpace, TensorSplineSpace, l2_project
 from .c1space import GlobalC1Space, approximate_gluing_data, build_c1_space, homogeneous_subspace
@@ -45,4 +46,5 @@ __all__ = [
     "run_eta_sweep",
     "run_jump_study",
     "save_geometry",
+    "stability_constants",
 ]

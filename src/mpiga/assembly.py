@@ -42,6 +42,7 @@ __all__ = [
     "manufactured_laplacian",
     "manufactured_rhs",
     "physical_jet",
+    "stability_constants",
     "stacked_error_norms",
 ]
 
@@ -106,8 +107,9 @@ class C0Space:
     Coefficients along interfaces are identified one-to-one (reversed
     when the interface reverses orientation).  'gl' edges eliminate the
     trace layer, 'gn' edges eliminate the first two layers; ``bc_tags``
-    of None keeps every dof (used for the stability eigenproblem).  A tag
-    on an edge that is not a boundary edge raises :class:`ParameterError`.
+    of None or {} keeps every dof (used for the stability eigenproblem),
+    other tags must cover exactly the boundary edges, and ``bc`` keeps
+    them for the forms over the view.
     ``E`` (n_total, patches x N^2) writes every dof over the tensor family
     (``families``) of each patch, with unit entries from ``patch_fids``.
     """
@@ -115,8 +117,9 @@ class C0Space:
     def __init__(self, topology, p, r, n, bc_tags=None):
         from .bspline import SplineSpace  # local to avoid cluttering module top
 
-        if bc_tags is not None:
-            topology.check_bc_tags(bc_tags)
+        self.bc = dict(bc_tags or {})
+        if self.bc:
+            topology.check_bc_tags(self.bc)
         self.topology = topology
         self.p, self.r, self.n = p, r, n
         self.sol = SplineSpace(p, r, n)
@@ -150,10 +153,9 @@ class C0Space:
             root = low
 
         eliminated = np.zeros(index.size, dtype=bool)
-        if bc_tags is not None:
-            for (k, side), tag in bc_tags.items():
-                for layer in (0, 1) if tag == "gn" else (0,):
-                    eliminated[root[side_line(k, side, layer)]] = True
+        for (k, side), tag in self.bc.items():
+            for layer in (0, 1) if tag == "gn" else (0,):
+                eliminated[root[side_line(k, side, layer)]] = True
         kept = (root == index.ravel()) & ~eliminated  # class representatives, in order
         ids = np.where(eliminated[root], -1, (np.cumsum(kept) - 1)[root])
         self.patch_fids = list(ids.reshape(index.shape))
@@ -166,6 +168,13 @@ class C0Space:
 
 # ---------------------------------------------------------------------------
 # generic element evaluation over a space view
+
+def _to_dofs(E, M):
+    """E M E^T as a CSR matrix with sorted indices and no exact zeros."""
+    A = E @ M @ E.T.tocsr()
+    A.sort_indices()
+    return A
+
 
 #: (cell, primitive, quadrature point) entries per band of element rows in
 #: the element kernels: a whole patch of an approx-C1 view at p=3, n=8
@@ -205,13 +214,8 @@ class _Assembler:
         self.ids.flat[self.E.indices] = self.E.indices
 
     def to_dofs(self, triplets):
-        """The dof matrix E M E^T, a CSR matrix with sorted indices, of the
-        primitive matrix M that sums a list of triplets
-        (:func:`~mpiga.linalg.triplets_to_csr`, which empties the list);
-        entries that sum to exactly zero are not stored."""
-        A = self.E @ triplets_to_csr(triplets, self.n_prims) @ self.E.T.tocsr()
-        A.sort_indices()
-        return A
+        """:func:`_to_dofs` of the sum of a list of triplets, which it empties."""
+        return _to_dofs(self.E, triplets_to_csr(triplets, self.n_prims))
 
     def cells(self, patch_index, eu, ev, u, v, op):
         """Primitive ids and operator values on some cells of one patch.
@@ -473,6 +477,13 @@ class AssembledSystem:
         return abs(K - K.T).max() / scale if scale > 0 else 0.0
 
 
+def _view_tags(view, bc_tags):
+    """The view's boundary tags ``bc``, which a ``bc_tags`` argument must repeat."""
+    if bc_tags is not None and dict(bc_tags) != view.bc:
+        raise ParameterError(f"bc_tags {bc_tags} differ from the tags the view was built with, {view.bc}")
+    return view.bc
+
+
 def _lift_boundary_data(asm, g0, g1, bc_tags):
     """Least-squares boundary coefficients matching (g0, g1) on the boundary."""
     view = asm.view
@@ -516,13 +527,13 @@ def broken_gram(view, quad_scale=1):
 def assemble_approx_c1(view, f, g2=None, bc_tags=None, g0=None, g1=None, quad_scale=1):
     """Assemble the interface-term-free form over the approximately C1 space.
 
-    ``view`` is a :class:`~mpiga.c1space.ConstrainedC1Space`; ``bc_tags``
-    defaults to the view's stored tags.  Inhomogeneous essential data
-    (g0, g1) is lifted onto the boundary dofs by least squares.
+    ``view`` is a :class:`~mpiga.c1space.ConstrainedC1Space`, whose tags
+    ``bc`` a ``bc_tags`` argument must repeat.  Inhomogeneous essential
+    data (g0, g1) is lifted onto the boundary dofs by least squares.
     """
     if not isinstance(view, ConstrainedC1Space):
         raise ParameterError("assemble_approx_c1 expects a constrained C1 space view")
-    bc_tags = view.bc if bc_tags is None else bc_tags
+    bc_tags = _view_tags(view, bc_tags)
     asm = _Assembler(view, quad_scale)
     K, F = asm.volume_system(f)
     asm.boundary_moment_load(F, g2, bc_tags)
@@ -545,15 +556,16 @@ class NitscheForm:
     Per interface it keeps the penalty ([dn u], [dn v]), with the jump
     orientation of :meth:`_Assembler.interface_edge_rows`, mapped to dofs
     the same way.  :meth:`system` adds the weighted penalties for one
-    choice of the stability weights.
+    choice of the stability weights.  The moment load covers the view's
+    'gl' edges (``bc``), which a ``bc_tags`` argument must repeat.
     """
 
     def __init__(self, view, f, g2=None, bc_tags=None, quad_scale=1):
+        bc_tags = _view_tags(view, bc_tags)
         asm = _Assembler(view, quad_scale)
         self.view = view
         K, F = asm.volume_system(f)
-        if bc_tags:
-            asm.boundary_moment_load(F, g2, bc_tags)
+        asm.boundary_moment_load(F, g2, bc_tags)
         self.penalties = []
         for idx in range(len(view.topology.interfaces)):
             ids, jump, avg, w = asm.interface_edge_rows(idx)
@@ -605,25 +617,44 @@ def assemble_nitsche(view, f, g2=None, bc_tags=None, eta=None, g0=None, g1=None,
     return NitscheForm(view, f, g2, bc_tags, quad_scale).system(eta)
 
 
-def estimate_stability_constant(topology, iface_index, p, r, n):
-    """Largest generalized eigenvalue bounding the interface Laplacian average.
+def _interface_extraction(E, n_basis, itf):
+    """The columns of patches k and l in the ``E`` of a C0 view without
+    tags, and the two-patch space's extraction over them: the rows that
+    reach them, numbered by first column as that space numbers its dofs."""
+    cols = np.r_[itf.k * n_basis : (itf.k + 1) * n_basis, itf.l * n_basis : (itf.l + 1) * n_basis]
+    _, first, dof = np.unique(E.tocsc().indices[cols], return_index=True, return_inverse=True)
+    dof = np.argsort(np.argsort(first))[dof]  # every column has one row
+    return cols, scipy.sparse.csr_matrix((np.ones(len(cols)), (dof, np.arange(len(cols)))))
 
-    Assembles, over the two patches of the interface alone, the broken
-    volume Gram matrix B of the Laplacian and the interface Gram matrix
-    A = R^T R of the Laplacian average, where R stacks one row sqrt(w) avg
-    per interface quadrature point, and returns the leading eigenvalue of
-    the pencil (A, B) from the small dense matrix R B^-1 R^T.
-    """
-    space = C0Space(topology.interface_pair(iface_index), p, r, n, bc_tags=None)
-    asm = _Assembler(space)
-    B, _ = asm.volume_system(None)
-    ids, _jump, avg, w = asm.interface_edge_rows(0)
-    span, pos = np.nonzero(ids >= 0)
-    R = np.zeros((asm.n * asm.edge_nq, asm.n_prims))
-    R[span[:, None] * asm.edge_nq + np.arange(asm.edge_nq), ids[span, pos][:, None]] = (
-        avg * np.sqrt(w)[:, None, :]
-    )[span, pos]
-    return gram_pencil_max((asm.E @ R.T).T, asm.to_dofs(B))
+
+def stability_constants(topology, p, r, n):
+    """Per interface, the largest eigenvalue of the pencil (A, B) of
+    :func:`~mpiga.linalg.gram_pencil_max`: B is the broken Laplacian Gram
+    matrix over its two patches, A = R^T R with a row sqrt(w) {Lap} per
+    interface quadrature point.  One C0 view without tags assembles each
+    patch's Gram once; :func:`_interface_extraction` maps it per interface.
+    Raises :class:`ParameterError` if two patches share more than one side."""
+    if not topology.interfaces:
+        return []
+    asm = _Assembler(C0Space(topology, p, r, n))
+    G = triplets_to_csr(asm.volume_system(None)[0], asm.n_prims)  # every patch's Gram, once
+    nq = asm.edge_nq
+    constants = []
+    for idx, itf in enumerate(topology.interfaces):
+        cols, E = _interface_extraction(asm.E, asm.n_basis, itf)
+        if E.shape[0] != 2 * asm.n_basis - asm.sol.dim:  # 2 N^2 - N
+            raise ParameterError("interface patch pair does not reduce to a single interface")
+        ids, _jump, avg, w = asm.interface_edge_rows(idx)
+        span, pos = np.nonzero(ids >= 0)
+        R = np.zeros((asm.n * nq, asm.n_prims))
+        R[span[:, None] * nq + np.arange(nq), ids[span, pos][:, None]] = (avg * np.sqrt(w)[:, None])[span, pos]
+        constants.append(gram_pencil_max((E @ R[:, cols].T).T, _to_dofs(E, G[cols][:, cols])))
+    return constants
+
+
+def estimate_stability_constant(topology, iface_index, p, r, n):
+    """One entry of :func:`stability_constants`, at the cost of all."""
+    return stability_constants(topology, p, r, n)[iface_index]
 
 
 def error_norms(view, coeffs, exact_jet=None, quad_scale=1):

@@ -670,9 +670,6 @@ class ConstrainedC1Space:
         self.space = space
         self.bc = dict(bc_tags)
         space.topology.check_bc_tags(self.bc)
-        missing = [e for e in space.topology.boundary_edges if e not in self.bc]
-        if missing:
-            raise ParameterError(f"boundary edges without condition tag: {missing}")
         self.sol, self.topology = space.sol, space.topology
         self._partition()
         self.families = space.families

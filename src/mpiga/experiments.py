@@ -25,10 +25,10 @@ from .assembly import (
     NitscheForm,
     assemble_approx_c1,
     error_norms,
-    estimate_stability_constant,
     manufactured_jet,
     manufactured_laplacian,
     manufactured_rhs,
+    stability_constants,
     stacked_error_norms,
 )
 from .c1space import build_c1_space, homogeneous_subspace
@@ -97,12 +97,8 @@ class ExperimentConfig:
 def stability_parameters(config):
     """Frozen per-interface Nitsche weights eta = mult * c(h0) / h0."""
     config.resolve()
-    n0 = round(1.0 / config.h0)
-    etas = {}
-    for idx in range(len(config.topology.interfaces)):
-        c = estimate_stability_constant(config.topology, idx, config.p, config.r, n0)
-        etas[idx] = config.eta_mult * c / config.h0
-    return etas
+    constants = stability_constants(config.topology, config.p, config.r, round(1.0 / config.h0))
+    return {idx: config.eta_mult * c / config.h0 for idx, c in enumerate(constants)}
 
 
 def _moment_data(config):
@@ -112,9 +108,8 @@ def _moment_data(config):
 
 def _nitsche_form(config, n):
     """The eta-independent Nitsche form of the reference problem at level n."""
-    tags = config.bc_tags()
-    view = C0Space(config.topology, config.p, config.r, n, tags)
-    return NitscheForm(view, manufactured_rhs, g2=_moment_data(config), bc_tags=tags)
+    view = C0Space(config.topology, config.p, config.r, n, config.bc_tags())
+    return NitscheForm(view, manufactured_rhs, g2=_moment_data(config))
 
 
 def solve_level(config, n, eta=None):

@@ -216,44 +216,18 @@ class Topology:
         return (patch, side) in self._boundary_set
 
     def check_bc_tags(self, bc_tags):
-        """Raise :class:`ParameterError` unless every key of a boundary
-        condition mapping is a boundary edge (patch, side) and every tag is
-        'gn' or 'gl'."""
+        """Raise :class:`ParameterError` unless the keys of a boundary
+        condition mapping are exactly the boundary edges (patch, side) and
+        every tag is 'gn' or 'gl'."""
         stray = [e for e in bc_tags if e not in self._boundary_set]
         if stray:
             raise ParameterError(f"boundary condition tags on edges that are not boundary edges: {stray}")
+        missing = [e for e in self.boundary_edges if e not in bc_tags]
+        if missing:
+            raise ParameterError(f"boundary edges without condition tag: {missing}")
         bad = {v for v in bc_tags.values() if v not in ("gn", "gl")}
         if bad:
             raise ParameterError(f"unknown boundary tags {bad}; use 'gn' or 'gl'")
-
-    def interface_pair(self, iface_index):
-        """The two patches of one interface as a topology of their own.
-
-        Patch k of the interface becomes patch 0 and patch l becomes 1;
-        the interface record, boundary sides and vertices are carried over
-        from this topology, without detecting them again.  Raises
-        :class:`ParameterError` when the two patches share more than this
-        one interface.
-        """
-        itf = self.interfaces[iface_index]
-        renumber = {itf.k: 0, itf.l: 1}
-        if sum(1 for o in self.interfaces if {o.k, o.l} == {itf.k, itf.l}) != 1:
-            raise ParameterError("interface patch pair does not reduce to a single interface")
-        sides = [(k, s) for k in (0, 1) for s in (1, 2, 3, 4)]
-        shared = {(0, itf.side_k), (1, itf.side_l)}
-        vertices = []
-        for vertex in self.vertices:
-            members = [(renumber[k], c) for k, c in vertex.incident if k in renumber]
-            if members:  # two patches leave every vertex on the boundary
-                kind = "corner" if len(members) == 1 else "boundary"
-                vertices.append(VertexRecord(kind, sorted(members), vertex.position))
-        return Topology(
-            [self.patches[itf.k], self.patches[itf.l]],
-            [InterfaceRecord(0, itf.side_k, 1, itf.side_l, itf.reverse)],
-            [ks for ks in sides if ks not in shared],
-            vertices,
-            self.tol,
-        )
 
 
 def _domain_tolerance(patches, tol):

@@ -13,11 +13,13 @@ from mpiga.assembly import (
     assemble_nitsche,
     broken_gram,
     error_norms,
+    _interface_extraction,
     estimate_stability_constant,
     manufactured_jet,
     manufactured_laplacian,
     manufactured_rhs,
     physical_jet,
+    stability_constants,
     stacked_error_norms,
 )
 from mpiga.bspline import SplineSpace, TensorSplineSpace
@@ -547,8 +549,7 @@ def test_multipatch_patch_test_both_methods(topo6):
     assert error_norms(view, system.solve(), bubble_jet).h2 <= 1e-8
 
     view = C0Space(topo6, p, p - 1, n, tags)
-    ref = {i: 4.0 * estimate_stability_constant(topo6, i, p, p - 1, n) * n
-           for i in range(len(topo6.interfaces))}
+    ref = {i: 4.0 * c * n for i, c in enumerate(stability_constants(topo6, p, p - 1, n))}
     for mult in (1.0, 10.0, 100.0):
         eta = {i: mult * val for i, val in ref.items()}
         system = assemble_nitsche(view, rhs, g2=lap, bc_tags=tags, eta=eta)
@@ -593,6 +594,75 @@ def test_stability_constant_rejects_pair_with_two_interfaces():
     )
     with pytest.raises(ParameterError):
         estimate_stability_constant(twice, 0, 3, 2, 4)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_interface_extraction_is_the_pair_view(name):
+    # each interface's restriction of the whole view's extraction is the
+    # extraction of the C0 view over its two patches alone
+    topo = builtin_geometry(name)
+    asm = _Assembler(C0Space(topo, 3, 2, 4))
+    for itf in topo.interfaces:
+        pair = Topology(
+            [topo.patches[itf.k], topo.patches[itf.l]],
+            [InterfaceRecord(0, itf.side_k, 1, itf.side_l, itf.reverse)],
+            [],
+            [],
+            topo.tol,
+        )
+        want = C0Space(pair, 3, 2, 4).E
+        cols, got = _interface_extraction(asm.E, asm.n_basis, itf)
+        assert np.array_equal(cols, np.r_[itf.k * asm.n_basis : (itf.k + 1) * asm.n_basis,
+                                          itf.l * asm.n_basis : (itf.l + 1) * asm.n_basis])
+        assert got.shape == want.shape
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+
+
+def test_stability_parameters_assemble_each_patch_once(monkeypatch):
+    from mpiga.experiments import ExperimentConfig, stability_parameters
+
+    calls = []
+    element_rows = _Assembler.element_rows
+
+    def counting(self, patch_index, operator):
+        calls.append(patch_index)
+        return element_rows(self, patch_index, operator)
+
+    monkeypatch.setattr(_Assembler, "element_rows", counting)
+    cfg = ExperimentConfig(geometry="square-6-bilinear", method="nitsche", p=3, h0=0.25)
+    assert len(stability_parameters(cfg)) == 7
+    assert sorted(calls) == list(range(6))
+
+
+@pytest.mark.parametrize("p,n", [(3, 4), (4, 8)])
+def test_stability_constants_match_per_interface_entry(p, n):
+    for name in BUILTIN_NAMES:
+        topo = builtin_geometry(name)
+        want = [estimate_stability_constant(topo, i, p, p - 1, n) for i in range(len(topo.interfaces))]
+        assert stability_constants(topo, p, p - 1, n) == want, name
+
+
+def test_stability_constants_without_interfaces(topo1):
+    assert stability_constants(topo1, 3, 2, 4) == []
+
+
+def test_forms_read_the_views_boundary_tags(topo2c):
+    # the moment load of a 'gl' view's edges does not depend on whether
+    # the caller repeats the tags, and tags that differ are rejected
+    view = C0Space(topo2c, 3, 2, 8, gl_tags(topo2c))
+    implicit = NitscheForm(view, manufactured_rhs, g2=manufactured_laplacian)
+    explicit = NitscheForm(view, manufactured_rhs, g2=manufactured_laplacian, bc_tags=gl_tags(topo2c))
+    assert np.array_equal(implicit.load, explicit.load)
+    assert not np.array_equal(implicit.load, NitscheForm(view, manufactured_rhs).load)
+    for tags in (gn_tags(topo2c), {}):
+        with pytest.raises(ParameterError, match="differ"):
+            NitscheForm(view, manufactured_rhs, g2=manufactured_laplacian, bc_tags=tags)
+        with pytest.raises(ParameterError, match="differ"):
+            assemble_nitsche(view, manufactured_rhs, bc_tags=tags, eta=1.0)
+    c1 = homogeneous_subspace(build_c1_space(topo2c, 3, 2, 8), gl_tags(topo2c))
+    with pytest.raises(ParameterError, match="differ"):
+        assemble_approx_c1(c1, manufactured_rhs, g2=manufactured_laplacian, bc_tags=gn_tags(topo2c))
 
 
 def test_stability_constant_scaling():

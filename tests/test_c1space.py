@@ -598,9 +598,13 @@ def test_constraint_rows_match_column_sums(topo6c, tag):
 
 
 def test_missing_bc_tag_rejected(topo1):
+    from mpiga.assembly import C0Space
+
     space = build_c1_space(topo1, 3, 2, 4)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="without condition tag"):
         ConstrainedC1Space(space, {topo1.boundary_edges[0]: "gn"})
+    with pytest.raises(ParameterError, match="without condition tag"):
+        C0Space(topo1, 3, 2, 4, {topo1.boundary_edges[0]: "gn"})
 
 
 @pytest.mark.parametrize("stray", ["interface", "no-such-side", "no-such-patch"])

@@ -3,7 +3,6 @@ import pytest
 
 from mpiga.bspline import SplineSpace, TensorSplineSpace
 from mpiga.errors import ConformityError, GeometryError, NonManifoldError
-from mpiga.fixtures import BUILTIN_NAMES, builtin_geometry
 from mpiga.geometry import (
     Patch,
     detect_topology,
@@ -61,21 +60,6 @@ def test_two_patch_topology():
     kinds = sorted(v.kind for v in topo.vertices)
     assert kinds.count("boundary") == 2
     assert kinds.count("corner") == 4
-
-
-@pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_interface_pair_matches_detection(name):
-    """The two-patch topology carried over from the parent is the one that
-    detecting the pair's topology finds."""
-    topo = builtin_geometry(name)
-    for idx, itf in enumerate(topo.interfaces):
-        pair = topo.interface_pair(idx)
-        ref = detect_topology([topo.patches[itf.k], topo.patches[itf.l]])
-        assert [repr(i) for i in pair.interfaces] == [repr(i) for i in ref.interfaces]
-        assert sorted(pair.boundary_edges) == sorted(ref.boundary_edges)
-        got = sorted((v.kind, v.incident, tuple(v.position)) for v in pair.vertices)
-        want = sorted((v.kind, v.incident, tuple(v.position)) for v in ref.vertices)
-        assert got == want
 
 
 def test_six_patch_golden_counts(topo6):
