@@ -12,6 +12,8 @@ returns the right limit, except at ``x = 1`` where the left limit is used,
 so functions are defined on the closed interval.
 """
 
+import functools
+
 import numpy as np
 from scipy.linalg import solve_banded, solveh_banded
 
@@ -24,10 +26,14 @@ _SLOT_U = [a for a, _ in JET_ORDERS]
 _SLOT_V = [b for _, b in JET_ORDERS]
 
 
+@functools.cache
 def gauss_legendre(npts):
-    """Gauss--Legendre nodes and weights on [0, 1]."""
+    """Gauss--Legendre nodes and weights on [0, 1], computed once per point
+    count and shared by every caller, so both arrays are read-only."""
     x, w = np.polynomial.legendre.leggauss(npts)
-    return 0.5 * (x + 1.0), 0.5 * w
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 class KnotVector:

@@ -37,21 +37,22 @@ support of the vertex functions.
 Primitives
 ----------
 Dofs are numbered and defined over the paper's columns: the tensor
-B-splines and, per edge shape, its single edge functions.  They are
-evaluated over tensor families only (:class:`TensorFamily`): the N x N
-tensor B-splines and, per patch side, one strip family, the B-splines of
-the strip space S(2p-2, p-2, h) along the side times b2 across it.  T
-lies in the solution space, so T (b1 + b2) is a tensor combination, and
+B-splines and, per patch side, the single edge functions of its one edge
+shape, made in the side's own parameter along the patch's direction.
+They are evaluated over tensor families only (:class:`TensorFamily`):
+the N x N tensor B-splines and, per patch side, one strip family, the
+B-splines of the strip space S(2p-2, p-2, h) along the side times b2
+across it.  T lies in the solution space, so T (b1 + b2) is a tensor combination, and
 the transversal factor (alpha W + beta T') h/p, a product of splines of
 S(p-1, p-2, h), lies in the strip space.  One sparse change of basis per
 patch (:attr:`PatchPrimitives.X`) writes every column over the families;
 its weights interpolate the factors at Greville abscissae, one banded
 solve per target space for every edge shape (:func:`edge_factors`), up
-to round-off (exactly for T where r = p-1).  At p = 3 the strip space is
-only C1: where an edge shape runs against the patch's direction, a
-second derivative at an interior knot is the other one-sided limit than
-the product rule of the factors gives; no quadrature point or sample
-lies there.
+to round-off (exactly for T where r = p-1).  B-splines on a uniform open
+knot vector are symmetric, so the edge functions of a side counted from
+its t = 1 end are its functions in reverse order: the vertex families at
+a corner where a side starts at t = 1, and the l-side edge dofs of a
+reversed interface, index the side's columns with j -> dim - 1 - j.
 
 Extraction
 ----------
@@ -59,18 +60,19 @@ Every dof restricted to a patch is a fixed linear combination of the
 columns.  The global space stores these combinations as one sparse
 matrix per patch, a row per global dof over the patch's columns:
 interior and edge dofs are unit rows, and the six vertex rows of an
-incident patch hold the three family solutions summed column by column;
-every edge shape is added first, so each patch's change of basis is
-formed once, before the vertex solves read it.  The vertex layer is one
-pass per build: each patch's corner columns are read from one 2 x 2 grid,
-and the 6 x 6 systems of every (vertex, patch, family) are solved as one
-stack.  A constrained space applies one sparse transform (boundary
-partition and boundary-vertex kernels) to those rows and the change of
-basis after them, giving one extraction matrix E over the family columns
-of all patches side by side (:attr:`ConstrainedC1Space.E`).  The kernels'
-constraints are sampled once per boundary edge, for the vertices at both
-of its ends.  Assembly works on the family columns alone and maps every
-form to dofs once, as E M E^T and E F.
+incident patch hold the three family solutions summed column by column.
+Every edge shape is made before any dof is numbered, so each patch's
+change of basis is formed once, before the vertex solves read it.  The
+vertex layer is one pass per build: each patch's corner columns are read
+from one 2 x 2 grid, and the 6 x 6 systems of every (vertex, patch,
+family) are solved as one stack.  A constrained space applies one sparse
+transform (boundary partition and boundary-vertex kernels) to those rows
+and the change of basis after them, giving one extraction matrix E over
+the family columns of all patches side by side
+(:attr:`ConstrainedC1Space.E`).  The kernels' constraints are sampled
+once per boundary edge, for the vertices at both of its ends.  Assembly
+works on the family columns alone and maps every form to dofs once, as
+E M E^T and E F.
 
 Any rows of weights over the family columns -- vertex families and
 kernel samples, the boundary lift, or a whole discrete function for the
@@ -103,7 +105,11 @@ from .geometry import (
 from .linalg import kernel_split
 
 class GluingFunctions:
-    """Projected gluing data splines of one edge side, in a fixed orientation."""
+    """Projected gluing data splines of one edge side as functions of one
+    edge parameter: the shared interface parameter
+    (:func:`approximate_gluing_data`), or the side's own parameter
+    (:class:`EdgeShape`).  The two differ, by :meth:`reversed`, only on the
+    l side of a reversed interface."""
 
     def __init__(self, space, alpha, beta):
         self.space = space
@@ -157,7 +163,9 @@ def approximate_gluing_data(topology, iface, p, n):
 
 
 class EdgeShape:
-    """Edge-expansion factors of one patch side in one tangent orientation.
+    """Edge-expansion factors of one patch side in the parameter t of its
+    ``map``; a space makes one per side, in the side's own parameter along
+    the patch's direction (``map`` not flipped).
 
     The edge functions of the side, weighted by trace coefficients c over
     S(p, p-1, h) and transversal coefficients d over S(p-1, p-2, h), sum
@@ -175,57 +183,49 @@ class EdgeShape:
         self.scale = sol.h / sol.p
 
 
-def _support_mask(space, factors, flip):
+def _support_mask(space, factors):
     """(factors.dim, space.dim): where the support of a B-spline of
-    ``space`` lies inside that of a B-spline of ``factors``, taken along
-    the reversed parameter when ``flip`` (both spaces are symmetric, so
-    this reverses the factors).  A spline that vanishes on an element has
-    zero coefficients on every B-spline active there (local linear
-    independence), so an interpolant's entries outside the mask are set to
-    exact zeros."""
+    ``space`` lies inside that of a B-spline of ``factors``.  A spline that
+    vanishes on an element has zero coefficients on every B-spline active
+    there (local linear independence), so an interpolant's entries outside
+    the mask are set to exact zeros."""
     lo, hi = factors.basis_support(np.arange(factors.dim))
     a, b = space.basis_support(np.arange(space.dim))
-    return ((a >= lo[:, None]) & (b <= hi[:, None]))[:: -1 if flip else 1]
+    return (a >= lo[:, None]) & (b <= hi[:, None])
 
 
 def edge_factors(shapes, sol, splus, sminus, strip):
     """The factors of every edge function of some edge shapes as splines
     of the patch coordinate along their sides, by interpolation at the
     Greville abscissae: one banded solve per target space for all shapes
-    and orientations (the solve treats each right-hand side alone).
+    (the solve treats each right-hand side alone).
 
-    Returns the trace blocks T_j over the solution space (splus.dim,
-    sol.dim) per tangent orientation, ``{t_flip: block}``, and per shape
-    the rows beta T_j' h/p, then alpha W_j h/p, over the strip space
-    (len(shapes), splus.dim + sminus.dim, strip.dim).  Where the solution
-    space is S(p, p-1, h) the trace blocks are exact: the identity,
-    reversed against the patch's direction.
+    Returns the trace block T_j over the solution space (splus.dim,
+    sol.dim), the same for every shape, and per shape the rows
+    beta T_j' h/p, then alpha W_j h/p, over the strip space (len(shapes),
+    splus.dim + sminus.dim, strip.dim).  Where the solution space is
+    S(p, p-1, h) the trace block is exact, the identity.
     """
-    flips = (False, True)
 
-    def bsplines(space, x, order, flip):  # (len(x), dim) derivatives of every B-spline in t
-        return space.eval_columns(np.arange(space.dim), 1.0 - x if flip else x, order)[:, :, order].T
+    def bsplines(space, x, order):  # (len(x), dim) derivatives of every B-spline in t
+        return space.eval_columns(np.arange(space.dim), x, order)[:, :, order].T
 
     if sol.r == splus.r:
-        trace = {flip: np.eye(sol.dim)[:: -1 if flip else 1] for flip in flips}
+        trace = np.eye(sol.dim)
     else:
-        both = interpolate(sol, lambda x: np.hstack([bsplines(splus, x, 0, flip) for flip in flips])).T
-        trace = {flip: np.where(_support_mask(sol, splus, flip), block, 0.0)
-                 for flip, block in zip(flips, np.split(both, 2))}
+        trace = np.where(_support_mask(sol, splus), interpolate(sol, lambda x: bsplines(splus, x, 0)).T, 0.0)
 
     def rhs(x):
-        tables = {flip: (bsplines(splus, x, 1, flip), bsplines(sminus, x, 0, flip)) for flip in flips}
+        d_trace, trans = bsplines(splus, x, 1), bsplines(sminus, x, 0)
         cols = []
         for shape in shapes:
-            t, (d_trace, trans) = 1.0 - x if shape.map.t_flip else x, tables[shape.map.t_flip]
-            cols += [shape.scale * shape.gluing.eval_beta(t)[:, :1] * d_trace,
-                     shape.scale * shape.gluing.eval_alpha(t)[:, :1] * trans]
+            cols += [shape.scale * shape.gluing.eval_beta(x)[:, :1] * d_trace,
+                     shape.scale * shape.gluing.eval_alpha(x)[:, :1] * trans]
         return np.hstack(cols)
 
     factors = interpolate(strip, rhs).T.reshape(len(shapes), -1, strip.dim)
-    keep = {flip: np.vstack([_support_mask(strip, f, flip) for f in (splus, sminus)]) for flip in flips}
-    factors[~np.array([keep[shape.map.t_flip] for shape in shapes])] = 0.0
-    return trace, factors
+    keep = np.vstack([_support_mask(strip, f) for f in (splus, sminus)])
+    return trace, np.where(keep, factors, 0.0)
 
 
 class TensorFamily:
@@ -280,12 +280,13 @@ class PatchPrimitives:
 
     Dofs are written over definition columns: column ``iu * N + iv`` is
     the tensor B-spline (iu, iv) of the N x N solution space; after those,
-    each edge shape on the patch owns one column per trace coefficient and
-    then one per transversal coefficient (``n_cols`` in all).  They are
-    evaluated over the ``n_basis`` columns of ``families``, one list for
-    every patch of a space: the tensor family first, at the same columns,
-    and on an approximately C1 space one strip family per side
-    (``strips``), the strip space along the side times b2 across it.
+    each edge shape on the patch, one per side, owns one column per trace
+    coefficient and then one per transversal coefficient (``n_cols`` in
+    all).  They are evaluated over the ``n_basis`` columns of
+    ``families``, one list for every patch of a space: the tensor family
+    first, at the same columns, and on an approximately C1 space one strip
+    family per side (``strips``), the strip space along the side times b2
+    across it.
     ``X`` (n_cols, n_basis) writes every definition column over them: the
     trace function j of an edge shape as (b1 + b2) T_j on the two tensor
     lines next to the side plus beta T_j' h/p on the strip, and the
@@ -308,27 +309,34 @@ class PatchPrimitives:
         return self.families[-1].first + self.families[-1].count
 
     def add_shape(self, shape):
-        """Append the columns of an edge shape; returns the first column of
-        each kind, ``{"trace": c, "transversal": c'}``."""
+        """Append the columns of the edge shape of one side."""
         self.shapes.append((shape, self.n_cols))
-        first = {"trace": self.n_cols, "transversal": self.n_cols + shape.splus.dim}
         self.n_cols += shape.splus.dim + shape.sminus.dim
-        return first
+
+    def edge_columns(self, side, kind, ids, from_end=False):
+        """The definition columns of the edge functions ``ids`` of one kind
+        ("trace" or "transversal") of a side's edge shape, counted from the
+        side's t = 1 end when ``from_end``: there index j is function
+        dim - 1 - j, the same function in the reversed parameter."""
+        shape, first = next(entry for entry in self.shapes if entry[0].map.side == side)
+        space = shape.splus if kind == "trace" else shape.sminus
+        first += 0 if kind == "trace" else shape.splus.dim
+        ids = np.asarray(ids)
+        return first + (space.dim - 1 - ids if from_end else ids)
 
     def write_X(self, trace, factors):
-        """Form ``X`` once every shape is added, from the trace blocks per
-        tangent orientation and each shape's factor rows over its strip
-        (those of :func:`edge_factors`)."""
+        """Form ``X`` once every shape is added, from the trace block and
+        each shape's factor rows over its strip (those of
+        :func:`edge_factors`)."""
         N = self.N
         parts = [(np.arange(N * N), np.arange(N * N), np.ones(N * N))]
+        i, j = np.nonzero(trace)
         for (shape, first), block in zip(self.shapes, factors):
-            tr = trace[shape.map.t_flip]
-            i, j = np.nonzero(tr)
             for layer in (0, 1):  # b1 and b2 across the side
-                iu, iv = SideMap(shape.map.side).elements_to_patch(layer, j, N)
-                parts.append((first + i, iu * N + iv, tr[i, j]))
-            i, j = np.nonzero(block)
-            parts.append((first + i, self.strips[shape.map.side].first + j, block[i, j]))
+                iu, iv = shape.map.elements_to_patch(layer, j, N)
+                parts.append((first + i, iu * N + iv, trace[i, j]))
+            bi, bj = np.nonzero(block)
+            parts.append((first + bi, self.strips[shape.map.side].first + bj, block[bi, bj]))
         rows, cols, vals = (np.concatenate(part) for part in zip(*parts))
         self.X = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(self.n_cols, self.n_basis))
 
@@ -419,12 +427,14 @@ def edge_dof_indices(splus, sminus):
     return trace, trans
 
 
-def _family_columns(N, corner, bottom, left):
-    """The 18 definition columns of the vertex families at a patch corner:
-    per edge of the corner (``bottom``, ``left``: the first columns of its
-    edge shape) traces 0..2, transversals 0..1 and the tensor B-spline two
-    layers along the edge, then the corner's tensor B-splines (a, b) with
-    a + b <= 2, indices counted from the corner."""
+def _family_columns(prims, corner):
+    """The 18 definition columns of the vertex families at a corner of a
+    patch's primitives: per side of the corner (bottom, then left) traces
+    0..2, transversals 0..1 and the tensor B-spline two layers along the
+    side, then the corner's tensor B-splines (a, b) with a + b <= 2, every
+    index counted from the corner; a side whose t = 1 end is the corner
+    reads its edge columns in reverse order."""
+    N = prims.N
     fu, fv = _CORNER_FLIP[corner]
 
     def ten(a, b):
@@ -432,13 +442,15 @@ def _family_columns(N, corner, bottom, left):
         iv = N - 1 - b if fv else b
         return iu * N + iv
 
-    def edge_family(first, tensor):
-        trace, trans = first["trace"], first["transversal"]
-        return [trace, trace + 1, trace + 2, trans, trans + 1, tensor]
+    def edge_family(side, from_end, tensor):
+        trace = prims.edge_columns(side, "trace", range(3), from_end)
+        trans = prims.edge_columns(side, "transversal", range(2), from_end)
+        return [*trace, *trans, tensor]
 
+    bottom, left = _CORNER_SIDES[corner]
     return (
-        edge_family(bottom, ten(0, 2))
-        + edge_family(left, ten(2, 0))
+        edge_family(bottom, fu, ten(0, 2))
+        + edge_family(left, fv, ten(2, 0))
         + [ten(0, 0), ten(0, 1), ten(0, 2), ten(1, 0), ten(1, 1), ten(2, 0)]
     )
 
@@ -449,9 +461,11 @@ class GlobalC1Space:
     ``patch_rows[k]`` is a CSR matrix (n_dofs, primitives[k].n_cols): row
     g writes global dof g restricted to patch k over the patch's
     definition columns, and is empty where the dof does not reach the
-    patch.  ``primitives[k].X`` writes those columns over ``families``,
-    the tensor family and one strip family per side, built once and
-    shared by every patch.
+    patch.  Each patch holds one edge shape per side, sides 1 to 4, in the
+    side's own parameter, all made and written into ``primitives[k].X``
+    before any dof is numbered; ``X`` writes the columns over
+    ``families``, the tensor family and one strip family per side, built
+    once and shared by every patch.
     Interior and edge dofs are unit rows; an interface dof has a row on
     both of its patches, a vertex dof on every patch incident to the
     vertex.  ``vertex_condition`` (pairs, 3) is the 2-norm condition
@@ -479,7 +493,6 @@ class GlobalC1Space:
             approximate_gluing_data(topology, i, p, n)
             for i in range(len(topology.interfaces))
         ]
-        self._first_cols = {}
         self.strip = SplineSpace(2 * p - 2, p - 2, n)  # one table cache for every patch side
         self.families = [TensorFamily(0, self.sol, self.sol)]
         for side in (1, 2, 3, 4):
@@ -488,6 +501,14 @@ class GlobalC1Space:
             axes = (across, self.strip) if smap.trans_axis == 0 else (self.strip, across)
             self.families.append(TensorFamily(self.families[-1].first + self.families[-1].count, *axes))
         self.primitives = [PatchPrimitives(self.sol, self.families) for _ in topology.patches]
+        for k, prims in enumerate(self.primitives):
+            for side in (1, 2, 3, 4):
+                shape = EdgeShape(SideMap(side), self._side_gluing(k, side), self.sol, self.splus, self.sminus)
+                prims.add_shape(shape)
+        shapes = [shape for prims in self.primitives for shape, _ in prims.shapes]
+        trace, factors = edge_factors(shapes, self.sol, self.splus, self.sminus, self.strip)
+        for prims, block in zip(self.primitives, np.split(factors, len(self.primitives))):
+            prims.write_X(trace, block)
         self.labels = []
         self.patch_rows = []
         for prims, triplets in zip(self.primitives, self._build()):
@@ -501,34 +522,18 @@ class GlobalC1Space:
 
     # -- construction -------------------------------------------------
 
-    def _edge_columns(self, patch_index, side_map, gluing):
-        """The first trace and transversal column of the edge shape of a
-        (patch, side, tangent orientation), made on first use.
-
-        The gluing data of a side in a given orientation is unique, so edge
-        and vertex functions of one orientation share the shape.
-        """
-        key = (patch_index, side_map.side, side_map.t_flip)
-        if key not in self._first_cols:
-            shape = EdgeShape(side_map, gluing, self.sol, self.splus, self.sminus)
-            self._first_cols[key] = self.primitives[patch_index].add_shape(shape)
-        return self._first_cols[key]
-
-    def _corner_columns(self, patch_index, corner):
-        """The first columns of the edge shapes of the two sides of a patch
-        corner, each running away from the corner; their gluing data is
-        the side's, reversed where it was stored the other way round."""
-        out = []
-        for side, flip in zip(_CORNER_SIDES[corner], _CORNER_FLIP[corner]):
-            idx = self.topology.interface_index(patch_index, side)
-            gf, stored = GluingFunctions.artificial(self.sminus), False
-            if idx is not None:
-                itf = self.topology.interfaces[idx]
-                other = patch_index != itf.k  # the l side, stored in the k side's parameter
-                gf, stored = self.iface_gluing[idx][other], other and itf.reverse
-            gf = gf if stored == flip else gf.reversed()
-            out.append(self._edge_columns(patch_index, SideMap(side, flip), gf))
-        return out
+    def _side_gluing(self, k, side):
+        """The gluing data of a patch side in the side's own parameter: the
+        artificial data on a boundary side, and the interface's data,
+        reversed on the l side of a reversed interface."""
+        idx = self.topology.interface_index(k, side)
+        if idx is None:
+            return GluingFunctions.artificial(self.sminus)
+        itf = self.topology.interfaces[idx]
+        if (k, side) == (itf.k, itf.side_k):
+            return self.iface_gluing[idx][0]
+        gl = self.iface_gluing[idx][1]
+        return gl.reversed() if itf.reverse else gl
 
     def _build(self):
         """Number the global dofs (``labels``); returns per patch the
@@ -551,43 +556,29 @@ class GlobalC1Space:
             for (i, j) in interior_indices(self.sol):
                 add(("interior", k, i, j), [(k, [i * N + j], unit)])
 
+        # an interface dof j is indexed in the shared parameter, from the l
+        # side's t = 1 end where the interface is reversed
         for idx, itf in enumerate(topo.interfaces):
-            gk, gl = self.iface_gluing[idx]
-            first_k = self._edge_columns(itf.k, SideMap(itf.side_k, False), gk)
-            first_l = self._edge_columns(itf.l, SideMap(itf.side_l, itf.reverse), gl)
             for kind, ids in (("trace", trace_ids), ("transversal", trans_ids)):
-                for j in ids:
-                    add(
-                        ("iface", idx, kind, j),
-                        [(itf.k, [first_k[kind] + j], unit), (itf.l, [first_l[kind] + j], unit)],
-                    )
+                cols_k = self.primitives[itf.k].edge_columns(itf.side_k, kind, ids)
+                cols_l = self.primitives[itf.l].edge_columns(itf.side_l, kind, ids, itf.reverse)
+                for j, ck, cl in zip(ids, cols_k, cols_l):
+                    add(("iface", idx, kind, j), [(itf.k, [ck], unit), (itf.l, [cl], unit)])
 
         for bidx, (k, side) in enumerate(topo.boundary_edges):
-            first = self._edge_columns(
-                k, SideMap(side, False), GluingFunctions.artificial(self.sminus)
-            )
             for kind, ids in (("trace", trace_ids), ("transversal", trans_ids)):
-                for j in ids:
-                    add(("bedge", bidx, kind, j), [(k, [first[kind] + j], unit)])
+                for j, col in zip(ids, self.primitives[k].edge_columns(side, kind, ids)):
+                    add(("bedge", bidx, kind, j), [(k, [col], unit)])
 
-        # every edge shape first: each patch's X is formed once, before the vertex solves read it
-        corners = [self._corner_columns(k, corner) for vx in topo.vertices for k, corner in vx.incident]
-        counts = np.cumsum([len(prims.shapes) for prims in self.primitives])[:-1]
-        shapes = [shape for prims in self.primitives for shape, _ in prims.shapes]
-        trace, factors = edge_factors(shapes, self.sol, self.splus, self.sminus, self.strip)
-        for prims, block in zip(self.primitives, np.split(factors, counts)):
-            prims.write_X(trace, block)
-        for vidx, per_patch in enumerate(self._vertex_dofs(corners)):
+        for vidx, per_patch in enumerate(self._vertex_dofs()):
             for q in range(6):
                 add(("vertex", vidx, q), [(k, cols, w[:, q]) for k, cols, w in per_patch])
         return triplets
 
-    def _vertex_dofs(self, corners):
+    def _vertex_dofs(self):
         """Per vertex, per incident patch k, ``(k, cols, weights)``: the 18
         family columns (first edge, second edge, corner) and their (18, 6)
-        weights in the six vertex dofs, ``c0, c1, -c2`` stacked; ``corners``
-        holds the :meth:`_corner_columns` of every (vertex, incident patch)
-        pair, the pairs in the order of the vertices and their incidences.
+        weights in the six vertex dofs, ``c0, c1, -c2`` stacked.
 
         All pairs are done at once: a patch's corners are read from one
         2 x 2 grid of its columns, and the 6 x 6 systems of all pairs and
@@ -596,8 +587,7 @@ class GlobalC1Space:
         """
         topo = self.topology
         pairs = [(vidx, k, corner) for vidx, vx in enumerate(topo.vertices) for k, corner in vx.incident]
-        cols = np.array([_family_columns(self.sol.dim, corner, *first)
-                         for (_, _, corner), first in zip(pairs, corners)])
+        cols = np.array([_family_columns(self.primitives[k], corner) for _, k, corner in pairs])
         jets = np.empty((len(pairs), 18, 6))
         jac, hess = np.empty((len(pairs), 1, 2, 2)), np.empty((len(pairs), 1, 2, 2, 2))
         for k, prims in enumerate(self.primitives):

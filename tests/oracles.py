@@ -606,21 +606,27 @@ def per_pair_vertex_rows(space):
     out = {}
     for vidx, vertex in enumerate(space.topology.vertices):
         for k, corner in vertex.incident:
-            bottom, left = space._corner_columns(k, corner)
+            prims = space.primitives[k]
+            shapes = {shape.map.side: (shape, first) for shape, first in prims.shapes}
             fu, fv = _CORNER_FLIP[corner]
 
             def ten(a, b):
                 return (N - 1 - a if fu else a) * N + (N - 1 - b if fv else b)
 
-            def edge_family(first, tensor):
-                trace, trans = first["trace"], first["transversal"]
-                return [trace, trace + 1, trace + 2, trans, trans + 1, tensor]
+            def edge_family(side, from_end, tensor):
+                # the side's edge functions counted from the corner: from its
+                # t = 1 end, in reverse order, where the corner lies there
+                shape, first = shapes[side]
+                nt, nw = shape.splus.dim, shape.sminus.dim
+                trace = [first + (nt - 1 - j if from_end else j) for j in range(3)]
+                trans = [first + nt + (nw - 1 - j if from_end else j) for j in range(2)]
+                return trace + trans + [tensor]
 
-            cols = (edge_family(bottom, ten(0, 2)) + edge_family(left, ten(2, 0))
+            bottom, left = _CORNER_SIDES[corner]
+            cols = (edge_family(bottom, fu, ten(0, 2)) + edge_family(left, fv, ten(2, 0))
                     + [ten(0, 0), ten(0, 1), ten(0, 2), ten(1, 0), ten(1, 1), ten(2, 0)])
             u0, v0 = _CORNER_UV[corner]
             _, jac, hess = space.topology.patches[k].jet_at(u0, v0)
-            prims = space.primitives[k]
             phys = physical_jet(prims.expand(prims.X[cols], [u0], [v0])[:, 0, 0], jac, hess)
             c0, c1, c2 = (np.linalg.solve(M, np.eye(6)) for M in phys.reshape(3, 6, 6).swapaxes(1, 2))
             rows = np.zeros((prims.n_cols, 6))

@@ -21,9 +21,9 @@ from mpiga.assembly import (
     stacked_error_norms,
 )
 from mpiga.bspline import JET_ORDERS, gauss_legendre
-from mpiga.c1space import PatchPrimitives, build_c1_space, homogeneous_subspace
+from mpiga.c1space import EdgeShape, PatchPrimitives, build_c1_space, homogeneous_subspace
 from mpiga.fixtures import BUILTIN_NAMES, builtin_geometry
-from mpiga.geometry import Patch, SideMap
+from mpiga.geometry import _CORNER_FLIP, _CORNER_SIDES, Patch, SideMap
 
 from oracles import (
     _Reference,
@@ -285,6 +285,53 @@ def test_change_of_basis_reproduces_edge_functions(name, p, r):
                         want = edge_function_jets(shape, kind, col - cols[0], u, v)
                         scale.setdefault(j, np.abs(want).max(axis=(0, 1)))
                         assert np.all(np.abs(got[j] - want).max(axis=(0, 1)) <= RTOL * scale[j])
+
+
+@pytest.mark.parametrize("name,p,r", BASIS_CASES, ids=[f"{a}-p{b}-r{c}" for a, b, c in BASIS_CASES])
+def test_edge_columns_read_from_the_far_end_are_the_reversed_shape(name, p, r):
+    """Where a side is read from its t = 1 end -- the five edge columns
+    (traces 0..2, transversals 0..1, counted from the corner) of a vertex
+    family at a corner where the side starts there, and the l side's
+    columns of a reversed interface -- the columns, evaluated through the
+    change of basis, are the edge functions written out for the side in
+    the reversed parameter with its gluing data reversed: B-splines on a
+    uniform open knot vector are symmetric.  Per jet slot, relative to
+    its largest value on the volume grid."""
+    n = 6
+    nodes, _ = gauss_legendre(p + 2)
+    vol = ((np.arange(n)[:, None] + nodes) / n).ravel()
+    grids = [(vol, vol), (np.array([0.0]), vol), (vol, np.array([1.0]))]
+    space = build_c1_space(builtin_geometry(name), p, r, n)
+    topo = space.topology
+    checks = []  # (patch, side, columns, (kind, index in the reversed parameter), its gluing data)
+    corner_funcs = [("trace", 0), ("trace", 1), ("trace", 2), ("transversal", 0), ("transversal", 1)]
+    for vertex in topo.vertices:
+        for k, corner in vertex.incident:
+            cols = c1space._family_columns(space.primitives[k], corner)
+            for family, side, from_end in zip((cols[:5], cols[6:11]), _CORNER_SIDES[corner], _CORNER_FLIP[corner]):
+                if from_end:
+                    own = next(shape for shape, _ in space.primitives[k].shapes if shape.map.side == side)
+                    checks.append((k, side, family, corner_funcs, own.gluing.reversed()))
+    n_corners = len(checks)
+    for idx, itf in enumerate(topo.interfaces):
+        if itf.reverse:
+            dofs = [(g, lab[2:]) for g, lab in enumerate(space.labels) if lab[:2] == ("iface", idx)]
+            cols = [space.patch_rows[itf.l][g].indices for g, _ in dofs]
+            assert all(len(c) == 1 for c in cols)
+            # the l side's data in the shared parameter: its own, reversed
+            checks.append((itf.l, itf.side_l, [c[0] for c in cols], [f for _, f in dofs], space.iface_gluing[idx][1]))
+    assert n_corners > 0
+    assert len(checks) > n_corners or not any(itf.reverse for itf in topo.interfaces)
+    for k, side, cols, funcs, gluing in checks:
+        prims = space.primitives[k]
+        flipped = EdgeShape(SideMap(side, True), gluing, space.sol, space.splus, space.sminus)
+        scale = {}
+        for u, v in grids:
+            got = c1space.GridJets(prims.families, prims.X[cols], u, v).jets()
+            for i, (kind, j) in enumerate(funcs):
+                want = edge_function_jets(flipped, kind, j, u, v)
+                scale.setdefault(i, np.abs(want).max(axis=(0, 1)))
+                assert np.all(np.abs(got[i] - want).max(axis=(0, 1)) <= RTOL * scale[i]), (k, side, kind, j)
 
 
 PAIR_CASES = [(name, n) for name in BUILTIN_NAMES for n in (4, 8)]

@@ -191,6 +191,16 @@ def test_l2_projection_rate():
     assert rates[-1] > 2.7
 
 
+def test_gauss_legendre_is_shared_and_read_only():
+    # one rule per point count, shared by every caller: a write must fail
+    nodes, weights = gauss_legendre(5)
+    x, w = np.polynomial.legendre.leggauss(5)
+    assert np.array_equal(nodes, 0.5 * (x + 1.0)) and np.array_equal(weights, 0.5 * w)
+    assert gauss_legendre(5)[0] is nodes
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
+
+
 def test_tensor_eval_constant_and_linear():
     sp = SplineSpace(3, 2, 4)
     ts = TensorSplineSpace(sp, sp)

@@ -680,19 +680,17 @@ def _interpolated_alone(shape, strip):
     rows over the strip space of one edge shape, one interpolation per
     factor, with the entries of B-splines whose support does not lie
     inside the factor's zeroed."""
-    flip = shape.map.t_flip
 
     def bsplines(space, x, order):
-        return space.eval_columns(np.arange(space.dim), 1.0 - x if flip else x, order)[:, :, order].T
+        return space.eval_columns(np.arange(space.dim), x, order)[:, :, order].T
 
     def glue(coeff, x):
-        return shape.scale * coeff(1.0 - x if flip else x)[:, :1]
+        return shape.scale * coeff(x)[:, :1]
 
     def alone(space, factors, f):
         coeffs = c1space.interpolate(space, f).T
         for j in range(factors.dim):
             lo, hi = factors.basis_support(j)
-            lo, hi = (space.n - 1 - hi, space.n - 1 - lo) if flip else (lo, hi)
             for i in range(space.dim):
                 a, b = space.basis_support(i)
                 if a < lo or b > hi:
@@ -717,16 +715,19 @@ def test_batched_factors_match_each_shape_interpolated_alone(name, p, r):
     bit for bit: its beta and alpha rows on its strip, and its trace rows
     on the two tensor lines next to its side (exact unit weights at
     r = p-1, where the trace lies in the solution space).  Nothing else
-    is written in those rows.  Both tangent orientations occur."""
+    is written in those rows.  Each patch holds one shape per side, in
+    the side's own parameter, and no other columns."""
     space = build_c1_space(builtin_geometry(name), p, r, 6)
-    N, flips = space.sol.dim, set()
+    N, block = space.sol.dim, space.splus.dim + space.sminus.dim
     for prims in space.primitives:
+        assert sorted(shape.map.side for shape, _ in prims.shapes) == [1, 2, 3, 4]
+        assert not any(shape.map.t_flip for shape, _ in prims.shapes)
+        assert prims.n_cols == N * N + 4 * block
         X = prims.X.toarray()
         for shape, first in prims.shapes:
-            flips.add(shape.map.t_flip)
             trace, factors = _interpolated_alone(shape, space.strip)
             if r == p - 1:
-                trace = np.eye(N)[:: -1 if shape.map.t_flip else 1]
+                trace = np.eye(N)
             rows = X[first : first + len(factors)].copy()
             strip = prims.strips[shape.map.side]
             assert np.array_equal(rows[:, strip.first : strip.first + strip.count], factors)
@@ -736,7 +737,6 @@ def test_batched_factors_match_each_shape_interpolated_alone(name, p, r):
                 assert np.array_equal(rows[: len(trace), iu * N + iv], trace)
                 rows[: len(trace), iu * N + iv] = 0.0
             assert not rows.any()
-    assert flips == {False, True}
 
 
 def test_strip_rows_store_only_splines_inside_the_factor_support(topo6):
@@ -746,7 +746,7 @@ def test_strip_rows_store_only_splines_inside_the_factor_support(topo6):
     spline that vanishes on an element has zero coefficients on every
     B-spline active there (local linear independence)."""
     space = build_c1_space(topo6, 3, 2, 8)
-    n, stored = space.sol.n, 0
+    stored = 0
     a, b = space.strip.basis_support(np.arange(space.strip.dim))
     for prims in space.primitives:
         X = prims.X.tocsr()
@@ -755,7 +755,6 @@ def test_strip_rows_store_only_splines_inside_the_factor_support(topo6):
             factors = [(f, j) for f in (shape.splus, shape.sminus) for j in range(f.dim)]
             for row, (f, j) in enumerate(factors, start=first):
                 lo, hi = f.basis_support(j)
-                lo, hi = (n - 1 - hi, n - 1 - lo) if shape.map.t_flip else (lo, hi)
                 cols = X.indices[X.indptr[row] : X.indptr[row + 1]] - strip.first
                 cols = cols[(cols >= 0) & (cols < strip.count)]
                 assert np.all((a[cols] >= lo) & (b[cols] <= hi))
